@@ -20,12 +20,7 @@ import numpy as np
 from . import agent as agent_mod
 from . import elo as elo_mod
 from . import fitting, harness, latent
-from .dataset import (
-    Dataset,
-    TrainingPipeline,
-    load_dataset,
-    save_dataset,
-)
+from .dataset import Dataset, load_dataset, load_pipelines, save_dataset
 from .errors import NumericalError, ValidationError
 from .features import enumerate_eval_pairs
 from .fitting import FitConfig, ModelVariant
@@ -157,37 +152,15 @@ def _parse_dims(text: str) -> list[int]:
         raise ValidationError(f"bad --dims value {text!r}") from exc
 
 
-def _load_pipelines(path: Path) -> dict[str, TrainingPipeline]:
-    from .dataset import TrainingStage, _object_from_json
-
-    try:
-        data = json.loads(path.read_text())
-    except FileNotFoundError as exc:
-        raise ValidationError(f"pipelines file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: malformed JSON ({exc})") from exc
-    if "pipelines" not in data:
-        raise ValidationError(f"{path}: missing 'pipelines' key")
-    pipelines = {}
-    for pid, stages in data["pipelines"].items():
-        parsed = []
-        for si, stage in enumerate(stages):
-            where = f"pipeline {pid!r} stage {si}"
-            goal = _object_from_json(stage["goal"], where)
-            distractor = (
-                _object_from_json(stage["distractor"], where)
-                if stage.get("distractor") is not None
-                else None
-            )
-            parsed.append(TrainingStage(goal, distractor))
-        pipelines[pid] = TrainingPipeline(pid, tuple(parsed))
-    if not pipelines:
-        raise ValidationError(f"{path}: no pipelines defined")
-    return pipelines
+def _write_manifest(args, parameters: dict, inputs: list[Path]) -> None:
+    """Write the run manifest; a --config file is digested with the inputs."""
+    if args.config is not None:
+        inputs = [*inputs, args.config]
+    harness.write_manifest(args.out, args.command, parameters, args.seed, inputs)
 
 
 def _cmd_gen_data(args, config: dict) -> int:
-    pipelines = _load_pipelines(args.pipelines)
+    pipelines = load_pipelines(args.pipelines)
     pairs = enumerate_eval_pairs()
     if args.max_pairs is not None:
         pairs = pairs[: args.max_pairs]
@@ -219,17 +192,17 @@ def _cmd_gen_data(args, config: dict) -> int:
     dataset = Dataset(pipelines, tuple(records))
     out_file = args.out / "preferences.jsonl"
     save_dataset(dataset, out_file)
-    harness.write_manifest(
-        args.out,
-        "gen-data",
+    _write_manifest(
+        args,
         {
             "pipelines": str(args.pipelines),
             "max_pairs": args.max_pairs,
+            "desk_learning_rate": params.learning_rate,
             "episodes_per_stage": params.episodes_per_stage,
+            "baseline_decay": params.baseline_decay,
             "eval_episodes": eval_episodes,
             "wall_prob": wall_prob,
         },
-        args.seed,
         [args.pipelines],
     )
     print(f"wrote {len(records)} records to {out_file}")
@@ -257,10 +230,7 @@ def _cmd_elo(args, config: dict) -> int:
                 f"{report.directional_accuracy:.6f},{report.n_directional}"
             )
     (args.out / "elo_holdout.csv").write_text("\n".join(holdout_rows) + "\n")
-    harness.write_manifest(
-        args.out, "elo", {"data": str(args.data), "folds": args.folds},
-        args.seed, [args.data],
-    )
+    _write_manifest(args, {"data": str(args.data), "folds": args.folds}, [args.data])
     print(f"wrote Elo tables for {len(holdout_rows) - 1} agents to {args.out}")
     return 0
 
@@ -282,9 +252,8 @@ def _cmd_fit(args, config: dict) -> int:
         "diagnostics": result.diagnostics,
     }
     (args.out / "fit_report.json").write_text(json.dumps(report, indent=2) + "\n")
-    harness.write_manifest(
-        args.out, "fit", {"data": str(args.data), "variant": variant.value},
-        args.seed, [args.data],
+    _write_manifest(
+        args, {"data": str(args.data), "variant": variant.value}, [args.data]
     )
     print(f"fitted {variant.value}: train loss {result.train_loss:.4f}")
     return 0
@@ -341,11 +310,9 @@ def _cmd_eval(args, config: dict) -> int:
         )
         print(f"transfer eval loss {result.eval_loss:.4f}")
 
-    harness.write_manifest(
-        args.out,
-        "eval",
+    _write_manifest(
+        args,
         {"data": str(args.data), "plan": str(args.plan), "variant": variant.value},
-        args.seed,
         [args.data, args.plan],
     )
     return 0
@@ -359,10 +326,7 @@ def _cmd_sweep_dim(args, config: dict) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     rows = ["d,loss"] + [f"{d},{loss:.6f}" for d, loss in results]
     (args.out / "sweep.csv").write_text("\n".join(rows) + "\n")
-    harness.write_manifest(
-        args.out, "sweep-dim", {"data": str(args.data), "dims": args.dims},
-        args.seed, [args.data],
-    )
+    _write_manifest(args, {"data": str(args.data), "dims": args.dims}, [args.data])
     print(f"swept {len(results)} dimensions; best loss {min(l for _, l in results):.4f}")
     return 0
 
@@ -388,10 +352,10 @@ def _cmd_project(args, config: dict) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     out_file = args.out / f"projection_{args.pipeline}.json"
     out_file.write_text(json.dumps({"pipeline": args.pipeline, "trace": trace}, indent=2) + "\n")
-    harness.write_manifest(
-        args.out, "project",
+    _write_manifest(
+        args,
         {"hp": str(args.hp), "data": str(args.data), "pipeline": args.pipeline},
-        args.seed, [args.hp, args.data],
+        [args.hp, args.data],
     )
     print(f"wrote projection trace to {out_file}")
     return 0
@@ -401,7 +365,7 @@ def _cmd_check(args, config: dict) -> int:
     from .selfcheck import run_self_checks
 
     ok = run_self_checks(seed=args.seed)
-    harness.write_manifest(args.out, "check", {"passed": ok}, args.seed, [])
+    _write_manifest(args, {"passed": ok}, [])
     return 0 if ok else 2
 
 

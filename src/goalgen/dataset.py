@@ -207,11 +207,66 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
             )
 
 
+def _read_text(path: Path, what: str) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise ValidationError(f"{what} file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: cannot read {what} file ({exc})") from exc
+
+
+def _parse_pipelines(header: object, where: str) -> dict[str, TrainingPipeline]:
+    """Parse a ``{"pipelines": {id: [stage, ...]}}`` document.
+
+    Each stage is ``{"goal": object, "distractor": object or null}``. Any
+    malformed part raises ValidationError naming ``where`` and the part.
+    """
+    if not isinstance(header, dict) or "pipelines" not in header:
+        raise ValidationError(f"{where}: header lacks 'pipelines'")
+    spec = header["pipelines"]
+    if not isinstance(spec, dict):
+        raise ValidationError(
+            f"{where}: 'pipelines' must map pipeline ids to stage lists, "
+            f"got {type(spec).__name__}"
+        )
+    pipelines: dict[str, TrainingPipeline] = {}
+    for pid, stages in spec.items():
+        if not isinstance(stages, list):
+            raise ValidationError(f"{where}: pipeline {pid!r} must be a list of stages")
+        parsed = []
+        for si, stage in enumerate(stages):
+            at = f"{where}: pipeline {pid!r} stage {si}"
+            if not isinstance(stage, dict) or "goal" not in stage:
+                raise ValidationError(f"{at}: expected an object with a 'goal'")
+            goal = _object_from_json(stage["goal"], at)
+            distractor = (
+                _object_from_json(stage["distractor"], at)
+                if stage.get("distractor") is not None
+                else None
+            )
+            parsed.append(TrainingStage(goal, distractor))
+        pipelines[pid] = TrainingPipeline(pid, tuple(parsed))
+    return pipelines
+
+
+def load_pipelines(path: str | Path) -> dict[str, TrainingPipeline]:
+    """Load a JSON pipelines file (the same document as a dataset header)."""
+    path = Path(path)
+    try:
+        data = json.loads(_read_text(path, "pipelines"))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: malformed JSON ({exc})") from exc
+    pipelines = _parse_pipelines(data, str(path))
+    if not pipelines:
+        raise ValidationError(f"{path}: no pipelines defined")
+    return pipelines
+
+
 def load_dataset(path: str | Path) -> Dataset:
     """Load a JSON Lines dataset, reporting the offending line on failure."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
+    lines = [line for line in _read_text(path, "data").splitlines() if line.strip()]
     if not lines:
         raise ValidationError(f"{path}: empty dataset file")
 
@@ -219,22 +274,7 @@ def load_dataset(path: str | Path) -> Dataset:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: malformed header line ({exc})") from exc
-    if "pipelines" not in header:
-        raise ValidationError(f"{path}: header line lacks 'pipelines'")
-
-    pipelines: dict[str, TrainingPipeline] = {}
-    for pid, stages in header["pipelines"].items():
-        parsed = []
-        for si, stage in enumerate(stages):
-            where = f"pipeline {pid!r} stage {si}"
-            goal = _object_from_json(stage["goal"], where)
-            distractor = (
-                _object_from_json(stage["distractor"], where)
-                if stage.get("distractor") is not None
-                else None
-            )
-            parsed.append(TrainingStage(goal, distractor))
-        pipelines[pid] = TrainingPipeline(pid, tuple(parsed))
+    pipelines = _parse_pipelines(header, str(path))
 
     records = []
     for i, line in enumerate(lines[1:]):

@@ -95,6 +95,8 @@ class EvaluationPlan:
     def from_file(cls, path: str | Path) -> "EvaluationPlan":
         try:
             data = json.loads(Path(path).read_text())
+        except FileNotFoundError as exc:
+            raise ValidationError(f"plan file not found: {path}") from exc
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: malformed plan JSON ({exc})") from exc
         return cls.from_json(data)

@@ -4,11 +4,18 @@ Wall cells are sampled independently (p = 0.2 by default) and the map is
 rejection-sampled until every vacant cell is reachable from every other.
 Reaching any object cell ends the episode; only the rewarded goal pays +1,
 every other transition pays -0.1, and episodes are cut off after 200 steps.
+
+Connectivity and distance fields run breadth-first search on bitboards. The
+vacant cells of a size x size grid form one Python int, with bit
+``r * size + c`` set for vacant cell (r, c). One BFS layer is five shifts
+and masks over that int: a shift by ``size`` moves a row down or up, a shift
+by 1 moves a column right or left, and column masks drop the bits that
+would wrap onto the next or previous row. Python ints have no width limit,
+so any grid size works.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -99,49 +106,71 @@ def _as_generator(rng: int | np.random.Generator) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
+def _vacant_bits(walls: np.ndarray) -> int:
+    """Bitboard of the vacant cells: bit ``r * size + c`` is set for vacant (r, c)."""
+    wall_bits = int.from_bytes(
+        np.packbits(walls, axis=None, bitorder="little").tobytes(), "little"
+    )
+    return ((1 << walls.size) - 1) & ~wall_bits
+
+
+def _flood(start: int, vacant: int, size: int) -> list[int]:
+    """Breadth-first flood fill over bitboards.
+
+    Entry ``d`` of the result holds every vacant cell within ``d`` moves of
+    the cells in ``start``; the last entry is the whole reachable set.
+    """
+    # Bits of the first column: 1 + 2**size + 2**(2 * size) + ... A right
+    # move never lands on the first column, a left move never on the last.
+    first_column = ((1 << size * size) - 1) // ((1 << size) - 1)
+    enter_right = vacant & ~first_column
+    enter_left = vacant & ~(first_column << (size - 1))
+    reached = start
+    layers = [reached]
+    while True:
+        grown = (
+            reached
+            | ((reached << size | reached >> size) & vacant)
+            | (reached << 1 & enter_right)
+            | (reached >> 1 & enter_left)
+        )
+        if grown == reached:
+            return layers
+        layers.append(grown)
+        reached = grown
+
+
 def _connected(walls: np.ndarray) -> bool:
     """True when all vacant cells are mutually reachable by 4-neighbour moves."""
-    vacant = ~walls
-    n_vacant = int(vacant.sum())
-    if n_vacant == 0:
+    vacant = _vacant_bits(walls)
+    if not vacant:
         return False
-    start = tuple(np.argwhere(vacant)[0])
-    seen = np.zeros_like(walls, dtype=bool)
-    seen[start] = True
-    queue = deque([start])
-    count = 1
-    size = walls.shape[0]
-    while queue:
-        r, c = queue.popleft()
-        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            nr, nc = r + dr, c + dc
-            if 0 <= nr < size and 0 <= nc < size and vacant[nr, nc] and not seen[nr, nc]:
-                seen[nr, nc] = True
-                count += 1
-                queue.append((nr, nc))
-    return count == n_vacant
+    return _flood(vacant & -vacant, vacant, walls.shape[0])[-1] == vacant
 
 
 def distance_field(walls: np.ndarray, target: tuple[int, int]) -> np.ndarray:
     """BFS shortest-path distance from every vacant cell to ``target``.
 
-    Wall cells (and anything unreachable) get -1.
+    Floods the vacant-cell bitboard (bit ``r * size + c`` for cell (r, c))
+    from the target's bit and writes step ``d`` into the cells first reached
+    at step ``d``. Wall cells (and anything unreachable) get -1. Returns an
+    int32 (size, size) array.
     """
     size = walls.shape[0]
-    dist = np.full((size, size), -1, dtype=np.int32)
     if walls[target]:
         raise ValidationError(f"distance target {target} is a wall cell")
-    dist[target] = 0
-    queue = deque([target])
-    while queue:
-        r, c = queue.popleft()
-        d = dist[r, c] + 1
-        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            nr, nc = r + dr, c + dc
-            if 0 <= nr < size and 0 <= nc < size and not walls[nr, nc] and dist[nr, nc] < 0:
-                dist[nr, nc] = d
-                queue.append((nr, nc))
-    return dist
+    # A numpy integer index would overflow the shift below.
+    r, c = int(target[0]), int(target[1])
+    flat = [-1] * (size * size)
+    previous = 0
+    for d, reached in enumerate(_flood(1 << (r * size + c), _vacant_bits(walls), size)):
+        new = reached & ~previous
+        previous = reached
+        while new:
+            low = new & -new
+            flat[low.bit_length() - 1] = d
+            new ^= low
+    return np.array(flat, dtype=np.int32).reshape(size, size)
 
 
 def generate_maze(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from goalgen.agent import (
 )
 from goalgen.dataset import TrainingPipeline, TrainingStage
 from goalgen.errors import NumericalError, ValidationError
-from goalgen.features import Colour, ObjectFeatures, Shape
+from goalgen.features import Colour, ObjectFeatures, Shape, enumerate_eval_pairs
 
 RC = ObjectFeatures(Colour.RED, Shape.CROSS)
 BD = ObjectFeatures(Colour.BLUE, Shape.DIAMOND)
@@ -134,3 +135,28 @@ def test_empty_pair_rejected(trained_single):
 def test_weights_shape_validated():
     with pytest.raises(ValidationError):
         DeskPolicyParameters(weights=np.zeros(7))
+
+
+# sha256 of the trained weights' bytes followed by every pair's
+# (count_a, count_b, count_none), recorded from the queue-BFS maze code.
+# Any change to the maze draws, the BFS or the policy loop that alters a
+# single rollout changes this digest.
+PINNED_ROLLOUT_DIGEST = (
+    "9a1a18d087e5c9340079158aa811632acea25f2ee18c3668f38a91200a31e89c"
+)
+
+
+def test_seeded_rollouts_match_pinned_digest():
+    pipeline = TrainingPipeline("pinned", (TrainingStage(RC), TrainingStage(BD, BR)))
+    trained = train_desk_agent(
+        pipeline, DeskPolicyParameters(episodes_per_stage=100), rng_seed=13
+    )
+    records = evaluate_preferences(
+        trained, enumerate_eval_pairs(), episodes_per_pair=2, rng_seed=13,
+        pipeline_id="pinned",
+    )
+    assert len(records) == 276
+    digest = hashlib.sha256(np.asarray(trained.weights, dtype="<f8").tobytes())
+    for rec in records:
+        digest.update(f"{rec.count_a},{rec.count_b},{rec.count_none};".encode())
+    assert digest.hexdigest() == PINNED_ROLLOUT_DIGEST

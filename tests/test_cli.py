@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -237,7 +238,17 @@ def test_gen_data_command(tmp_path):
     ds = load_dataset(out / "preferences.jsonl")
     assert len(ds.records) == 4
     assert all(r.episodes == 5 for r in ds.records)
-    assert (out / "manifest.json").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"] == {
+        str(pfile): hashlib.sha256(pfile.read_bytes()).hexdigest(),
+        str(cfg): hashlib.sha256(cfg.read_bytes()).hexdigest(),
+    }
+    # every DeskPolicyParameters field, so the run can be rebuilt
+    params = manifest["parameters"]
+    assert params["desk_learning_rate"] == 0.05
+    assert params["episodes_per_stage"] == 120
+    assert params["baseline_decay"] == 0.99
+    assert params["eval_episodes"] == 5
 
 
 def test_check_command_passes(tmp_path, capsys):
@@ -282,3 +293,68 @@ def test_project_unknown_pipeline_exits_1(tmp_path, data_file):
         ]
     )
     assert code == 1
+
+
+def assert_one_line_error(capsys, *fragments):
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err, err
+    assert err.startswith("error: "), err
+    for fragment in fragments:
+        assert fragment in err, err
+
+
+GOALLESS_STAGE = {"pipelines": {"demo": [{"distractor": None}]}}
+LIST_PIPELINES = {"pipelines": [{"goal": {"colour": "red", "shape": "cross"}}]}
+
+
+@pytest.mark.parametrize(
+    "header, fragments",
+    [(GOALLESS_STAGE, ("stage 0", "'goal'")), (LIST_PIPELINES, ("'pipelines'", "list"))],
+    ids=["stage-without-goal", "pipelines-list"],
+)
+def test_bad_pipelines_file_exits_1(tmp_path, capsys, header, fragments):
+    pfile = tmp_path / "pipes.json"
+    pfile.write_text(json.dumps(header))
+    code = main(["gen-data", "--pipelines", str(pfile), "--out", str(tmp_path / "gen")])
+    assert code == 1
+    assert_one_line_error(capsys, str(pfile), *fragments)
+
+
+@pytest.mark.parametrize(
+    "header, fragments",
+    [(GOALLESS_STAGE, ("stage 0", "'goal'")), (LIST_PIPELINES, ("'pipelines'", "list"))],
+    ids=["stage-without-goal", "pipelines-list"],
+)
+def test_bad_dataset_header_exits_1(tmp_path, capsys, header, fragments):
+    data = tmp_path / "prefs.jsonl"
+    data.write_text(json.dumps(header) + "\n")
+    code = main(["fit", "--data", str(data), "--out", str(tmp_path / "fit")])
+    assert code == 1
+    assert_one_line_error(capsys, str(data), *fragments)
+
+
+def test_missing_data_file_exits_1(tmp_path, capsys):
+    missing = tmp_path / "absent.jsonl"
+    code = main(["fit", "--data", str(missing), "--out", str(tmp_path / "fit")])
+    assert code == 1
+    assert_one_line_error(capsys, "data file not found", str(missing))
+
+
+def test_missing_plan_file_exits_1(tmp_path, data_file, capsys):
+    missing = tmp_path / "absent-plan.json"
+    code = main(
+        ["eval", "--data", str(data_file), "--plan", str(missing), "--out", str(tmp_path / "ev")]
+    )
+    assert code == 1
+    assert_one_line_error(capsys, "plan file not found", str(missing))
+
+
+def test_config_file_is_a_digested_input(tmp_path, data_file):
+    cfg = fast_config(tmp_path)
+    out = tmp_path / "fitcfg"
+    code = main(
+        ["fit", "--data", str(data_file), "--out", str(out), "--config", str(cfg)]
+    )
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"][str(cfg)] == hashlib.sha256(cfg.read_bytes()).hexdigest()

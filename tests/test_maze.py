@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from goalgen.maze import (
     Action,
     MazeGrid,
     Outcome,
+    _connected,
     distance_field,
     generate_maze,
     initial_state,
@@ -16,6 +19,29 @@ from goalgen.maze import (
 
 RC = ObjectFeatures(Colour.RED, Shape.CROSS)
 BD = ObjectFeatures(Colour.BLUE, Shape.DIAMOND)
+
+
+def oracle_distance_field(walls, target):
+    """Reference queue BFS: distance to ``target``, -1 on walls and unreachable cells."""
+    size = walls.shape[0]
+    dist = np.full((size, size), -1, dtype=np.int32)
+    dist[target] = 0
+    queue = deque([target])
+    while queue:
+        r, c = queue.popleft()
+        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+            nr, nc = r + dr, c + dc
+            if 0 <= nr < size and 0 <= nc < size and not walls[nr, nc] and dist[nr, nc] < 0:
+                dist[nr, nc] = dist[r, c] + 1
+                queue.append((nr, nc))
+    return dist
+
+
+def oracle_connected(walls):
+    vacant = np.argwhere(~walls)
+    if len(vacant) == 0:
+        return False
+    return bool((oracle_distance_field(walls, tuple(vacant[0]))[~walls] >= 0).all())
 
 
 def corridor_grid(goal_col=7, agent_col=0, distractor=None, distractor_col=None):
@@ -187,3 +213,32 @@ def test_distance_field_rejects_wall_target():
     walls[2, 2] = True
     with pytest.raises(ValidationError):
         distance_field(walls, (2, 2))
+
+
+def test_bitboard_bfs_matches_queue_oracle():
+    rng = np.random.default_rng(2605)
+    disconnected = 0
+    for i in range(3000):
+        size = i % 12 + 1
+        wall_prob = (i // 12) % 7 / 10  # 0.0 .. 0.6
+        walls = rng.random((size, size)) < wall_prob
+        connected = oracle_connected(walls)
+        assert _connected(walls) is connected
+        disconnected += not connected
+        vacant = np.argwhere(~walls)
+        if len(vacant) == 0:
+            continue
+        target = tuple(vacant[rng.integers(len(vacant))])  # np.int64 indices
+        got = distance_field(walls, target)
+        want = oracle_distance_field(walls, target)
+        assert got.dtype == want.dtype
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert disconnected > 300  # unreachable pockets were exercised
+
+
+def test_generate_maze_any_size():
+    for size in (2, 3, 12):
+        grid = generate_maze(size, [RC], wall_prob=0.3, size=size)
+        assert grid.walls.shape == (size, size)
+        assert oracle_connected(grid.walls)
