@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -61,12 +62,15 @@ def load_config(path: str | Path | None) -> dict:
         raise ValidationError(f"{path}: unknown config keys {sorted(unknown)}")
     for key, value in list(data.items()):
         expected = _CONFIG_SCHEMA[key]
-        if expected is float and isinstance(value, int):
+        # Exact types: a JSON true/false is a bool, which is an int subclass.
+        if expected is float and type(value) is int:
             data[key] = value = float(value)
-        if not isinstance(value, expected):
+        if type(value) is not expected:
             raise ValidationError(
                 f"{path}: config key {key!r} must be {expected.__name__}"
             )
+        if expected is float and not math.isfinite(value):
+            raise ValidationError(f"{path}: config key {key!r} must be finite")
     return data
 
 

@@ -5,8 +5,10 @@ distributions with mini-batch Adam. Gradients with respect to the free
 saliency entries, log tau, and w0 flow through the entire unrolled inner
 ascent by reverse accumulation: the forward pass records the latent
 trajectory, and the backward pass propagates an adjoint vector through
-each ascent step using the closed-form Jacobians of the step rule. A
-central finite-difference mode is kept as an independent cross-check.
+each ascent step using the closed-form Jacobians of the step rule. The
+adjoint is linear and its Jacobians depend only on a pipeline's
+trajectory, so it runs once per pipeline, not once per record. A central
+finite-difference mode is kept as an independent cross-check.
 
 Besides the proposed (full) model there are four alternatives: a diagonal
 saliency, a quadratic feature expansion with diagonal saliency, a
@@ -72,8 +74,10 @@ class FitConfig:
     latent_dim: int = 10
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs < 0:
+        if self.learning_rate <= 0 or self.batch_size <= 0:
             raise ValidationError("learning rate and batch size must be positive")
+        if self.epochs < 0:
+            raise ValidationError(f"epochs must be non-negative, got {self.epochs}")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
             raise ValidationError("Adam betas must lie in (0, 1)")
         if self.n_integration_steps <= 0 or self.latent_dim <= 0:
@@ -212,11 +216,13 @@ def _step_coefs(vg, vd, tau, has_dis):
 
 
 def _step_coef_partials(vg, vd, tau, has_dis):
-    """Coefficients plus their partials wrt vg, vd, and tau.
+    """Coefficients plus their partials wrt (vg, vd) and tau, stacked.
 
-    Returns (cg, cd, dcg_dvg, dcg_dvd, dcd_dvg, dcd_dvd, dcg_dtau,
-    dcd_dtau). The cross partials coincide because the coefficients are
-    the objective's first derivatives in (vg, vd).
+    For inputs of shape ``X + (P,)`` returns ``coef`` and ``coef_tau`` of
+    shape ``X + (2, P)`` (goal, distractor) and ``jac`` of shape
+    ``X + (2, 2, P)`` with ``jac[..., e, c, :]`` the partial of
+    coefficient ``e`` wrt ``v_c``. The Jacobian is symmetric because the
+    coefficients are the objective's first derivatives in (vg, vd).
     """
     s = expit(vg)
     sp = s * (1.0 - s)
@@ -246,16 +252,20 @@ def _step_coef_partials(vg, vd, tau, has_dis):
     dgt1 = log_ratio * gg
     ddt1 = -log_ratio * gd
 
-    zero = np.zeros_like(vg)
     cg = np.where(has_dis, cg1, cg0)
-    cd = np.where(has_dis, cd1, zero)
-    dcg_dvg = np.where(has_dis, dgg1, dgg0)
-    dcg_dvd = np.where(has_dis, cross1, zero)
-    dcd_dvg = np.where(has_dis, cross1, zero)
-    dcd_dvd = np.where(has_dis, ddd1, zero)
-    dcg_dtau = np.where(has_dis, dgt1, dgt0)
-    dcd_dtau = np.where(has_dis, ddt1, zero)
-    return cg, cd, dcg_dvg, dcg_dvd, dcd_dvg, dcd_dvd, dcg_dtau, dcd_dtau
+    cd = np.where(has_dis, cd1, 0.0)
+    cross = np.where(has_dis, cross1, 0.0)
+    jac = np.stack(
+        [
+            np.stack([np.where(has_dis, dgg1, dgg0), cross], axis=-2),
+            np.stack([cross, np.where(has_dis, ddd1, 0.0)], axis=-2),
+        ],
+        axis=-3,
+    )
+    coef_tau = np.stack(
+        [np.where(has_dis, dgt1, dgt0), np.where(has_dis, ddt1, 0.0)], axis=-2
+    )
+    return np.stack([cg, cd], axis=-2), jac, coef_tau
 
 
 def _evaluate_batch(
@@ -269,9 +279,11 @@ def _evaluate_batch(
     """Mean loss over the selected records and, optionally, its gradient.
 
     Pipelines are simulated once each (vectorised within groups of equal
-    stage count); the adjoint pass then runs per record against the shared
-    trajectories. Divergence surfaces as NumericalError via explicit
-    finiteness checks, so float warnings are suppressed here.
+    stage count). The adjoint pass pools the records' seeds per pipeline,
+    runs only the adjoint recurrence step by step, and contracts its
+    history into the gradients afterwards. Divergence surfaces as
+    NumericalError via explicit finiteness checks, so float warnings are
+    suppressed here.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return _evaluate_batch_inner(theta, space, prep, rec_sel, config, want_grad)
@@ -307,9 +319,7 @@ def _evaluate_batch_inner(
         in_group = stage_counts == t_stages
         rsel = rec_sel[in_group]
         rpos = np.nonzero(in_group)[0]
-        gpipes = np.unique(rec_pipes[in_group])
-        local = {g: i for i, g in enumerate(gpipes)}
-        pidx = np.array([local[g] for g in rec_pipes[in_group]])
+        gpipes, pidx = np.unique(rec_pipes[in_group], return_inverse=True)
         n_pipes = len(gpipes)
         t_count = int(t_stages)
 
@@ -375,59 +385,54 @@ def _evaluate_batch_inner(
         p = np.exp(logp)
         dv = (p - p_hat) * scale
         dva, dvb = dv[:, 0], dv[:, 1]
-        lam = dva[:, None] * u_a + dvb[:, None] * u_b
         s_grad += np.einsum("r,rn,rd->nd", dva, phi_a, w_final)
         s_grad += np.einsum("r,rn,rd->nd", dvb, phi_b, w_final)
 
-        u_goal_r = [u_goal[t][pidx] for t in range(t_count)]
-        u_dist_r = [u_dist[t][pidx] for t in range(t_count)]
-        phi_g_r = [phi_g[pidx, t, :] for t in range(t_count)]
-        phi_d_r = [phi_d[pidx, t, :] for t in range(t_count)]
-        has_dis_r = [has_dis[pidx, t] for t in range(t_count)]
+        # The adjoint recurrence is linear in lam and its Jacobians depend
+        # only on the pipeline's trajectory, so records pool per pipeline.
+        lam = np.zeros((n_pipes, d))
+        np.add.at(lam, pidx, dva[:, None] * u_a + dvb[:, None] * u_b)
 
+        # Axis c below is (goal, distractor); a simultaneous step ascends
+        # the mean over stages, so its coefficients carry 1 / t_count.
+        rate = 1.0 / t_count if simultaneous else 1.0
+        coef, jac, coef_tau = (
+            rate * x
+            for x in _step_coef_partials(
+                vg_hist, vd_hist, tau, has_dis.T[:, None, :]
+            )
+        )
+        u_cat = np.stack([np.stack(u_goal), np.stack(u_dist)], axis=1)  # (T, 2, P, d)
+        # A step is (the stages it ascends, its history row, its index).
+        # Simultaneous stages share one trajectory, so one history row.
         if simultaneous:
-            inv_t = 1.0 / t_count
-            for k in reversed(range(n_steps)):
-                w_t = w_hist[k][pidx]
-                lam_add = np.zeros_like(lam)
-                for t in range(t_count):
-                    vg = vg_hist[t, k][pidx]
-                    vd = vd_hist[t, k][pidx]
-                    (cg, cd, dgg, dgd, ddg, ddd, dgt, ddt) = _step_coef_partials(
-                        vg, vd, tau, has_dis_r[t]
-                    )
-                    a_g = (lam * u_goal_r[t]).sum(axis=1)
-                    a_d = (lam * u_dist_r[t]).sum(axis=1)
-                    alpha_g = (dgg * a_g + ddg * a_d) * inv_t
-                    alpha_d = (dgd * a_g + ddd * a_d) * inv_t
-                    s_grad += np.einsum("r,rn,rd->nd", alpha_g, phi_g_r[t], w_t)
-                    s_grad += np.einsum("r,rn,rd->nd", alpha_d, phi_d_r[t], w_t)
-                    s_grad += np.einsum("r,rn,rd->nd", cg * inv_t, phi_g_r[t], lam)
-                    s_grad += np.einsum("r,rn,rd->nd", cd * inv_t, phi_d_r[t], lam)
-                    tau_grad += float(((dgt * a_g + ddt * a_d) * inv_t).sum())
-                    lam_add += alpha_g[:, None] * u_goal_r[t]
-                    lam_add += alpha_d[:, None] * u_dist_r[t]
-                lam = lam + lam_add
+            w_hist = w_hist[None]
+            steps = [(slice(None), 0, k) for k in reversed(range(n_steps))]
         else:
-            for t in reversed(range(t_count)):
-                for k in reversed(range(n_steps)):
-                    w_t = w_hist[t, k][pidx]
-                    vg = vg_hist[t, k][pidx]
-                    vd = vd_hist[t, k][pidx]
-                    (cg, cd, dgg, dgd, ddg, ddd, dgt, ddt) = _step_coef_partials(
-                        vg, vd, tau, has_dis_r[t]
-                    )
-                    a_g = (lam * u_goal_r[t]).sum(axis=1)
-                    a_d = (lam * u_dist_r[t]).sum(axis=1)
-                    alpha_g = dgg * a_g + ddg * a_d
-                    alpha_d = dgd * a_g + ddd * a_d
-                    s_grad += np.einsum("r,rn,rd->nd", alpha_g, phi_g_r[t], w_t)
-                    s_grad += np.einsum("r,rn,rd->nd", alpha_d, phi_d_r[t], w_t)
-                    s_grad += np.einsum("r,rn,rd->nd", cg, phi_g_r[t], lam)
-                    s_grad += np.einsum("r,rn,rd->nd", cd, phi_d_r[t], lam)
-                    tau_grad += float((dgt * a_g + ddt * a_d).sum())
-                    lam = lam + alpha_g[:, None] * u_goal_r[t]
-                    lam = lam + alpha_d[:, None] * u_dist_r[t]
+            steps = [
+                (slice(t, t + 1), t, k)
+                for t in reversed(range(t_count))
+                for k in reversed(range(n_steps))
+            ]
+        # Only the lam recurrence runs per step; its history is contracted
+        # into the S and tau gradients after the loop.
+        lam_hist = np.empty_like(w_hist)
+        a_hist = np.empty_like(coef)  # lam . u_c, before each step's update
+        for stages, h, k in steps:
+            lam_hist[h, k] = lam
+            a = np.einsum("tcpd,pd->tcp", u_cat[stages], lam)
+            a_hist[stages, k] = a
+            alpha = np.einsum("tecp,tep->tcp", jac[stages, k], a)
+            lam = lam + np.einsum("tcp,tcpd->pd", alpha, u_cat[stages])
+
+        tau_grad += float(np.einsum("tkcp,tkcp->", coef_tau, a_hist))
+        alpha_hist = np.einsum("tkecp,tkep->tkcp", jac, a_hist)
+        hist_shape = (t_count, n_steps, n_pipes, d)
+        u_adj = np.einsum(
+            "tkcp,tkpd->tcpd", alpha_hist, np.broadcast_to(w_hist, hist_shape)
+        ) + np.einsum("tkcp,tkpd->tcpd", coef, np.broadcast_to(lam_hist, hist_shape))
+        phi_cat = np.stack([phi_g, phi_d], axis=2)  # (P, T, 2, n)
+        s_grad += np.einsum("ptcn,tcpd->nd", phi_cat, u_adj)
         w0_grad += float(lam.sum())
 
     loss = float(losses.mean())
@@ -497,6 +502,7 @@ def fit_hyperparameters(
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     step_count = 0
+    losses: list[float] = []
     grad_norms: list[float] = []
     rng = np.random.default_rng([0x666974, config.rng_seed])
     order = np.arange(prep.n_records)
@@ -526,6 +532,7 @@ def fit_hyperparameters(
             m_hat = m / (1.0 - config.adam_beta1**step_count)
             v_hat = v / (1.0 - config.adam_beta2**step_count)
             theta = theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+            losses.append(loss)
             grad_norms.append(float(np.linalg.norm(grad)))
 
     sel = np.arange(prep.n_records)
@@ -540,6 +547,8 @@ def fit_hyperparameters(
         diagnostics={
             "n_updates": step_count,
             "final_gradient_norm": grad_norms[-1] if grad_norms else 0.0,
+            "loss_trajectory": losses,
+            "gradient_norm_trajectory": grad_norms,
             "wall_time_s": time.perf_counter() - started,
             "gradient_mode": config.gradient_mode,
             "epochs": config.epochs,

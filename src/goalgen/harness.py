@@ -30,6 +30,17 @@ from .latent import goal_value
 from .metrics import MetricMode, MetricsReport, compute_metrics
 
 
+def _optional_int(data: dict, key: str, default: int | None = None) -> int | None:
+    """The integer at ``data[key]``, or the default when it is absent or null."""
+    value = data.get(key)
+    if value is None:
+        return default
+    # bool is an int subclass, but true/false is never a count or a seed.
+    if type(value) is not int:
+        raise ValidationError(f"key {key!r} must be an integer")
+    return value
+
+
 @dataclass(frozen=True)
 class PipelinePredicate:
     """Declarative pipeline filter; None fields match anything."""
@@ -52,14 +63,24 @@ class PipelinePredicate:
 
     @classmethod
     def from_json(cls, data: dict) -> "PipelinePredicate":
+        if not isinstance(data, dict):
+            raise ValidationError("pipeline filter must be a JSON object")
         known = {"stage_count", "has_distractor", "ids"}
         unknown = set(data) - known
         if unknown:
             raise ValidationError(f"unknown predicate keys: {sorted(unknown)}")
+        stage_count = _optional_int(data, "stage_count")
+        has_distractor = data.get("has_distractor")
+        if has_distractor is not None and not isinstance(has_distractor, bool):
+            raise ValidationError("filter key 'has_distractor' must be a boolean")
         ids = data.get("ids")
+        if ids is not None and not (
+            isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+        ):
+            raise ValidationError("filter key 'ids' must be a list of strings")
         return cls(
-            stage_count=data.get("stage_count"),
-            has_distractor=data.get("has_distractor"),
+            stage_count=stage_count,
+            has_distractor=has_distractor,
             ids=frozenset(ids) if ids is not None else None,
         )
 
@@ -75,6 +96,8 @@ class EvaluationPlan:
 
     @classmethod
     def from_json(cls, data: dict) -> "EvaluationPlan":
+        if not isinstance(data, dict):
+            raise ValidationError("evaluation plan must be a JSON object")
         known = {"train", "eval", "k", "seed"}
         unknown = set(data) - known
         if unknown:
@@ -84,8 +107,8 @@ class EvaluationPlan:
         plan = cls(
             train=PipelinePredicate.from_json(train) if train is not None else None,
             eval=PipelinePredicate.from_json(eval_) if eval_ is not None else None,
-            k=data.get("k"),
-            seed=data.get("seed", 0),
+            k=_optional_int(data, "k"),
+            seed=_optional_int(data, "seed", 0),
         )
         if plan.k is None and (plan.train is None or plan.eval is None):
             raise ValidationError("plan needs either k or both train and eval filters")
@@ -99,7 +122,10 @@ class EvaluationPlan:
             raise ValidationError(f"plan file not found: {path}") from exc
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: malformed plan JSON ({exc})") from exc
-        return cls.from_json(data)
+        try:
+            return cls.from_json(data)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
 
 
 @dataclass

@@ -67,6 +67,9 @@ def test_fit_writes_outputs(tmp_path, data_file):
     report = json.loads((out / "fit_report.json").read_text())
     assert report["variant"] == "full"
     assert report["n_examples"] == 48
+    diagnostics = report["diagnostics"]
+    assert len(diagnostics["loss_trajectory"]) == diagnostics["n_updates"]
+    assert len(diagnostics["gradient_norm_trajectory"]) == diagnostics["n_updates"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert str(data_file) in manifest["inputs"]
 
@@ -358,3 +361,60 @@ def test_config_file_is_a_digested_input(tmp_path, data_file):
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["inputs"][str(cfg)] == hashlib.sha256(cfg.read_bytes()).hexdigest()
+
+
+TRANSFER_EVAL = {"stage_count": 2}
+BAD_PLANS = {
+    "string-k": ({"k": "4"}, "'k'"),
+    "bool-k": ({"k": True}, "'k'"),
+    "not-an-object": (5, "JSON object"),
+    "string-seed": ({"k": 2, "seed": "x"}, "'seed'"),
+    "string-stage-count": (
+        {"train": {"stage_count": "1"}, "eval": TRANSFER_EVAL},
+        "'stage_count'",
+    ),
+    "int-has-distractor": (
+        {"train": {"has_distractor": 1}, "eval": TRANSFER_EVAL},
+        "'has_distractor'",
+    ),
+    "string-ids": ({"train": {"ids": "p000"}, "eval": TRANSFER_EVAL}, "'ids'"),
+    "int-ids": ({"train": {"ids": [0]}, "eval": TRANSFER_EVAL}, "'ids'"),
+    "list-filter": ({"train": [1], "eval": TRANSFER_EVAL}, "JSON object"),
+}
+
+
+@pytest.mark.parametrize("plan_doc, fragment", BAD_PLANS.values(), ids=list(BAD_PLANS))
+def test_bad_plan_exits_1(tmp_path, data_file, capsys, plan_doc, fragment):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(plan_doc))
+    code = main(
+        [
+            "eval",
+            "--data", str(data_file),
+            "--plan", str(plan),
+            "--out", str(tmp_path / "ev"),
+            "--config", str(fast_config(tmp_path)),
+        ]
+    )
+    assert code == 1
+    assert_one_line_error(capsys, str(plan), fragment)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"batch_size": true}', "batch_size"),
+        ('{"epochs": false}', "epochs"),
+        ('{"learning_rate": true}', "learning_rate"),
+        ('{"learning_rate": NaN}', "learning_rate"),
+        ('{"adam_beta1": Infinity}', "adam_beta1"),
+    ],
+)
+def test_bool_or_non_finite_config_value_exits_1(tmp_path, data_file, capsys, text, key):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    code = main(
+        ["fit", "--data", str(data_file), "--out", str(tmp_path / "fit"), "--config", str(cfg)]
+    )
+    assert code == 1
+    assert_one_line_error(capsys, str(cfg), repr(key))

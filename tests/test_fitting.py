@@ -1,9 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import random_pipelines, sample_records, synthetic_dataset
+from conftest import GOALS, PAIRS, random_pipelines, sample_records, synthetic_dataset
 from goalgen.dataset import Dataset, PreferenceRecord, TrainingPipeline, TrainingStage
 from goalgen.errors import NumericalError, ValidationError
 from goalgen.features import Colour, ObjectFeatures, Shape, enumerate_objects
@@ -88,6 +90,86 @@ def test_adjoint_matches_fd_for_every_variant(rng):
         assert rel.max() < 1e-3, variant
 
 
+POOLED_REFERENCE = Path(__file__).parent / "data" / "pooled_adjoint_reference.json"
+
+
+def pooled_adjoint_dataset():
+    """1-3 stage pipelines, with and without distractors, 5 records each."""
+    rng = np.random.default_rng(31)
+    layouts = [(1, False), (1, True), (2, False), (2, True), (3, False), (3, True)]
+    pipelines = {}
+    records = []
+    for i, (n_stages, with_distractor) in enumerate(layouts):
+        stages = []
+        for _ in range(n_stages):
+            goal = GOALS[rng.integers(len(GOALS))]
+            distractor = None
+            if with_distractor:
+                distractor = OBJECTS[rng.integers(24)]
+                while distractor == goal:
+                    distractor = OBJECTS[rng.integers(24)]
+            stages.append(TrainingStage(goal, distractor))
+        pid = f"p{i}"
+        pipelines[pid] = TrainingPipeline(pid, tuple(stages))
+        for j in rng.choice(len(PAIRS), size=5, replace=False):
+            a, b = PAIRS[j]
+            counts = rng.multinomial(60, rng.dirichlet([2.0, 2.0, 1.0]))
+            records.append(
+                PreferenceRecord(pid, a, b, *(int(c) for c in counts), 60)
+            )
+    return Dataset(pipelines, tuple(records))
+
+
+def pooled_adjoint_hyperparameters(variant):
+    rng = np.random.default_rng(7)
+    if variant is ModelVariant.QUADRATIC:
+        return LpgHyperparameters(
+            1.0 + 0.2 * rng.normal(size=65),
+            math.log(0.7),
+            -0.2,
+            SaliencyVariant.QUADRATIC,
+        )
+    s = np.eye(10, 4) + 0.3 * rng.normal(size=(10, 4))
+    if variant is ModelVariant.DIAGONAL:
+        return LpgHyperparameters(
+            s * np.eye(10, 4), math.log(0.7), -0.2, SaliencyVariant.DIAGONAL
+        )
+    return LpgHyperparameters(np.triu(s), math.log(0.7), -0.2)
+
+
+def pooled_adjoint_values():
+    """Whole-dataset loss and adjoint gradient, and a 3-update fit's loss."""
+    ds = pooled_adjoint_dataset()
+    out = {}
+    for variant in ModelVariant:
+        hp = pooled_adjoint_hyperparameters(variant)
+        loss, grad = hyperparameter_gradient(ds, hp, variant)
+        fit = fit_hyperparameters(
+            ds, variant, FitConfig(batch_size=10, rng_seed=3, latent_dim=4)
+        )
+        out[variant.value] = {
+            "loss": loss,
+            "gradient": grad.tolist(),
+            "train_loss": fit.train_loss,
+        }
+    return out
+
+
+def test_pooled_adjoint_matches_per_record_reference():
+    # The reference was recorded from the per-record adjoint engine that
+    # the pooled one replaced; every batch holds 5 records per pipeline.
+    reference = json.loads(POOLED_REFERENCE.read_text())
+    values = pooled_adjoint_values()
+    assert sorted(values) == sorted(reference)
+    for name, ref in reference.items():
+        got = values[name]
+        assert abs(got["loss"] - ref["loss"]) <= 1e-12, name
+        assert abs(got["train_loss"] - ref["train_loss"]) <= 1e-12, name
+        np.testing.assert_allclose(
+            got["gradient"], ref["gradient"], rtol=1e-10, atol=0, err_msg=name
+        )
+
+
 def test_memoryless_ignores_earlier_stages():
     hp = identity_hyperparameters(log_tau=math.log(0.8), w0=-0.2)
     tail = (TrainingStage(BP, RR),)
@@ -136,6 +218,22 @@ def test_fit_is_deterministic():
     assert r1.hyperparameters.saliency.tobytes() == r2.hyperparameters.saliency.tobytes()
     assert r1.hyperparameters.log_tau == r2.hyperparameters.log_tau
     assert r1.train_loss == r2.train_loss
+
+
+def test_fit_records_loss_and_gradient_norm_trajectories():
+    ds, _ = synthetic_dataset(seed=2, n_pipelines=4, n_records=24)
+    result = fit_hyperparameters(ds, config=FitConfig(epochs=2, batch_size=10))
+    diag = result.diagnostics
+    assert diag["n_updates"] == 6
+    for key in ("loss_trajectory", "gradient_norm_trajectory"):
+        assert len(diag[key]) == 6
+        assert all(isinstance(x, float) and math.isfinite(x) for x in diag[key])
+    assert diag["final_gradient_norm"] == diag["gradient_norm_trajectory"][-1]
+
+
+def test_negative_epochs_error_names_epochs():
+    with pytest.raises(ValidationError, match="epochs"):
+        FitConfig(epochs=-1)
 
 
 def test_fit_reduces_loss_from_initialisation():
