@@ -175,6 +175,36 @@ def _object_from_json(data: dict, where: str) -> ObjectFeatures:
         raise ValidationError(f"{where}: bad object {data!r} ({exc})") from exc
 
 
+_RECORD_KEYS = ("pipeline_id", "a", "b", "counts", "episodes")
+
+
+def _record_from_json(data: object, where: str) -> PreferenceRecord:
+    """Parse one record line. Types are exact: ``pipeline_id`` is a string,
+    ``counts`` a list of 3 integers and ``episodes`` an integer (true/false
+    is never a count)."""
+    if not isinstance(data, dict) or any(k not in data for k in _RECORD_KEYS):
+        raise ValidationError(
+            f"{where}: expected an object with keys {list(_RECORD_KEYS)}"
+        )
+    pid, counts, episodes = data["pipeline_id"], data["counts"], data["episodes"]
+    if type(pid) is not str:
+        raise ValidationError(f"{where}: 'pipeline_id' must be a string")
+    if not (
+        isinstance(counts, list)
+        and len(counts) == 3
+        and all(type(c) is int for c in counts)
+    ):
+        raise ValidationError(f"{where}: 'counts' must be a list of 3 integers")
+    if type(episodes) is not int:
+        raise ValidationError(f"{where}: 'episodes' must be an integer")
+    a = _object_from_json(data["a"], where)
+    b = _object_from_json(data["b"], where)
+    try:
+        return PreferenceRecord(pid, a, b, *counts, episodes)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset as JSON Lines (header line, then one record per line)."""
     path = Path(path)
@@ -283,21 +313,6 @@ def load_dataset(path: str | Path) -> Dataset:
             data = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{where}: malformed JSON ({exc})") from exc
-        try:
-            counts = data["counts"]
-            record = PreferenceRecord(
-                pipeline_id=data["pipeline_id"],
-                object_a=_object_from_json(data["a"], where),
-                object_b=_object_from_json(data["b"], where),
-                count_a=int(counts[0]),
-                count_b=int(counts[1]),
-                count_none=int(counts[2]),
-                episodes=int(data["episodes"]),
-            )
-        except ValidationError as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ValidationError(f"{where}: missing field ({exc})") from exc
-        records.append(record)
+        records.append(_record_from_json(data, where))
 
     return Dataset(pipelines=pipelines, records=tuple(records))

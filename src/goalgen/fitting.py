@@ -1,5 +1,11 @@
 """Outer-loop hyperparameter fitting and the model-variant zoo.
 
+One batch engine (``_evaluate_batch``) simulates the training pipelines,
+predicts the three-way choice distributions and scores the records. The
+fit, ``predicted_distributions``, ``modelling_loss`` and
+``simulate_variant`` all run on it; ``latent.simulate_pipeline`` stays the
+scalar reference that the oracles compare against.
+
 The fit minimises the mean KL from observed to predicted choice
 distributions with mini-batch Adam. Gradients with respect to the free
 saliency entries, log tau, and w0 flow through the entire unrolled inner
@@ -26,20 +32,27 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
-from scipy.special import expit
 
-from .dataset import Dataset, PreferenceRecord, TrainingPipeline, record_to_distribution
+from .dataset import (
+    ChoiceDistribution,
+    Dataset,
+    PreferenceRecord,
+    TrainingPipeline,
+    record_to_distribution,
+)
 from .errors import NumericalError, ValidationError
 from .features import N_FEATURES, encode_features, object_index
 from .latent import (
     DEFAULT_INTEGRATION_STEPS,
+    N_EXPANDED,
     LpgHyperparameters,
     SaliencyVariant,
     encode_expanded,
-    predict_preferences,
-    simulate_pipeline,
-    stage_objective,
 )
+
+# Nothing here calls the scalar simulator any more, but the benchmark's
+# tracer (perfbench/layers.py, --trace 1) patches these two names here.
+from .latent import simulate_pipeline, stage_objective  # noqa: F401
 from .metrics import kl_divergence
 
 
@@ -102,8 +115,6 @@ class _ParamSpace:
         self.variant = ModelVariant(variant)
         self.structural = structural_variant(variant)
         if self.structural is SaliencyVariant.QUADRATIC:
-            from .latent import N_EXPANDED
-
             self.n, self.d = N_EXPANDED, N_EXPANDED
             self.mask = np.eye(self.n, dtype=bool)
         else:
@@ -123,6 +134,14 @@ class _ParamSpace:
         s = np.zeros((self.n, self.d))
         s[self.mask] = theta[: self.n_saliency]
         return s
+
+    def model(self, theta: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """The engine's (S, log tau, w0) for a flat parameter vector."""
+        return (
+            self.matrix(theta),
+            float(theta[self.n_saliency]),
+            float(theta[self.n_saliency + 1]),
+        )
 
     def hyperparameters(self, theta: np.ndarray) -> LpgHyperparameters:
         dense = self.matrix(theta)
@@ -146,137 +165,190 @@ class _ParamSpace:
         return np.concatenate([dense[self.mask], [hp.log_tau, hp.w0]])
 
 
-class _Prepared:
-    """Dataset flattened into arrays the batch engine can consume."""
-
-    def __init__(self, dataset: Dataset, variant: ModelVariant):
-        self.variant = ModelVariant(variant)
-        encode = (
-            encode_expanded
-            if structural_variant(variant) is SaliencyVariant.QUADRATIC
-            else encode_features
+def _checked_variant(hp: LpgHyperparameters, variant: ModelVariant) -> ModelVariant:
+    """The variant, after checking that ``hp`` has its saliency structure."""
+    variant = ModelVariant(variant)
+    if hp.variant is not structural_variant(variant):
+        raise ValidationError(
+            f"{hp.variant.value} hyperparameters do not fit the "
+            f"{variant.value} variant"
         )
-        memoryless = self.variant is ModelVariant.MEMORYLESS
+    return variant
 
-        pids = sorted({r.pipeline_id for r in dataset.records})
+
+def _encoder(variant: ModelVariant):
+    if structural_variant(variant) is SaliencyVariant.QUADRATIC:
+        return encode_expanded
+    return encode_features
+
+
+def _stage_features(pipeline: TrainingPipeline, variant: ModelVariant):
+    """Goal and distractor features, (T, 2, n), and the distractor mask,
+    (T,), of the stages a variant simulates."""
+    encode = _encoder(variant)
+    stages = pipeline.stages
+    if variant is ModelVariant.MEMORYLESS:
+        stages = stages[-1:]
+    phi = np.stack([[encode(s.goal), encode(s.distractor)] for s in stages])
+    return phi, np.array([s.distractor is not None for s in stages])
+
+
+class _Prepared:
+    """Records and their pipelines flattened into arrays for the engine.
+
+    Records are taken as given: no pair is reordered and duplicates stay.
+    """
+
+    def __init__(
+        self,
+        pipelines: dict[str, TrainingPipeline],
+        records: list[PreferenceRecord],
+        variant: ModelVariant,
+    ):
+        if not records:
+            raise ValidationError("no preference records to fit or evaluate")
+        self.variant = ModelVariant(variant)
+        pids = sorted({r.pipeline_id for r in records})
+        unknown = [pid for pid in pids if pid not in pipelines]
+        if unknown:
+            raise ValidationError(f"records name unknown pipelines {unknown}")
         self.pipeline_ids = pids
+        staged = [_stage_features(pipelines[pid], self.variant) for pid in pids]
+        self.stage_phi = [phi for phi, _ in staged]
+        self.has_dis = [mask for _, mask in staged]
+        self.stage_counts = np.array([len(mask) for mask in self.has_dis])
+
+        encode = _encoder(self.variant)
         pid_index = {pid: i for i, pid in enumerate(pids)}
-        self.goal_mats: list[np.ndarray] = []
-        self.dist_mats: list[np.ndarray] = []
-        self.has_dis: list[np.ndarray] = []
-        self.stage_counts = np.zeros(len(pids), dtype=int)
-        for pid in pids:
-            stages = dataset.pipelines[pid].stages
-            if memoryless:
-                stages = stages[-1:]
-            self.goal_mats.append(np.stack([encode(s.goal) for s in stages]))
-            self.dist_mats.append(np.stack([encode(s.distractor) for s in stages]))
-            self.has_dis.append(np.array([s.distractor is not None for s in stages]))
-            self.stage_counts[pid_index[pid]] = len(stages)
-
-        n_rec = len(dataset.records)
-        self.record_pipeline = np.zeros(n_rec, dtype=int)
-        self.phi_a = np.zeros((n_rec, self.goal_mats[0].shape[1]))
-        self.phi_b = np.zeros_like(self.phi_a)
-        self.p_hat = np.zeros((n_rec, 3))
-        for i, rec in enumerate(dataset.records):
-            self.record_pipeline[i] = pid_index[rec.pipeline_id]
-            self.phi_a[i] = encode(rec.object_a)
-            self.phi_b[i] = encode(rec.object_b)
-            self.p_hat[i] = record_to_distribution(rec).as_tuple()
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            plogp = np.where(self.p_hat > 0, self.p_hat * np.log(self.p_hat), 0.0)
-        self.neg_entropy = plogp.sum(axis=1)
-        self.n_records = n_rec
+        self.record_pipeline = np.array([pid_index[r.pipeline_id] for r in records])
+        self.phi_a = np.stack([encode(r.object_a) for r in records])
+        self.phi_b = np.stack([encode(r.object_b) for r in records])
+        self.p_hat = np.array([record_to_distribution(r).as_tuple() for r in records])
+        self.n_records = len(records)
 
 
-def _step_coefs(vg, vd, tau, has_dis):
-    """Ascent-step coefficients on S^T phi(goal) and S^T phi(distractor)."""
-    s = expit(vg)
-    sp = s * (1.0 - s)
-    cg0 = (1.0 - tau * vg) * sp
+def _three_way_kl(va: np.ndarray, vb: np.ndarray, p_hat: np.ndarray):
+    """Per-record KL(p_hat || softmax(va, vb, 0)) and the log-probabilities."""
+    logits = np.stack([va, vb, np.zeros_like(va)], axis=1)
+    mx = logits.max(axis=1, keepdims=True)
+    lse = mx[:, 0] + np.log(np.exp(logits - mx).sum(axis=1))
+    logp = logits - lse[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(p_hat > 0, p_hat * np.log(p_hat), 0.0)
+    return plogp.sum(axis=1) - (p_hat * logp).sum(axis=1), logp
 
+
+def _softmax_terms(v):
+    """Split (goal, distractor) values on axis -2 and take the three-way
+    softmax over (v_g, v_d, 0) without overflow: (vg, vd, eg, ed, e0, z)."""
+    vg, vd = v[..., 0, :], v[..., 1, :]
     m = np.maximum(np.maximum(vg, vd), 0.0)
-    eg = np.exp(vg - m)
-    ed = np.exp(vd - m)
-    e0 = np.exp(-m)
-    z = eg + ed + e0
-    pig = eg / z
-    pid = ed / z
-    one_m = (ed + e0) / z  # 1 - pi_goal without cancellation
-    log_ratio = np.logaddexp(0.0, vd) - vg
-    mm = 1.0 + tau * log_ratio
-    cg1 = mm * pig * one_m
-    cd1 = -mm * pig * pid
-
-    cg = np.where(has_dis, cg1, cg0)
-    cd = np.where(has_dis, cd1, 0.0)
-    return cg, cd
+    eg, ed, e0 = np.exp(vg - m), np.exp(vd - m), np.exp(-m)
+    return vg, vd, eg, ed, e0, eg + ed + e0
 
 
-def _step_coef_partials(vg, vd, tau, has_dis):
+def _step_coefs(v, tau):
+    """Ascent-step coefficients on S^T phi(goal) and S^T phi(distractor).
+
+    ``v`` holds the (goal, distractor) values on axis -2, and so does the
+    result. A stage without a distractor has v_d = -inf, which turns the
+    three-way softmax into the sigmoid of v_g and zeroes the distractor
+    coefficient.
+    """
+    vg, vd, eg, ed, e0, z = _softmax_terms(v)
+    g = (1.0 + tau * (np.logaddexp(0.0, vd) - vg)) * (eg / z)
+    # concatenate, not stack: this runs once per ascent step.
+    return np.concatenate(
+        [(g * ((ed + e0) / z))[..., None, :], (-g * (ed / z))[..., None, :]], axis=-2
+    )
+
+
+def _step_coef_partials(v, tau):
     """Coefficients plus their partials wrt (vg, vd) and tau, stacked.
 
-    For inputs of shape ``X + (P,)`` returns ``coef`` and ``coef_tau`` of
-    shape ``X + (2, P)`` (goal, distractor) and ``jac`` of shape
-    ``X + (2, 2, P)`` with ``jac[..., e, c, :]`` the partial of
+    For values ``v`` of shape ``X + (2, P)`` returns ``coef`` and
+    ``coef_tau`` of shape ``X + (2, P)`` (goal, distractor) and ``jac`` of
+    shape ``X + (2, 2, P)`` with ``jac[..., e, c, :]`` the partial of
     coefficient ``e`` wrt ``v_c``. The Jacobian is symmetric because the
     coefficients are the objective's first derivatives in (vg, vd).
     """
-    s = expit(vg)
-    sp = s * (1.0 - s)
-    cg0 = (1.0 - tau * vg) * sp
-    dgg0 = -tau * sp + (1.0 - tau * vg) * sp * (1.0 - 2.0 * s)
-    dgt0 = -vg * sp
-
-    m = np.maximum(np.maximum(vg, vd), 0.0)
-    eg = np.exp(vg - m)
-    ed = np.exp(vd - m)
-    e0 = np.exp(-m)
-    z = eg + ed + e0
+    vg, vd, eg, ed, e0, z = _softmax_terms(v)
     pig = eg / z
     pid = ed / z
-    one_m = (ed + e0) / z
-    ratio = ed / (ed + e0)  # pi_d / (1 - pi_g), stable
-    gg = pig * one_m
+    gg = pig * ((ed + e0) / z)  # pi_g (1 - pi_g) without cancellation
     gd = pig * pid
-    log_ratio = np.logaddexp(0.0, vd) - vg
+    log_ratio = np.logaddexp(0.0, vd) - vg  # ln((1 - pi_g) / pi_g)
     mm = 1.0 + tau * log_ratio
 
-    cg1 = mm * gg
-    cd1 = -mm * gd
-    dgg1 = -tau * gg + mm * gg * (1.0 - 2.0 * pig)
-    cross1 = tau * gd - mm * gd * (1.0 - 2.0 * pig)
-    ddd1 = -tau * gd * ratio - mm * gd * (1.0 - 2.0 * pid)
-    dgt1 = log_ratio * gg
-    ddt1 = -log_ratio * gd
-
-    cg = np.where(has_dis, cg1, cg0)
-    cd = np.where(has_dis, cd1, 0.0)
-    cross = np.where(has_dis, cross1, 0.0)
+    dgg = -tau * gg + mm * gg * (1.0 - 2.0 * pig)
+    cross = tau * gd - mm * gd * (1.0 - 2.0 * pig)
+    ratio = ed / (ed + e0)  # pi_d / (1 - pi_g)
+    ddd = -tau * gd * ratio - mm * gd * (1.0 - 2.0 * pid)
     jac = np.stack(
-        [
-            np.stack([np.where(has_dis, dgg1, dgg0), cross], axis=-2),
-            np.stack([cross, np.where(has_dis, ddd1, 0.0)], axis=-2),
-        ],
-        axis=-3,
+        [np.stack([dgg, cross], axis=-2), np.stack([cross, ddd], axis=-2)], axis=-3
     )
-    coef_tau = np.stack(
-        [np.where(has_dis, dgt1, dgt0), np.where(has_dis, ddt1, 0.0)], axis=-2
-    )
-    return np.stack([cg, cd], axis=-2), jac, coef_tau
+    coef = np.stack([mm * gg, -mm * gd], axis=-2)
+    return coef, jac, np.stack([log_ratio * gg, -log_ratio * gd], axis=-2)
 
 
-def _evaluate_batch(
-    theta: np.ndarray,
-    space: _ParamSpace,
-    prep: _Prepared,
-    rec_sel: np.ndarray,
-    config: FitConfig,
-    want_grad: bool,
-):
-    """Mean loss over the selected records and, optionally, its gradient.
+def _ascent_steps(t_count: int, n_steps: int, simultaneous: bool):
+    """The unrolled inner ascent of a T-stage pipeline, in order.
+
+    Returns the step rate and a list of steps, each (the stages it
+    ascends, its history row, its index). A simultaneous step ascends the
+    mean of all stage objectives, so its stages share one trajectory and
+    its coefficients carry 1 / T.
+    """
+    if simultaneous:
+        return 1.0 / t_count, [(slice(None), 0, k) for k in range(n_steps)]
+    steps = [(slice(t, t + 1), t, k) for t in range(t_count) for k in range(n_steps)]
+    return 1.0, steps
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _forward(model, phi, has_dis, n_steps, simultaneous, ids, keep_w):
+    """Ascend P pipelines of T stages in lockstep under ``model``, which
+    is (S, log tau, w0).
+
+    ``phi`` holds the (P, T, 2, n) goal and distractor features and
+    ``has_dis`` the (P, T) distractor mask. Returns the final weights
+    (P, d), the ascent directions S^T phi as (T, 2, P, d), the values
+    u . w at the start of every step as (T, K, 2, P) and, with ``keep_w``,
+    the weights at the start of every step as (rows, K, P, d), one history
+    row per trajectory.
+    """
+    s_matrix, log_tau, w0 = model
+    tau = np.exp(log_tau)  # inf, not OverflowError, for a diverged fit
+    t_count = phi.shape[1]
+    rate, steps = _ascent_steps(t_count, n_steps, simultaneous)
+    u_cat = np.einsum("ptcn,nd->tcpd", phi, s_matrix)
+    w_now = np.full((phi.shape[0], s_matrix.shape[1]), w0)
+    v_hist = np.empty((t_count, n_steps, 2, phi.shape[0]))
+    rows = 1 if simultaneous else t_count
+    w_hist = np.empty((rows, n_steps) + w_now.shape) if keep_w else None
+    no_distractor = np.where(has_dis.T, 0.0, -np.inf)  # added to v_d, (T, P)
+    u_step = rate * u_cat
+    for stages, h, k in steps:
+        if keep_w:
+            w_hist[h, k] = w_now
+        v = np.einsum("tcpd,pd->tcp", u_cat[stages], w_now)
+        v[:, 1] += no_distractor[stages]
+        v_hist[stages, k] = v
+        w_now = w_now + np.einsum("tcp,tcpd->pd", _step_coefs(v, tau), u_step[stages])
+    if not np.all(np.isfinite(w_now)):
+        raise NumericalError(
+            f"non-finite latent weights while simulating pipelines {ids}"
+        )
+    return w_now, u_cat, v_hist, w_hist
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _evaluate_batch(model, prep: _Prepared, rec_sel, n_steps: int, want_grad: bool):
+    """Per-record losses and log-probabilities, and optionally a gradient.
+
+    ``model`` is (S, log tau, w0). Returns the KL of each selected record,
+    its three-way log-probabilities (a, b, neither), and, with
+    ``want_grad``, the gradient of the mean loss as (dS, d log tau, d w0).
 
     Pipelines are simulated once each (vectorised within groups of equal
     stage count). The adjoint pass pools the records' seeds per pipeline,
@@ -285,85 +357,31 @@ def _evaluate_batch(
     NumericalError via explicit finiteness checks, so float warnings are
     suppressed here.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _evaluate_batch_inner(theta, space, prep, rec_sel, config, want_grad)
-
-
-def _evaluate_batch_inner(
-    theta: np.ndarray,
-    space: _ParamSpace,
-    prep: _Prepared,
-    rec_sel: np.ndarray,
-    config: FitConfig,
-    want_grad: bool,
-):
-    s_matrix = space.matrix(theta)
-    log_tau = float(theta[space.n_saliency])
-    w0 = float(theta[space.n_saliency + 1])
-    tau = math.exp(log_tau)
-    n_steps = config.n_integration_steps
-    simultaneous = space.variant is ModelVariant.SIMULTANEOUS
+    s_matrix, log_tau, _ = model
+    tau = np.exp(log_tau)  # inf, not OverflowError, for a diverged fit
+    simultaneous = prep.variant is ModelVariant.SIMULTANEOUS
 
     n_sel = len(rec_sel)
     losses = np.zeros(n_sel)
+    logp = np.zeros((n_sel, 3))
     s_grad = np.zeros_like(s_matrix)
     tau_grad = 0.0
     w0_grad = 0.0
-    scale = 1.0 / n_sel
 
     rec_pipes = prep.record_pipeline[rec_sel]
     stage_counts = prep.stage_counts[rec_pipes]
-    d = space.d
 
     for t_stages in np.unique(stage_counts):
         in_group = stage_counts == t_stages
         rsel = rec_sel[in_group]
         rpos = np.nonzero(in_group)[0]
         gpipes, pidx = np.unique(rec_pipes[in_group], return_inverse=True)
-        n_pipes = len(gpipes)
-        t_count = int(t_stages)
-
-        phi_g = np.stack([prep.goal_mats[g] for g in gpipes])  # (P, T, n)
-        phi_d = np.stack([prep.dist_mats[g] for g in gpipes])
+        phi = np.stack([prep.stage_phi[g] for g in gpipes])  # (P, T, 2, n)
         has_dis = np.stack([prep.has_dis[g] for g in gpipes])  # (P, T)
-        u_goal = [phi_g[:, t, :] @ s_matrix for t in range(t_count)]  # (P, d)
-        u_dist = [phi_d[:, t, :] @ s_matrix for t in range(t_count)]
-
-        w_now = np.full((n_pipes, d), w0)
-        vg_hist = np.empty((t_count, n_steps, n_pipes))
-        vd_hist = np.empty((t_count, n_steps, n_pipes))
-        if simultaneous:
-            w_hist = np.empty((n_steps, n_pipes, d)) if want_grad else None
-            for k in range(n_steps):
-                if want_grad:
-                    w_hist[k] = w_now
-                delta = np.zeros_like(w_now)
-                for t in range(t_count):
-                    vg = (u_goal[t] * w_now).sum(axis=1)
-                    vd = (u_dist[t] * w_now).sum(axis=1)
-                    vg_hist[t, k] = vg
-                    vd_hist[t, k] = vd
-                    cg, cd = _step_coefs(vg, vd, tau, has_dis[:, t])
-                    delta += cg[:, None] * u_goal[t] + cd[:, None] * u_dist[t]
-                w_now = w_now + delta / t_count
-        else:
-            w_hist = np.empty((t_count, n_steps, n_pipes, d)) if want_grad else None
-            for t in range(t_count):
-                for k in range(n_steps):
-                    if want_grad:
-                        w_hist[t, k] = w_now
-                    vg = (u_goal[t] * w_now).sum(axis=1)
-                    vd = (u_dist[t] * w_now).sum(axis=1)
-                    vg_hist[t, k] = vg
-                    vd_hist[t, k] = vd
-                    cg, cd = _step_coefs(vg, vd, tau, has_dis[:, t])
-                    w_now = w_now + cg[:, None] * u_goal[t] + cd[:, None] * u_dist[t]
-
-        if not np.all(np.isfinite(w_now)):
-            raise NumericalError(
-                f"non-finite latent weights while simulating pipelines "
-                f"{[prep.pipeline_ids[g] for g in gpipes]}"
-            )
+        ids = [prep.pipeline_ids[g] for g in gpipes]
+        w_now, u_cat, v_hist, w_hist = _forward(
+            model, phi, has_dis, n_steps, simultaneous, ids, want_grad
+        )
 
         phi_a = prep.phi_a[rsel]
         phi_b = prep.phi_b[rsel]
@@ -373,52 +391,30 @@ def _evaluate_batch_inner(
         w_final = w_now[pidx]
         va = (u_a * w_final).sum(axis=1)
         vb = (u_b * w_final).sum(axis=1)
-        logits = np.stack([va, vb, np.zeros_like(va)], axis=1)
-        mx = logits.max(axis=1, keepdims=True)
-        lse = mx[:, 0] + np.log(np.exp(logits - mx).sum(axis=1))
-        logp = logits - lse[:, None]
-        losses[rpos] = prep.neg_entropy[rsel] - (p_hat * logp).sum(axis=1)
+        losses[rpos], logp[rpos] = _three_way_kl(va, vb, p_hat)
 
         if not want_grad:
             continue
 
-        p = np.exp(logp)
-        dv = (p - p_hat) * scale
+        dv = (np.exp(logp[rpos]) - p_hat) / n_sel
         dva, dvb = dv[:, 0], dv[:, 1]
         s_grad += np.einsum("r,rn,rd->nd", dva, phi_a, w_final)
         s_grad += np.einsum("r,rn,rd->nd", dvb, phi_b, w_final)
 
         # The adjoint recurrence is linear in lam and its Jacobians depend
         # only on the pipeline's trajectory, so records pool per pipeline.
-        lam = np.zeros((n_pipes, d))
+        lam = np.zeros_like(w_now)
         np.add.at(lam, pidx, dva[:, None] * u_a + dvb[:, None] * u_b)
 
-        # Axis c below is (goal, distractor); a simultaneous step ascends
-        # the mean over stages, so its coefficients carry 1 / t_count.
-        rate = 1.0 / t_count if simultaneous else 1.0
-        coef, jac, coef_tau = (
-            rate * x
-            for x in _step_coef_partials(
-                vg_hist, vd_hist, tau, has_dis.T[:, None, :]
-            )
-        )
-        u_cat = np.stack([np.stack(u_goal), np.stack(u_dist)], axis=1)  # (T, 2, P, d)
-        # A step is (the stages it ascends, its history row, its index).
-        # Simultaneous stages share one trajectory, so one history row.
-        if simultaneous:
-            w_hist = w_hist[None]
-            steps = [(slice(None), 0, k) for k in reversed(range(n_steps))]
-        else:
-            steps = [
-                (slice(t, t + 1), t, k)
-                for t in reversed(range(t_count))
-                for k in reversed(range(n_steps))
-            ]
+        # Axis c below is (goal, distractor).
+        t_count = int(t_stages)
+        rate, steps = _ascent_steps(t_count, n_steps, simultaneous)
+        coef, jac, coef_tau = (rate * x for x in _step_coef_partials(v_hist, tau))
         # Only the lam recurrence runs per step; its history is contracted
         # into the S and tau gradients after the loop.
         lam_hist = np.empty_like(w_hist)
         a_hist = np.empty_like(coef)  # lam . u_c, before each step's update
-        for stages, h, k in steps:
+        for stages, h, k in reversed(steps):
             lam_hist[h, k] = lam
             a = np.einsum("tcpd,pd->tcp", u_cat[stages], lam)
             a_hist[stages, k] = a
@@ -427,35 +423,48 @@ def _evaluate_batch_inner(
 
         tau_grad += float(np.einsum("tkcp,tkcp->", coef_tau, a_hist))
         alpha_hist = np.einsum("tkecp,tkep->tkcp", jac, a_hist)
-        hist_shape = (t_count, n_steps, n_pipes, d)
+        hist_shape = (t_count, n_steps) + w_now.shape
         u_adj = np.einsum(
             "tkcp,tkpd->tcpd", alpha_hist, np.broadcast_to(w_hist, hist_shape)
         ) + np.einsum("tkcp,tkpd->tcpd", coef, np.broadcast_to(lam_hist, hist_shape))
-        phi_cat = np.stack([phi_g, phi_d], axis=2)  # (P, T, 2, n)
-        s_grad += np.einsum("ptcn,tcpd->nd", phi_cat, u_adj)
+        s_grad += np.einsum("ptcn,tcpd->nd", phi, u_adj)
         w0_grad += float(lam.sum())
 
-    loss = float(losses.mean())
     if not want_grad:
-        return loss, losses, None
-    theta_grad = np.concatenate(
-        [s_grad[space.mask], [tau_grad * tau, w0_grad]]
-    )
-    return loss, losses, theta_grad
+        return losses, logp, None
+    return losses, logp, (s_grad, tau_grad * tau, w0_grad)
 
 
 def _fd_gradient(theta, space, prep, rec_sel, config, step=1e-4):
     """Central finite differences of the batch loss; the validation mode."""
+
+    def loss(x):
+        losses, _, _ = _evaluate_batch(
+            space.model(x), prep, rec_sel, config.n_integration_steps, False
+        )
+        return losses.mean()
+
     grad = np.zeros_like(theta)
     for i in range(len(theta)):
-        up = theta.copy()
-        up[i] += step
-        down = theta.copy()
-        down[i] -= step
-        lu, _, _ = _evaluate_batch(up, space, prep, rec_sel, config, want_grad=False)
-        ld, _, _ = _evaluate_batch(down, space, prep, rec_sel, config, want_grad=False)
-        grad[i] = (lu - ld) / (2.0 * step)
+        dx = np.zeros_like(theta)
+        dx[i] = step
+        grad[i] = (loss(theta + dx) - loss(theta - dx)) / (2.0 * step)
     return grad
+
+
+def _loss_and_gradient(theta, space, prep, rec_sel, config: FitConfig):
+    """Mean loss of the selected records and its flat gradient, computed
+    in ``config.gradient_mode``."""
+    adjoint = config.gradient_mode == "adjoint"
+    losses, _, grads = _evaluate_batch(
+        space.model(theta), prep, rec_sel, config.n_integration_steps, adjoint
+    )
+    if adjoint:
+        s_grad, log_tau_grad, w0_grad = grads
+        grad = np.concatenate([s_grad[space.mask], [log_tau_grad, w0_grad]])
+    else:
+        grad = _fd_gradient(theta, space, prep, rec_sel, config)
+    return float(losses.mean()), grad
 
 
 def hyperparameter_gradient(
@@ -463,26 +472,18 @@ def hyperparameter_gradient(
     hp: LpgHyperparameters,
     variant: ModelVariant = ModelVariant.FULL,
     config: FitConfig | None = None,
-    gradient_mode: str = "adjoint",
 ):
     """Loss and flat hyperparameter gradient over a whole dataset.
 
-    Exposed for the gradient self-checks; gradient ordering is (free
-    saliency entries row-major, log tau, w0).
+    Exposed for the gradient self-checks; ``config.gradient_mode`` picks
+    the adjoint or finite differences. Gradient ordering is (free saliency
+    entries row-major, log tau, w0).
     """
-    config = config or FitConfig()
+    variant = _checked_variant(hp, variant)
     space = _ParamSpace(variant, hp.latent_dim)
-    prep = _Prepared(dataset, variant)
-    theta = space.pack(hp)
+    prep = _Prepared(dataset.pipelines, dataset.records, variant)
     sel = np.arange(prep.n_records)
-    if gradient_mode == "adjoint":
-        loss, _, grad = _evaluate_batch(theta, space, prep, sel, config, want_grad=True)
-    elif gradient_mode == "finite_difference":
-        loss, _, _ = _evaluate_batch(theta, space, prep, sel, config, want_grad=False)
-        grad = _fd_gradient(theta, space, prep, sel, config)
-    else:
-        raise ValidationError(f"unknown gradient mode {gradient_mode!r}")
-    return loss, grad
+    return _loss_and_gradient(space.pack(hp), space, prep, sel, config or FitConfig())
 
 
 def fit_hyperparameters(
@@ -492,11 +493,9 @@ def fit_hyperparameters(
 ) -> FitResult:
     """Fit saliency, log tau, and w0 by mini-batch Adam on the mean KL."""
     config = config or FitConfig()
-    if not dataset.records:
-        raise ValidationError("dataset has no records to fit")
     variant = ModelVariant(variant)
     space = _ParamSpace(variant, config.latent_dim)
-    prep = _Prepared(dataset, variant)
+    prep = _Prepared(dataset.pipelines, dataset.records, variant)
     theta = space.initial_theta()
 
     m = np.zeros_like(theta)
@@ -512,15 +511,7 @@ def fit_hyperparameters(
         rng.shuffle(order)
         for start in range(0, prep.n_records, config.batch_size):
             batch = order[start : start + config.batch_size]
-            if config.gradient_mode == "adjoint":
-                loss, _, grad = _evaluate_batch(
-                    theta, space, prep, batch, config, want_grad=True
-                )
-            else:
-                loss, _, _ = _evaluate_batch(
-                    theta, space, prep, batch, config, want_grad=False
-                )
-                grad = _fd_gradient(theta, space, prep, batch, config)
+            loss, grad = _loss_and_gradient(theta, space, prep, batch, config)
             if not (math.isfinite(loss) and np.all(np.isfinite(grad))):
                 raise NumericalError(
                     f"non-finite loss or gradient in epoch {epoch}, "
@@ -535,14 +526,17 @@ def fit_hyperparameters(
             losses.append(loss)
             grad_norms.append(float(np.linalg.norm(grad)))
 
-    sel = np.arange(prep.n_records)
-    train_loss, per_example, _ = _evaluate_batch(
-        theta, space, prep, sel, config, want_grad=False
+    per_example, _, _ = _evaluate_batch(
+        space.model(theta),
+        prep,
+        np.arange(prep.n_records),
+        config.n_integration_steps,
+        want_grad=False,
     )
     return FitResult(
         hyperparameters=space.hyperparameters(theta),
         variant=variant,
-        train_loss=train_loss,
+        train_loss=float(per_example.mean()),
         per_example_losses=per_example,
         diagnostics={
             "n_updates": step_count,
@@ -563,28 +557,33 @@ def simulate_variant(
     config: FitConfig | None = None,
 ) -> np.ndarray:
     """Latent weights for a pipeline under the given variant's rules."""
-    variant = ModelVariant(variant)
-    n_steps = (config or FitConfig()).n_integration_steps
-    if variant is ModelVariant.MEMORYLESS:
-        final = TrainingPipeline(pipeline.id, pipeline.stages[-1:])
-        return simulate_pipeline(hp, final, n_steps)
-    if variant is ModelVariant.SIMULTANEOUS:
-        if not pipeline.stages:
-            raise ValidationError("pipeline has no stages")
-        w = np.full(hp.latent_dim, hp.w0)
-        n_stages = len(pipeline.stages)
-        for step_idx in range(n_steps):
-            grad = np.zeros_like(w)
-            for stage in pipeline.stages:
-                grad += stage_objective(hp, w, stage).grad_w
-            w = w + grad / n_stages
-            if not np.all(np.isfinite(w)):
-                raise NumericalError(
-                    f"non-finite latent weights in pipeline {pipeline.id!r} "
-                    f"at step {step_idx} (simultaneous)"
-                )
-        return w
-    return simulate_pipeline(hp, pipeline, n_steps)
+    variant = _checked_variant(hp, variant)
+    phi, has_dis = _stage_features(pipeline, variant)
+    w, _, _, _ = _forward(
+        (hp.matrix(), hp.log_tau, hp.w0),
+        phi[None],
+        has_dis[None],
+        (config or FitConfig()).n_integration_steps,
+        variant is ModelVariant.SIMULTANEOUS,
+        [pipeline.id],
+        keep_w=False,
+    )
+    return w[0]
+
+
+def _predict(hp, dataset, records, variant, config):
+    """Per-record losses and log-probabilities from one engine pass."""
+    variant = _checked_variant(hp, variant)
+    records = list(dataset.records) if records is None else records
+    prep = _Prepared(dataset.pipelines, records, variant)
+    losses, logp, _ = _evaluate_batch(
+        (hp.matrix(), hp.log_tau, hp.w0),
+        prep,
+        np.arange(prep.n_records),
+        (config or FitConfig()).n_integration_steps,
+        want_grad=False,
+    )
+    return losses, logp
 
 
 def predicted_distributions(
@@ -593,19 +592,10 @@ def predicted_distributions(
     records: list[PreferenceRecord] | None = None,
     variant: ModelVariant = ModelVariant.FULL,
     config: FitConfig | None = None,
-):
-    """Model predictions for each record, simulating each pipeline once."""
-    records = list(dataset.records) if records is None else records
-    cache: dict[str, np.ndarray] = {}
-    out = []
-    for rec in records:
-        if rec.pipeline_id not in cache:
-            cache[rec.pipeline_id] = simulate_variant(
-                hp, dataset.pipelines[rec.pipeline_id], variant, config
-            )
-        w = cache[rec.pipeline_id]
-        out.append(predict_preferences(hp, w, rec.object_a, rec.object_b))
-    return out
+) -> list[ChoiceDistribution]:
+    """Model predictions for each record (default: the dataset's)."""
+    _, logp = _predict(hp, dataset, records, variant, config)
+    return [ChoiceDistribution(*p) for p in np.exp(logp).tolist()]
 
 
 def modelling_loss(
@@ -616,15 +606,8 @@ def modelling_loss(
     config: FitConfig | None = None,
 ) -> float:
     """Mean KL from observed to predicted three-way distributions."""
-    records = list(dataset.records) if records is None else records
-    if not records:
-        raise ValidationError("no records to evaluate")
-    preds = predicted_distributions(hp, dataset, records, variant, config)
-    total = 0.0
-    for rec, pred in zip(records, preds):
-        obs = record_to_distribution(rec)
-        total += kl_divergence(np.array(obs.as_tuple()), np.array(pred.as_tuple()))
-    return total / len(records)
+    losses, _ = _predict(hp, dataset, records, variant, config)
+    return float(losses.mean())
 
 
 def baseline_uniform(records: list[PreferenceRecord]) -> float:
@@ -712,14 +695,7 @@ def _lower_bound(
     else:
         va = values[ia]
         vb = values[ib]
-    logits = np.stack([va, vb, np.zeros(n_rec)], axis=1)
-    mx = logits.max(axis=1, keepdims=True)
-    lse = mx[:, 0] + np.log(np.exp(logits - mx).sum(axis=1))
-    logp = logits - lse[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(p_hat > 0, p_hat * np.log(p_hat), 0.0)
-    losses = plogp.sum(axis=1) - (p_hat * logp).sum(axis=1)
-    return float(losses.mean())
+    return float(_three_way_kl(va, vb, p_hat)[0].mean())
 
 
 def lower_bound_per_goal(dataset: Dataset, **kwargs) -> float:

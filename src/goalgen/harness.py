@@ -30,12 +30,12 @@ from .latent import goal_value
 from .metrics import MetricMode, MetricsReport, compute_metrics
 
 
-def _optional_int(data: dict, key: str, default: int | None = None) -> int | None:
-    """The integer at ``data[key]``, or the default when it is absent or null."""
+def _optional_int(data: dict, key: str) -> int | None:
+    """The integer at ``data[key]``, or None when it is absent or null."""
     value = data.get(key)
     if value is None:
-        return default
-    # bool is an int subclass, but true/false is never a count or a seed.
+        return None
+    # bool is an int subclass, but true/false is never a count.
     if type(value) is not int:
         raise ValidationError(f"key {key!r} must be an integer")
     return value
@@ -87,18 +87,20 @@ class PipelinePredicate:
 
 @dataclass(frozen=True)
 class EvaluationPlan:
-    """Either a K-fold plan (k set) or a transfer plan (train/eval set)."""
+    """Either a K-fold plan (k set) or a transfer plan (train/eval set).
+
+    K-fold partitions follow the run's seed (``FitConfig.rng_seed``).
+    """
 
     train: PipelinePredicate | None = None
     eval: PipelinePredicate | None = None
     k: int | None = None
-    seed: int = 0
 
     @classmethod
     def from_json(cls, data: dict) -> "EvaluationPlan":
         if not isinstance(data, dict):
             raise ValidationError("evaluation plan must be a JSON object")
-        known = {"train", "eval", "k", "seed"}
+        known = {"train", "eval", "k"}
         unknown = set(data) - known
         if unknown:
             raise ValidationError(f"unknown plan keys: {sorted(unknown)}")
@@ -108,7 +110,6 @@ class EvaluationPlan:
             train=PipelinePredicate.from_json(train) if train is not None else None,
             eval=PipelinePredicate.from_json(eval_) if eval_ is not None else None,
             k=_optional_int(data, "k"),
-            seed=_optional_int(data, "seed", 0),
         )
         if plan.k is None and (plan.train is None or plan.eval is None):
             raise ValidationError("plan needs either k or both train and eval filters")

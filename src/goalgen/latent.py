@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -28,6 +29,7 @@ from .features import N_FEATURES, ObjectFeatures, encode_features
 
 DEFAULT_LATENT_DIM = 10
 DEFAULT_INTEGRATION_STEPS = 100
+_MAX_LOG_TAU = math.log(sys.float_info.max)
 
 # Expanded basis for the quadratic variant: 10 base features, 10
 # self-interactions, then the 45 cross terms (i < j) in index order.
@@ -89,8 +91,18 @@ class LpgHyperparameters:
                     raise ValidationError(
                         "diagonal variant forbids off-diagonal saliency entries"
                     )
-        if not np.all(np.isfinite(s)) or not math.isfinite(self.log_tau):
-            raise ValidationError("hyperparameters must be finite")
+        # NaN fails the comparison; tau = exp(log_tau) must neither
+        # overflow nor underflow to 0, which 1 / tau would divide by.
+        if not (
+            np.all(np.isfinite(s))
+            and self.log_tau <= _MAX_LOG_TAU
+            and math.exp(self.log_tau) > 0.0
+            and math.isfinite(self.w0)
+        ):
+            raise ValidationError(
+                "hyperparameters must be finite, and tau = exp(log_tau) "
+                "positive and finite"
+            )
         object.__setattr__(self, "saliency", s)
 
     @property
@@ -291,15 +303,38 @@ def hyperparameters_to_json(hp: LpgHyperparameters) -> dict:
     }
 
 
-def hyperparameters_from_json(data: dict) -> LpgHyperparameters:
+def _is_finite_number(value: object) -> bool:
+    # bool is an int subclass, but true/false is never a number here; the
+    # bound also rejects NaN, infinities and ints too large for a float.
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def hyperparameters_from_json(data: object) -> LpgHyperparameters:
+    """Parse a hyperparameter document. Types are exact: ``d`` is a
+    positive integer, ``saliency`` a flat list of finite numbers, and
+    ``log_tau`` and ``w0`` finite numbers."""
+    if not isinstance(data, dict):
+        raise ValidationError("hyperparameter document must be a JSON object")
     try:
         variant = SaliencyVariant(data.get("variant", "full"))
-        d = int(data["d"])
-        flat = np.asarray(data["saliency"], dtype=float)
-        log_tau = float(data["log_tau"])
-        w0 = float(data["w0"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValidationError(f"bad hyperparameter document: {exc}") from exc
+    d = data.get("d")
+    if not (type(d) is int and d > 0):
+        raise ValidationError("hyperparameter key 'd' must be a positive integer")
+    flat = data.get("saliency")
+    if not (isinstance(flat, list) and all(map(_is_finite_number, flat))):
+        raise ValidationError(
+            "hyperparameter key 'saliency' must be a list of finite numbers"
+        )
+    for key in ("log_tau", "w0"):
+        if not _is_finite_number(data.get(key)):
+            raise ValidationError(f"hyperparameter key {key!r} must be a finite number")
+    flat = np.array(flat, dtype=float)
     if variant is SaliencyVariant.QUADRATIC:
         saliency = flat
     else:
@@ -308,6 +343,7 @@ def hyperparameters_from_json(data: dict) -> LpgHyperparameters:
                 f"saliency length {flat.size} does not match 10 x {d}"
             )
         saliency = flat.reshape(N_FEATURES, d)
+    log_tau, w0 = float(data["log_tau"]), float(data["w0"])
     return LpgHyperparameters(saliency, log_tau, w0, variant)
 
 

@@ -1,8 +1,9 @@
 """Numerical self-tests behind the `check` subcommand.
 
 Each check prints one pass/fail line; the suite passes only if every
-check does. These mirror the oracle tests in the test suite but run on
-smaller draw counts so they finish in seconds.
+check does. The oracles return their worst error for a given generator
+and draw count; the acceptance tests call the same functions with their
+own generators and compare the errors with the same tolerances.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from .dataset import Dataset, PreferenceRecord, TrainingPipeline, TrainingStage
 from .features import enumerate_objects
-from .fitting import ModelVariant, hyperparameter_gradient
+from .fitting import FitConfig, ModelVariant, hyperparameter_gradient
 from .latent import (
     LpgHyperparameters,
     equilibrium_projection,
@@ -37,9 +38,9 @@ def _random_hyperparameters(rng, fitted_scale: bool = False) -> LpgHyperparamete
     return LpgHyperparameters(np.triu(s), log_tau, w0)
 
 
-def check_inner_gradient(seed: int = 0, n_draws: int = 100, tol: float = 1e-5) -> bool:
-    """Analytic latent gradient vs central finite differences."""
-    rng = np.random.default_rng([0x696E6E65, seed])
+def inner_gradient_error(rng: np.random.Generator, n_draws: int) -> float:
+    """Worst relative error of the analytic latent gradient against central
+    finite differences, over random stages and weights."""
     objects = enumerate_objects()
     h = 1e-5
     worst = 0.0
@@ -64,12 +65,12 @@ def check_inner_gradient(seed: int = 0, n_draws: int = 100, tol: float = 1e-5) -
             ) / (2 * h)
         denom = max(float(np.abs(fd).max()), 1e-10)
         worst = max(worst, float(np.abs(grad - fd).max()) / denom)
-    return worst < tol
+    return worst
 
 
-def check_projection(seed: int = 0, n_draws: int = 100, tol: float = 1e-3) -> bool:
-    """Simulated pipelines land on the iterated closed-form projection."""
-    rng = np.random.default_rng([0x70726F6A, seed])
+def projection_error(rng: np.random.Generator, n_draws: int) -> float:
+    """Worst weight-component gap between simulated one- and two-stage
+    pipelines and the iterated closed-form projection."""
     objects = enumerate_objects()
     worst = 0.0
     for draw in range(n_draws):
@@ -88,7 +89,53 @@ def check_projection(seed: int = 0, n_draws: int = 100, tol: float = 1e-3) -> bo
         for g in goals:
             w_proj = equilibrium_projection(hp, w_proj, g)
         worst = max(worst, float(np.abs(w_sim - w_proj).max()))
-    return worst < tol
+    return worst
+
+
+def outer_gradient_error(rng: np.random.Generator, n_records: int = 5) -> float:
+    """Worst relative error of the adjoint hyperparameter gradient against
+    finite differences, on ``n_records`` random records of two pipelines."""
+    objects = enumerate_objects()
+    pipelines = {
+        "a": TrainingPipeline("a", (TrainingStage(objects[5]),)),
+        "b": TrainingPipeline(
+            "b", (TrainingStage(objects[1]), TrainingStage(objects[19], objects[7]))
+        ),
+    }
+    records = []
+    seen = set()
+    while len(records) < n_records:
+        pid = "a" if len(records) % 2 else "b"
+        x, y = objects[rng.integers(24)], objects[rng.integers(24)]
+        if x == y or (pid, frozenset((x, y))) in seen:
+            continue
+        seen.add((pid, frozenset((x, y))))
+        c = rng.multinomial(100, [0.4, 0.35, 0.25])
+        records.append(
+            PreferenceRecord(pid, x, y, int(c[0]), int(c[1]), int(c[2]), 100)
+        )
+    dataset = Dataset(pipelines, tuple(records))
+    hp = _random_hyperparameters(rng, fitted_scale=True)
+    _, adjoint = hyperparameter_gradient(dataset, hp, ModelVariant.FULL)
+    _, fd = hyperparameter_gradient(
+        dataset, hp, ModelVariant.FULL, FitConfig(gradient_mode="finite_difference")
+    )
+    rel = np.abs(adjoint - fd) / np.maximum(
+        np.maximum(np.abs(adjoint), np.abs(fd)), 1e-6
+    )
+    return float(rel.max())
+
+
+def check_inner_gradient(seed: int = 0, n_draws: int = 100, tol: float = 1e-5) -> bool:
+    """Analytic latent gradient vs central finite differences."""
+    rng = np.random.default_rng([0x696E6E65, seed])
+    return inner_gradient_error(rng, n_draws) < tol
+
+
+def check_projection(seed: int = 0, n_draws: int = 100, tol: float = 1e-3) -> bool:
+    """Simulated pipelines land on the iterated closed-form projection."""
+    rng = np.random.default_rng([0x70726F6A, seed])
+    return projection_error(rng, n_draws) < tol
 
 
 def check_equilibrium(tol: float = 1e-3) -> bool:
@@ -107,33 +154,7 @@ def check_equilibrium(tol: float = 1e-3) -> bool:
 def check_outer_gradient(seed: int = 0, tol: float = 1e-3) -> bool:
     """Adjoint hyperparameter gradients vs central finite differences."""
     rng = np.random.default_rng([0x6F757465, seed])
-    objects = enumerate_objects()
-    pipelines = {
-        "a": TrainingPipeline("a", (TrainingStage(objects[5]),)),
-        "b": TrainingPipeline(
-            "b", (TrainingStage(objects[1]), TrainingStage(objects[19], objects[7]))
-        ),
-    }
-    records = []
-    for i in range(5):
-        pid = "a" if i % 2 else "b"
-        x, y = objects[rng.integers(24)], objects[rng.integers(24)]
-        while x == y:
-            y = objects[rng.integers(24)]
-        c = rng.multinomial(100, [0.4, 0.35, 0.25])
-        records.append(
-            PreferenceRecord(pid, x, y, int(c[0]), int(c[1]), int(c[2]), 100)
-        )
-    dataset = Dataset(pipelines, tuple(records))
-    hp = _random_hyperparameters(rng, fitted_scale=True)
-    _, adjoint = hyperparameter_gradient(dataset, hp, ModelVariant.FULL)
-    _, fd = hyperparameter_gradient(
-        dataset, hp, ModelVariant.FULL, gradient_mode="finite_difference"
-    )
-    rel = np.abs(adjoint - fd) / np.maximum(
-        np.maximum(np.abs(adjoint), np.abs(fd)), 1e-6
-    )
-    return float(rel.max()) < tol
+    return outer_gradient_error(rng) < tol
 
 
 def check_metrics() -> bool:

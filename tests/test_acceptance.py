@@ -32,7 +32,6 @@ from goalgen.fitting import (
     FitConfig,
     ModelVariant,
     fit_hyperparameters,
-    hyperparameter_gradient,
     lower_bound_per_feature,
     lower_bound_per_goal,
     modelling_loss,
@@ -41,7 +40,6 @@ from goalgen.fitting import (
 )
 from goalgen.latent import (
     LpgHyperparameters,
-    equilibrium_projection,
     identity_hyperparameters,
     similarity_metric,
     simulate_pipeline,
@@ -49,6 +47,7 @@ from goalgen.latent import (
 )
 from goalgen.maze import Action, MazeGrid, distance_field, generate_maze, initial_state, step
 from goalgen.metrics import MetricMode, brier_score, compute_metrics, kl_divergence, total_variation
+from goalgen.selfcheck import inner_gradient_error, outer_gradient_error, projection_error
 
 OBJECTS = enumerate_objects()
 
@@ -79,40 +78,9 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
     print(f"[{status}] {name}{suffix}")
 
 
-def _fitted_scale_hp(rng) -> LpgHyperparameters:
-    s = np.triu(rng.uniform(-0.2, 0.2, (10, 10)))
-    np.fill_diagonal(s, rng.uniform(1.0, 2.0, 10))
-    return LpgHyperparameters(
-        np.triu(s), math.log(rng.uniform(0.6, 0.9)), rng.uniform(-0.5, 0.0)
-    )
-
-
 def test_gradient_oracle():
-    rng = np.random.default_rng(1001)
     started = time.perf_counter()
-    h = 1e-5
-    worst = 0.0
-    for draw in range(100):
-        s = np.triu(rng.normal(0.0, 0.5, (10, 10)))
-        hp = LpgHyperparameters(s, rng.normal(0.0, 0.5), rng.normal(0.0, 0.3))
-        w = rng.normal(0.0, 1.0, 10)
-        goal = OBJECTS[rng.integers(24)]
-        distractor = None
-        if draw % 2:
-            distractor = OBJECTS[rng.integers(24)]
-            while distractor == goal:
-                distractor = OBJECTS[rng.integers(24)]
-        stage = TrainingStage(goal, distractor)
-        grad = stage_objective(hp, w, stage).grad_w
-        fd = np.zeros(10)
-        for i in range(10):
-            up, dn = w.copy(), w.copy()
-            up[i] += h
-            dn[i] -= h
-            fd[i] = (
-                stage_objective(hp, up, stage).j - stage_objective(hp, dn, stage).j
-            ) / (2 * h)
-        worst = max(worst, float(np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-10)))
+    worst = inner_gradient_error(np.random.default_rng(1001), 100)
     elapsed = time.perf_counter() - started
     ok = worst < 1e-5 and elapsed < 5.0
     _report("gradient oracle", ok, f"max rel err {worst:.2e}, {elapsed:.1f}s")
@@ -121,25 +89,8 @@ def test_gradient_oracle():
 
 
 def test_projection_oracle():
-    rng = np.random.default_rng(1002)
     started = time.perf_counter()
-    worst = 0.0
-    for draw in range(100):
-        hp = _fitted_scale_hp(rng)
-        n_stages = 1 + draw % 2
-        goals: list[ObjectFeatures] = []
-        while len(goals) < n_stages:
-            g = OBJECTS[rng.integers(24)]
-            if g not in goals:
-                goals.append(g)
-        pipeline = TrainingPipeline(
-            f"acc{draw}", tuple(TrainingStage(g) for g in goals)
-        )
-        w_sim = simulate_pipeline(hp, pipeline)
-        w_proj = np.full(10, hp.w0)
-        for g in goals:
-            w_proj = equilibrium_projection(hp, w_proj, g)
-        worst = max(worst, float(np.abs(w_sim - w_proj).max()))
+    worst = projection_error(np.random.default_rng(1002), 100)
     elapsed = time.perf_counter() - started
     ok = worst < 1e-3 and elapsed < 10.0
     _report("projection oracle", ok, f"max component err {worst:.2e}, {elapsed:.1f}s")
@@ -172,38 +123,12 @@ def test_similarity_cross_check():
 
 
 def test_outer_gradient_oracle():
-    rng = np.random.default_rng(1005)
     started = time.perf_counter()
-    pipelines = {
-        "a": TrainingPipeline("a", (TrainingStage(OBJECTS[5]),)),
-        "b": TrainingPipeline(
-            "b",
-            (TrainingStage(OBJECTS[1]), TrainingStage(OBJECTS[19], OBJECTS[7])),
-        ),
-    }
-    records = []
-    seen = set()
-    while len(records) < 5:
-        pid = "a" if len(records) % 2 else "b"
-        x, y = OBJECTS[rng.integers(24)], OBJECTS[rng.integers(24)]
-        if x == y or (pid, frozenset((x, y))) in seen:
-            continue
-        seen.add((pid, frozenset((x, y))))
-        counts = rng.multinomial(100, [0.4, 0.35, 0.25])
-        records.append(
-            PreferenceRecord(pid, x, y, int(counts[0]), int(counts[1]), int(counts[2]), 100)
-        )
-    dataset = Dataset(pipelines, tuple(records))
-    hp = _fitted_scale_hp(rng)
-    _, adjoint = hyperparameter_gradient(dataset, hp, ModelVariant.FULL)
-    _, fd = hyperparameter_gradient(
-        dataset, hp, ModelVariant.FULL, gradient_mode="finite_difference"
-    )
-    rel = np.abs(adjoint - fd) / np.maximum(np.maximum(np.abs(adjoint), np.abs(fd)), 1e-6)
+    worst = outer_gradient_error(np.random.default_rng(1005), 5)
     elapsed = time.perf_counter() - started
-    ok = rel.max() < 1e-3 and elapsed < 30.0
-    _report("outer gradient oracle", ok, f"max rel err {rel.max():.2e}, {elapsed:.1f}s")
-    assert rel.max() < 1e-3
+    ok = worst < 1e-3 and elapsed < 30.0
+    _report("outer gradient oracle", ok, f"max rel err {worst:.2e}, {elapsed:.1f}s")
+    assert worst < 1e-3
     assert elapsed < 30.0
 
 

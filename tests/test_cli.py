@@ -418,3 +418,92 @@ def test_bool_or_non_finite_config_value_exits_1(tmp_path, data_file, capsys, te
     )
     assert code == 1
     assert_one_line_error(capsys, str(cfg), repr(key))
+
+
+def hp_document(**changes):
+    doc = {
+        "variant": "full",
+        "d": 2,
+        "saliency": np.eye(10, 2).ravel().tolist(),
+        "log_tau": 0.0,
+        "w0": 0.0,
+    }
+    doc.update(changes)
+    return doc
+
+
+BAD_HP_DOCUMENTS = {
+    "list": ([1], "JSON object"),
+    "number": (5, "JSON object"),
+    "nan-w0": (hp_document(w0=float("nan")), "'w0'"),
+    "float-d": (hp_document(d=10.7), "'d'"),
+    "bool-log-tau": (hp_document(log_tau=True), "'log_tau'"),
+    "string-saliency": (hp_document(saliency=["1"] * 20), "'saliency'"),
+}
+
+
+@pytest.mark.parametrize(
+    "document, fragment", BAD_HP_DOCUMENTS.values(), ids=list(BAD_HP_DOCUMENTS)
+)
+def test_bad_hyperparameter_document_exits_1(tmp_path, data_file, capsys, document, fragment):
+    hp_file = tmp_path / "hp.json"
+    hp_file.write_text(json.dumps(document))
+    pid = sorted(load_dataset(data_file).pipelines)[0]
+    code = main(
+        [
+            "project",
+            "--hp", str(hp_file),
+            "--data", str(data_file),
+            "--pipeline", pid,
+            "--out", str(tmp_path / "proj"),
+        ]
+    )
+    assert code == 1
+    assert_one_line_error(capsys, fragment)
+    assert not (tmp_path / "proj").exists()
+
+
+def record_line(**changes):
+    doc = {
+        "pipeline_id": "demo",
+        "a": {"colour": "red", "shape": "cross"},
+        "b": {"colour": "green", "shape": "circle"},
+        "counts": [89, 11, 0],
+        "episodes": 100,
+    }
+    doc.update(changes)
+    return doc
+
+
+BAD_RECORD_LINES = {
+    "string-count": (record_line(counts=["x", 11, 0]), "'counts'"),
+    "list-pipeline-id": (record_line(pipeline_id=["demo"]), "'pipeline_id'"),
+    "string-counts-and-episodes": (
+        record_line(counts=["89", "11", "0"], episodes="100"),
+        "'counts'",
+    ),
+    "string-episodes": (record_line(episodes="100"), "'episodes'"),
+    "four-counts": (record_line(counts=[89, 11, 0, 0]), "'counts'"),
+    "bool-count": (record_line(counts=[True, 0, 0], episodes=1), "'counts'"),
+    "missing-key": ({"pipeline_id": "demo"}, "'episodes'"),
+    "not-an-object": ([1, 2], "expected an object"),
+}
+
+
+@pytest.mark.parametrize(
+    "record, fragment", BAD_RECORD_LINES.values(), ids=list(BAD_RECORD_LINES)
+)
+def test_bad_record_line_exits_1(tmp_path, capsys, record, fragment):
+    header = {"pipelines": {"demo": [{"goal": {"colour": "red", "shape": "cross"}}]}}
+    data = tmp_path / "prefs.jsonl"
+    data.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+    code = main(
+        [
+            "fit",
+            "--data", str(data),
+            "--out", str(tmp_path / "fit"),
+            "--config", str(fast_config(tmp_path)),
+        ]
+    )
+    assert code == 1
+    assert_one_line_error(capsys, "record 0", fragment)

@@ -1,4 +1,6 @@
-"""Property test of the CLI error contract for the --plan and --config files.
+"""Property tests of the CLI error contract for its input documents: the
+--plan and --config files, --hp hyperparameter files and --data record
+lines.
 
 Any JSON document, of any shape, must give exit 0 or exit 1 with a single
 ``error:`` line, never a traceback. Numbers for known keys stay small so a
@@ -12,6 +14,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,6 +73,70 @@ PLANS = (
     | st.fixed_dictionaries({"k": st.integers(1, 5)}, optional={"seed": COUNTS})
     | st.fixed_dictionaries({"train": FILTERS, "eval": FILTERS})
 )
+
+
+def _one_key_replaced(documents, values):
+    """Documents with the value of one of their keys replaced."""
+    return documents.flatmap(
+        lambda doc: st.tuples(st.sampled_from(sorted(doc)), values).map(
+            lambda kv: {**doc, kv[0]: kv[1]}
+        )
+    )
+
+
+def _hp_document(d, values, log_tau, w0):
+    saliency = np.triu(np.reshape(values, (10, d)))
+    return {
+        "variant": "full",
+        "d": d,
+        "saliency": saliency.ravel().tolist(),
+        "log_tau": log_tau,
+        "w0": w0,
+    }
+
+
+VALID_HP = st.integers(1, 3).flatmap(
+    lambda d: st.builds(
+        _hp_document,
+        st.just(d),
+        st.lists(st.floats(-2, 2), min_size=10 * d, max_size=10 * d),
+        st.floats(-1, 1),
+        st.floats(-1, 1),
+    )
+)
+# Numbers past the range of a float or of tau = exp(log_tau).
+HUGE = st.sampled_from([1000.0, -1000.0, 10**400])
+HP_DOCUMENTS = JSON_VALUES | VALID_HP | _one_key_replaced(VALID_HP, JSON_VALUES | HUGE)
+
+
+def _record(pair, counts):
+    return {
+        "pipeline_id": "demo",
+        "a": pair[0],
+        "b": pair[1],
+        "counts": counts,
+        "episodes": sum(counts),
+    }
+
+
+OBJECT_DOCS = [
+    {"colour": "red", "shape": "cross"},
+    {"colour": "blue", "shape": "ring"},
+    {"colour": "green", "shape": "plus"},
+]
+VALID_RECORDS = st.builds(
+    _record,
+    st.permutations(OBJECT_DOCS),
+    st.lists(st.integers(0, 3), min_size=3, max_size=3).filter(any),
+)
+# Record lines for the one-pipeline header below.
+RECORDS = (
+    JSON_VALUES
+    | VALID_RECORDS
+    | _one_key_replaced(VALID_RECORDS, JSON_VALUES | HUGE)
+)
+HEADER = {"pipelines": {"demo": [{"goal": {"colour": "red", "shape": "cross"}}]}}
+TINY_FIT = {"epochs": 1, "n_integration_steps": 5, "latent_dim": 2}
 FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
@@ -118,4 +185,25 @@ def test_eval_plan_and_config_documents_never_escape(data_file, plan, config):
     if config is not None:
         documents.append(("--config", config))
     code, err = run_with_documents(["eval", "--data", str(data_file)], documents)
+    assert_error_contract(code, err)
+
+
+@FUZZ
+@given(hp=HP_DOCUMENTS)
+def test_project_hp_documents_never_escape(data_file, hp):
+    code, err = run_with_documents(
+        ["project", "--data", str(data_file), "--pipeline", "p000"], [("--hp", hp)]
+    )
+    assert_error_contract(code, err)
+
+
+@FUZZ
+@given(records=st.lists(RECORDS, min_size=1, max_size=3))
+def test_fit_record_lines_never_escape(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "prefs.jsonl"
+        data.write_text("\n".join(json.dumps(doc) for doc in [HEADER, *records]))
+        code, err = run_with_documents(
+            ["fit", "--data", str(data)], [("--config", TINY_FIT)]
+        )
     assert_error_contract(code, err)

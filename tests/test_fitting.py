@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import GOALS, PAIRS, random_pipelines, sample_records, synthetic_dataset
-from goalgen.dataset import Dataset, PreferenceRecord, TrainingPipeline, TrainingStage
+from goalgen.dataset import (
+    Dataset,
+    PreferenceRecord,
+    TrainingPipeline,
+    TrainingStage,
+    record_to_distribution,
+)
 from goalgen.errors import NumericalError, ValidationError
 from goalgen.features import Colour, ObjectFeatures, Shape, enumerate_objects
 from goalgen.fitting import (
@@ -19,13 +25,18 @@ from goalgen.fitting import (
     lower_bound_per_feature,
     lower_bound_per_goal,
     modelling_loss,
+    predicted_distributions,
     simulate_variant,
 )
 from goalgen.latent import (
     LpgHyperparameters,
     SaliencyVariant,
     identity_hyperparameters,
+    predict_preferences,
+    simulate_pipeline,
+    stage_objective,
 )
+from goalgen.metrics import kl_divergence
 
 RC = ObjectFeatures(Colour.RED, Shape.CROSS)
 BD = ObjectFeatures(Colour.BLUE, Shape.DIAMOND)
@@ -82,7 +93,7 @@ def test_adjoint_matches_fd_for_every_variant(rng):
             hp = LpgHyperparameters(s, 0.1, -0.1, structural)
         _, adjoint = hyperparameter_gradient(ds, hp, variant)
         _, fd = hyperparameter_gradient(
-            ds, hp, variant, gradient_mode="finite_difference"
+            ds, hp, variant, FitConfig(gradient_mode="finite_difference")
         )
         rel = np.abs(adjoint - fd) / np.maximum(
             np.maximum(np.abs(adjoint), np.abs(fd)), 1e-6
@@ -168,6 +179,104 @@ def test_pooled_adjoint_matches_per_record_reference():
         np.testing.assert_allclose(
             got["gradient"], ref["gradient"], rtol=1e-10, atol=0, err_msg=name
         )
+
+
+def scalar_simultaneous(hp, pipeline, n_steps=100):
+    """The simultaneous variant's ascent, one scalar step at a time: each
+    step adds the mean of the stage objectives' latent gradients."""
+    w = np.full(hp.latent_dim, hp.w0)
+    for _ in range(n_steps):
+        grad = np.zeros_like(w)
+        for stage in pipeline.stages:
+            grad += stage_objective(hp, w, stage).grad_w
+        w = w + grad / len(pipeline.stages)
+    return w
+
+
+def scalar_weights(hp, pipeline, variant):
+    """Reference latent weights from latent's scalar simulator."""
+    if variant is ModelVariant.SIMULTANEOUS:
+        return scalar_simultaneous(hp, pipeline)
+    if variant is ModelVariant.MEMORYLESS:
+        pipeline = TrainingPipeline(pipeline.id, pipeline.stages[-1:])
+    return simulate_pipeline(hp, pipeline)
+
+
+def test_engine_matches_scalar_reference_for_every_variant():
+    ds = pooled_adjoint_dataset()
+    first = ds.records[0]
+    swapped = PreferenceRecord(
+        first.pipeline_id,
+        first.object_b,
+        first.object_a,
+        first.count_b,
+        first.count_a,
+        first.count_none,
+        first.episodes,
+    )
+    # A strict subset that repeats pipelines, plus a duplicate record and a
+    # pair out of canonical order; a Dataset would hold neither of those.
+    records = [*ds.records[::2], first, swapped]
+    assert len(ds.records[::2]) < len(ds.records)
+    for variant in ModelVariant:
+        hp = pooled_adjoint_hyperparameters(variant)
+        weights = {
+            pid: scalar_weights(hp, pipe, variant) for pid, pipe in ds.pipelines.items()
+        }
+        for pid, pipe in ds.pipelines.items():
+            np.testing.assert_allclose(
+                simulate_variant(hp, pipe, variant),
+                weights[pid],
+                rtol=0,
+                atol=1e-12,
+                err_msg=f"{variant.value} {pid}",
+            )
+        expected = [
+            predict_preferences(hp, weights[r.pipeline_id], r.object_a, r.object_b)
+            for r in records
+        ]
+        got = predicted_distributions(hp, ds, records, variant)
+        np.testing.assert_allclose(
+            [p.as_tuple() for p in got],
+            [p.as_tuple() for p in expected],
+            rtol=0,
+            atol=1e-12,
+            err_msg=variant.value,
+        )
+        expected_loss = np.mean(
+            [
+                kl_divergence(
+                    np.array(record_to_distribution(r).as_tuple()),
+                    np.array(p.as_tuple()),
+                )
+                for r, p in zip(records, expected)
+            ]
+        )
+        loss = modelling_loss(hp, ds, records, variant)
+        assert abs(loss - expected_loss) <= 1e-12, variant
+
+
+def test_mismatched_hyperparameter_variant_is_rejected():
+    ds = pooled_adjoint_dataset()
+    full = pooled_adjoint_hyperparameters(ModelVariant.FULL)
+    diagonal = pooled_adjoint_hyperparameters(ModelVariant.DIAGONAL)
+    pipeline = ds.pipelines["p3"]
+    mismatches = [
+        (full, ModelVariant.DIAGONAL),
+        (full, ModelVariant.QUADRATIC),
+        (diagonal, ModelVariant.FULL),
+        (diagonal, ModelVariant.SIMULTANEOUS),
+    ]
+    for hp, variant in mismatches:
+        calls = [
+            lambda: predicted_distributions(hp, ds, variant=variant),
+            lambda: modelling_loss(hp, ds, variant=variant),
+            lambda: simulate_variant(hp, pipeline, variant),
+            lambda: hyperparameter_gradient(ds, hp, variant),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match="variant"):
+                call()
 
 
 def test_memoryless_ignores_earlier_stages():

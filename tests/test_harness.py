@@ -15,6 +15,7 @@ from goalgen.fitting import (
     baseline_uniform,
     fit_hyperparameters,
     modelling_loss,
+    simulate_variant,
 )
 from goalgen.harness import (
     EvaluationPlan,
@@ -25,11 +26,7 @@ from goalgen.harness import (
     transfer_eval,
     write_manifest,
 )
-from goalgen.latent import (
-    LpgHyperparameters,
-    goal_value,
-    simulate_pipeline,
-)
+from goalgen.latent import LpgHyperparameters, goal_value
 
 OBJECTS = enumerate_objects()
 
@@ -72,9 +69,12 @@ def test_kfold_needs_enough_pipelines():
 
 def test_plan_parsing_and_validation():
     plan = EvaluationPlan.from_json(
-        {"train": {"stage_count": 1}, "eval": {"stage_count": 2}, "seed": 3}
+        {"train": {"stage_count": 1}, "eval": {"stage_count": 2}}
     )
     assert plan.train.stage_count == 1
+    # K-fold partitions follow --seed; a plan cannot carry its own.
+    with pytest.raises(ValidationError, match=r"unknown plan keys: \['seed'\]"):
+        EvaluationPlan.from_json({"k": 2, "seed": 3})
     with pytest.raises(ValidationError, match="unknown plan keys"):
         EvaluationPlan.from_json({"folds": 4})
     with pytest.raises(ValidationError, match="unknown predicate"):
@@ -150,7 +150,10 @@ def test_elo_vs_model_perfect_affine_relation():
     fit = _fit_result_for(ds)
     shared, shifted = {}, {}
     for i, pid in enumerate(sorted(ds.pipelines)):
-        w = simulate_pipeline(fit.hyperparameters, ds.pipelines[pid])
+        # The scores come from the same simulator as elo_vs_model's values:
+        # final goals of different pipelines tie at 1/tau, and a tie broken
+        # by an ulp differently on each side would cost a rank.
+        w = simulate_variant(fit.hyperparameters, ds.pipelines[pid], fit.variant)
         values = {obj: goal_value(fit.hyperparameters, w, obj) for obj in OBJECTS}
         shared[pid] = EloTable(scores={o: 100.0 * v + 25.0 for o, v in values.items()})
         shifted[pid] = EloTable(
