@@ -64,7 +64,10 @@ def load_config(path: str | Path | None) -> dict:
         expected = _CONFIG_SCHEMA[key]
         # Exact types: a JSON true/false is a bool, which is an int subclass.
         if expected is float and type(value) is int:
-            data[key] = value = float(value)
+            try:
+                data[key] = value = float(value)
+            except OverflowError:
+                value = math.inf  # too large for a float: rejected below
         if type(value) is not expected:
             raise ValidationError(
                 f"{path}: config key {key!r} must be {expected.__name__}"
@@ -156,11 +159,15 @@ def _parse_dims(text: str) -> list[int]:
         raise ValidationError(f"bad --dims value {text!r}") from exc
 
 
-def _write_manifest(args, parameters: dict, inputs: list[Path]) -> None:
+def _write_manifest(
+    args, parameters: dict, inputs: list[Path], diagnostics: dict | None = None
+) -> None:
     """Write the run manifest; a --config file is digested with the inputs."""
     if args.config is not None:
         inputs = [*inputs, args.config]
-    harness.write_manifest(args.out, args.command, parameters, args.seed, inputs)
+    harness.write_manifest(
+        args.out, args.command, parameters, args.seed, inputs, diagnostics
+    )
 
 
 def _cmd_gen_data(args, config: dict) -> int:
@@ -215,26 +222,55 @@ def _cmd_gen_data(args, config: dict) -> int:
 
 def _cmd_elo(args, config: dict) -> int:
     dataset = load_dataset(args.data)
+    pids = sorted({r.pipeline_id for r in dataset.records})
+    # Every pipeline's full fit and its K training folds, fitted in one call.
+    problems = {}
+    held_out = {}
+    for pid in pids:
+        records = dataset.records_for(pid)
+        problems[f"pipeline {pid}"] = elo_mod.EloProblem.from_records(records)
+        try:
+            folds = elo_mod.holdout_folds(records, args.folds, args.seed)
+            fold_problems = {
+                f"pipeline {pid} (fold {i})": elo_mod.EloProblem.from_records(train)
+                for i, (train, _) in enumerate(folds)
+            }
+        except ValidationError:
+            continue  # too few records or folds, or a fold with nothing to fit
+        problems.update(fold_problems)
+        held_out[pid] = [test for _, test in folds]
+    tables = elo_mod.fit_elo_many(problems)
+
     args.out.mkdir(parents=True, exist_ok=True)
     holdout_rows = ["pipeline_id,kl,tv,brier,directional_accuracy,n_directional"]
-    for pid in sorted({r.pipeline_id for r in dataset.records}):
-        records = dataset.records_for(pid)
-        comparisons = [c for rec in records for c in elo_mod.to_pairwise(rec)]
-        table = elo_mod.fit_elo(comparisons)
+    diagnostics = {}
+    for pid in pids:
+        table = tables[f"pipeline {pid}"]
+        diagnostics[pid] = {
+            "iterations": table.iterations,
+            "final_step": table.final_step,
+        }
         elo_mod.elo_table_to_csv(table, args.out / f"elo_{pid}.csv")
         elo_mod.marginalised_to_csv(table, args.out / f"elo_marginalised_{pid}.csv")
-        if len(records) >= args.folds:
-            try:
-                report = elo_mod.elo_holdout_validation(records, args.folds, args.seed)
-            except ValidationError:
-                # sparse data: held-out objects never seen during fitting
-                continue
-            holdout_rows.append(
-                f"{pid},{report.kl:.6f},{report.tv:.6f},{report.brier:.6f},"
-                f"{report.directional_accuracy:.6f},{report.n_directional}"
-            )
+        if pid not in held_out:
+            continue
+        fold_tables = [tables[f"pipeline {pid} (fold {i})"] for i in range(args.folds)]
+        try:
+            report = elo_mod.score_holdout(held_out[pid], fold_tables)
+        except ValidationError:
+            # sparse data: held-out objects never seen during fitting
+            continue
+        holdout_rows.append(
+            f"{pid},{report.kl:.6f},{report.tv:.6f},{report.brier:.6f},"
+            f"{report.directional_accuracy:.6f},{report.n_directional}"
+        )
     (args.out / "elo_holdout.csv").write_text("\n".join(holdout_rows) + "\n")
-    _write_manifest(args, {"data": str(args.data), "folds": args.folds}, [args.data])
+    _write_manifest(
+        args,
+        {"data": str(args.data), "folds": args.folds},
+        [args.data],
+        diagnostics=diagnostics,
+    )
     print(f"wrote Elo tables for {len(holdout_rows) - 1} agents to {args.out}")
     return 0
 

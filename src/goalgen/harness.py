@@ -13,14 +13,22 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import spearmanr
 
-from .dataset import Dataset, TrainingPipeline, record_to_distribution
+from .dataset import (
+    ChoiceDistribution,
+    Dataset,
+    TrainingPipeline,
+    record_to_distribution,
+)
 from .elo import EloTable
 from .errors import ValidationError
 from .features import enumerate_objects
-from .fitting import (
+# transfer_eval no longer calls predicted_distributions, but the name stays
+# importable from here: perfbench's traced run wraps it at this module.
+from .fitting import (  # noqa: F401
     FitConfig,
     FitResult,
     ModelVariant,
+    _predict,
     fit_hyperparameters,
     modelling_loss,
     predicted_distributions,
@@ -220,16 +228,14 @@ def transfer_eval(
 
     result = fit_hyperparameters(dataset.subset(train_ids), variant, config)
     eval_records = [r for r in dataset.records if r.pipeline_id in eval_ids]
-    eval_loss = modelling_loss(
+    losses, logp = _predict(
         result.hyperparameters, dataset, eval_records, variant, config
     )
-    predictions = predicted_distributions(
-        result.hyperparameters, dataset, eval_records, variant, config
-    )
+    predictions = [ChoiceDistribution(*p) for p in np.exp(logp).tolist()]
     observations = [record_to_distribution(r) for r in eval_records]
     return TransferResult(
         fit=result,
-        eval_loss=eval_loss,
+        eval_loss=float(losses.mean()),
         metrics_three_way=compute_metrics(
             predictions, observations, MetricMode.THREE_WAY
         ),
@@ -313,8 +319,13 @@ def write_manifest(
     parameters: dict,
     seed: int | None,
     input_paths: list[str | Path],
+    diagnostics: dict | None = None,
 ) -> Path:
-    """Record everything needed to reproduce a run byte-for-byte."""
+    """Record everything needed to reproduce a run byte-for-byte.
+
+    ``diagnostics``, when given, is stored under its own key: what the
+    run's solvers report about themselves, such as iteration counts.
+    """
     from . import __version__
 
     out_dir = Path(out_dir)
@@ -326,6 +337,8 @@ def write_manifest(
         "seed": seed,
         "inputs": {str(p): file_digest(p) for p in input_paths},
     }
+    if diagnostics is not None:
+        manifest["diagnostics"] = diagnostics
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path

@@ -81,6 +81,23 @@ def synthetic_dataset(
     return Dataset(pipelines, tuple(records)), hp
 
 
+def population_dataset(seed=0, n_pipelines=4, episodes=100):
+    """Every pipeline's agent scored on all 276 pairs, as gen-data does.
+
+    Counts are drawn from the generator of ``synthetic_dataset``.
+    """
+    _, hp = synthetic_dataset(seed, n_pipelines=1, n_records=1)
+    rng = np.random.default_rng([seed, 276])
+    pipelines = random_pipelines(rng, n_pipelines)
+    records = []
+    for pid in sorted(pipelines):
+        w = simulate_pipeline(hp, pipelines[pid])
+        for a, b in PAIRS:
+            counts = rng.multinomial(episodes, predict_preferences(hp, w, a, b).as_tuple())
+            records.append(PreferenceRecord(pid, a, b, *map(int, counts), episodes))
+    return Dataset(pipelines, tuple(records))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

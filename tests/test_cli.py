@@ -163,6 +163,42 @@ def test_elo_command(tmp_path):
     holdout = (out / "elo_holdout.csv").read_text().splitlines()
     assert holdout[0].startswith("pipeline_id,kl")
     assert len(holdout) == 3
+    diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert sorted(diagnostics) == sorted(pipes)
+    for fit in diagnostics.values():
+        assert type(fit["iterations"]) is int and fit["iterations"] > 0
+        assert 0.0 < fit["final_step"] < 1e-6
+
+
+def test_elo_sparse_pipeline_keeps_its_tables_but_loses_its_holdout_row(tmp_path):
+    # Each "sparse" record is the only one with its two objects, so every
+    # held-out record involves objects its fold never scored.
+    from goalgen.dataset import Dataset, PreferenceRecord, TrainingPipeline, TrainingStage
+    from goalgen.features import enumerate_eval_pairs, enumerate_objects
+
+    objs = enumerate_objects()
+    pipes = {
+        pid: TrainingPipeline(pid, (TrainingStage(objs[7]),)) for pid in ("dense", "sparse")
+    }
+    records = [
+        PreferenceRecord("dense", a, b, 40, 35, 25, 100) for a, b in enumerate_eval_pairs()
+    ]
+    records += [
+        PreferenceRecord("sparse", objs[i], objs[i + 1], 50, 30, 20, 100)
+        for i in range(0, 8, 2)
+    ]
+    data = tmp_path / "sparse.jsonl"
+    save_dataset(Dataset(pipes, tuple(records)), data)
+
+    out = tmp_path / "elo"
+    assert main(["elo", "--data", str(data), "--out", str(out), "--folds", "4"]) == 0
+    table = (out / "elo_sparse.csv").read_text().splitlines()
+    assert len(table) == 1 + 8 + 1  # header, the 8 objects seen, no-goal
+    assert len((out / "elo_marginalised_sparse.csv").read_text().splitlines()) > 1
+    holdout = (out / "elo_holdout.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in holdout[1:]] == ["dense"]
+    diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert sorted(diagnostics) == ["dense", "sparse"]
 
 
 def test_sweep_dim_command(tmp_path, data_file):
@@ -408,6 +444,11 @@ def test_bad_plan_exits_1(tmp_path, data_file, capsys, plan_doc, fragment):
         ('{"learning_rate": true}', "learning_rate"),
         ('{"learning_rate": NaN}', "learning_rate"),
         ('{"adam_beta1": Infinity}', "adam_beta1"),
+        pytest.param(
+            '{"learning_rate": ' + "1" * 401 + "}",
+            "learning_rate",
+            id="int-too-large-for-a-float",
+        ),
     ],
 )
 def test_bool_or_non_finite_config_value_exits_1(tmp_path, data_file, capsys, text, key):

@@ -1,6 +1,6 @@
 """Property tests of the CLI error contract for its input documents: the
---plan and --config files, --hp hyperparameter files and --data record
-lines.
+--plan and --config files, --hp hyperparameter files, --data record lines
+and --pipelines files.
 
 Any JSON document, of any shape, must give exit 0 or exit 1 with a single
 ``error:`` line, never a traceback. Numbers for known keys stay small so a
@@ -75,11 +75,29 @@ PLANS = (
 )
 
 
+def _key_paths(doc, prefix=()):
+    """The path of every object key in a JSON document, at any depth."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if isinstance(doc, dict):
+            yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[path[0]] = _replaced(doc[path[0]], path[1:], value)
+    return copy
+
+
 def _one_key_replaced(documents, values):
-    """Documents with the value of one of their keys replaced."""
+    """Documents with the value of one of their keys, at any depth, replaced."""
     return documents.flatmap(
-        lambda doc: st.tuples(st.sampled_from(sorted(doc)), values).map(
-            lambda kv: {**doc, kv[0]: kv[1]}
+        lambda doc: st.tuples(st.sampled_from(list(_key_paths(doc))), values).map(
+            lambda pv: _replaced(doc, *pv)
         )
     )
 
@@ -137,6 +155,23 @@ RECORDS = (
 )
 HEADER = {"pipelines": {"demo": [{"goal": {"colour": "red", "shape": "cross"}}]}}
 TINY_FIT = {"epochs": 1, "n_integration_steps": 5, "latent_dim": 2}
+STAGES = st.fixed_dictionaries(
+    {"goal": st.sampled_from(OBJECT_DOCS)},
+    optional={"distractor": st.none() | st.sampled_from(OBJECT_DOCS)},
+)
+VALID_PIPELINES = st.builds(
+    lambda spec: {"pipelines": spec},
+    st.dictionaries(
+        st.sampled_from(PIPELINE_IDS),
+        st.lists(STAGES, min_size=1, max_size=2),
+        min_size=1,
+        max_size=2,
+    ),
+)
+PIPELINE_DOCUMENTS = (
+    JSON_VALUES | VALID_PIPELINES | _one_key_replaced(VALID_PIPELINES, JSON_VALUES)
+)
+TINY_GEN = {"episodes_per_stage": 1, "eval_episodes": 1}
 FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
@@ -206,4 +241,14 @@ def test_fit_record_lines_never_escape(records):
         code, err = run_with_documents(
             ["fit", "--data", str(data)], [("--config", TINY_FIT)]
         )
+    assert_error_contract(code, err)
+
+
+@FUZZ
+@given(pipelines=PIPELINE_DOCUMENTS)
+def test_gen_data_pipelines_documents_never_escape(pipelines):
+    code, err = run_with_documents(
+        ["gen-data", "--max-pairs", "1"],
+        [("--pipelines", pipelines), ("--config", TINY_GEN)],
+    )
     assert_error_contract(code, err)

@@ -1,20 +1,34 @@
+import csv
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from goalgen.dataset import PreferenceRecord
+from conftest import population_dataset
+from goalgen.cli import main
+from goalgen.dataset import PreferenceRecord, save_dataset
 from goalgen.elo import (
+    CONVERGENCE_TOL,
+    ELO_SCALE,
+    GRADIENT_STEP,
+    MAX_ITERATIONS,
+    RIDGE,
+    EloProblem,
     EloTable,
     PairwiseComparison,
     elo_holdout_validation,
     elo_predict,
     elo_table_to_csv,
     fit_elo,
+    fit_elo_many,
+    holdout_folds,
     marginalised_elo,
+    score_holdout,
     to_pairwise,
 )
-from goalgen.errors import ValidationError
+from goalgen.errors import NumericalError, ValidationError
 from goalgen.features import Colour, ObjectFeatures, Shape, enumerate_objects
 
 RC = ObjectFeatures(Colour.RED, Shape.CROSS)
@@ -199,3 +213,200 @@ def test_table_csv_round(tmp_path):
     assert lines[0] == "object_colour,object_shape,score"
     assert lines[-1].startswith("no-goal,no-goal,")
     assert len(lines) == 4
+
+
+def serial_fit_elo(
+    comparisons,
+    step=GRADIENT_STEP,
+    tol=CONVERGENCE_TOL,
+    max_iterations=MAX_ITERATIONS,
+):
+    """The one-problem gradient descent that fit_elo_many runs in lockstep,
+    one term per comparison: the oracle for the merged, batched solver."""
+    active = [c for c in comparisons if c.weight > 0]
+    competitors = {c.competitor_a for c in active} | {c.competitor_b for c in active}
+    objects = sorted(
+        competitors - {None}, key=lambda o: (o.colour.value, o.shape.value)
+    )
+    index = {obj: i for i, obj in enumerate(objects)}
+    index[None] = len(objects)
+    n = len(objects) + 1
+
+    ia = np.array([index[c.competitor_a] for c in active])
+    ib = np.array([index[c.competitor_b] for c in active])
+    rate = np.array([c.win_rate_a for c in active])
+    weight = np.array([c.weight for c in active])
+
+    scores = np.zeros(n)
+    for iteration in range(1, max_iterations + 1):
+        gap = scores[ia] - scores[ib]
+        p = 1.0 / (1.0 + np.exp(-ELO_SCALE * gap))
+        resid = weight * ELO_SCALE * (rate - p)
+        grad = (
+            2.0 * RIDGE * scores
+            - np.bincount(ia, weights=resid, minlength=n)
+            + np.bincount(ib, weights=resid, minlength=n)
+        )
+        delta = step * grad
+        scores -= delta
+        if np.abs(delta).max() < tol:
+            break
+    else:
+        raise NumericalError("serial Elo fit did not converge")
+
+    anchored = scores - scores[index[None]]
+    return EloTable(
+        scores={obj: float(anchored[index[obj]]) for obj in objects},
+        iterations=iteration,
+        final_step=float(np.abs(delta).max()),
+    )
+
+
+def comparisons_of(records):
+    return [c for rec in records for c in to_pairwise(rec)]
+
+
+def fit_problems(dataset, k=4, rng_seed=0):
+    """Each pipeline's full comparisons and its K training folds, by name."""
+    problems = {}
+    for pid in sorted(dataset.pipelines):
+        records = dataset.records_for(pid)
+        problems[f"pipeline {pid}"] = comparisons_of(records)
+        for i, (train, _) in enumerate(holdout_folds(records, k, rng_seed)):
+            problems[f"pipeline {pid} (fold {i})"] = comparisons_of(train)
+    return problems
+
+
+def assert_matches_serial(problems):
+    """fit_elo_many against the serial oracle, problem by problem."""
+    tables = fit_elo_many(
+        {key: EloProblem.from_comparisons(c) for key, c in problems.items()}
+    )
+    assert list(tables) == list(problems)
+    for key, comparisons in problems.items():
+        want, got = serial_fit_elo(comparisons), tables[key]
+        assert got.iterations == want.iterations, key
+        assert got.scores.keys() == want.scores.keys(), key
+        for obj, score in want.scores.items():
+            assert got.scores[obj] == pytest.approx(score, abs=1e-9), (key, obj)
+        assert got.no_goal_score == 0.0
+        assert got.final_step < CONVERGENCE_TOL
+    return tables
+
+
+def test_lockstep_matches_serial_on_population_fits_and_folds():
+    tables = assert_matches_serial(fit_problems(population_dataset(seed=3), rng_seed=3))
+    assert len(tables) == 4 * 5
+    # the problems stop at different iterations, so some leave early
+    assert len({t.iterations for t in tables.values()}) > 1
+
+
+def test_lockstep_matches_serial_on_folds_lacking_competitors():
+    # A dense block of 10 objects plus one object seen in a single record:
+    # the fold that holds that record out has no score for the object.
+    objects = enumerate_objects()
+    records = [
+        r
+        for r in population_dataset(seed=5, n_pipelines=1).records
+        if {r.object_a, r.object_b} <= set(objects[:10])
+        or {r.object_a, r.object_b} == {objects[0], objects[10]}
+    ]
+    folds = holdout_folds(records, k=2)
+    problems = {"full": comparisons_of(records)}
+    problems.update({i: comparisons_of(train) for i, (train, _) in enumerate(folds)})
+    tables = assert_matches_serial(problems)
+    assert sorted(len(t.scores) for t in tables.values()) == [10, 11, 11]
+
+
+def test_lockstep_matches_serial_on_mixed_fast_and_slow_problems():
+    problems = {
+        "population": comparisons_of(population_dataset(seed=5, n_pipelines=1).records),
+        "symmetric": to_pairwise(record(40, 40, 20)),
+        "single": [PairwiseComparison(RC, BD, 0.7, 1.0)],
+    }
+    tables = assert_matches_serial(problems)
+    iterations = [t.iterations for t in tables.values()]
+    assert max(iterations) > 5 * min(iterations)
+
+
+def test_single_comparison_problem_alone():
+    single = {"single": [PairwiseComparison(RC, None, 0.25, 2.0)]}
+    table = assert_matches_serial(single)["single"]
+    # P(RC beats no-goal) = 0.25 puts RC 400 log10(3) below the anchor; the
+    # first-order descent stops about 0.2 points short of it.
+    assert table.scores[RC] == pytest.approx(-400 * math.log10(3), abs=0.5)
+
+
+def test_merging_sums_comparisons_per_ordered_pair():
+    records = population_dataset(seed=5, n_pipelines=1).records
+    comparisons = comparisons_of(records)
+    problem = EloProblem.from_comparisons(iter(comparisons))
+    assert len(comparisons) == 3 * 276
+    # 276 object pairs plus each of the 24 objects against no-goal
+    assert len(problem.weight) == 276 + 24
+    assert problem.weight.sum() == pytest.approx(sum(c.weight for c in comparisons))
+    assert problem.weighted_rate.sum() == pytest.approx(
+        sum(c.weight * c.win_rate_a for c in comparisons)
+    )
+
+
+def test_fit_elo_many_of_no_problems_is_empty():
+    assert fit_elo_many({}) == {}
+
+
+def test_non_convergence_names_the_problem_that_failed():
+    population = comparisons_of(population_dataset(seed=5, n_pipelines=1).records)
+    cap = serial_fit_elo(population).iterations
+    problems = {
+        "pipeline p00": EloProblem.from_comparisons(population),
+        "pipeline p01 (fold 2)": EloProblem.from_comparisons(
+            to_pairwise(record(40, 40, 20))
+        ),
+    }
+    with pytest.raises(NumericalError) as info:
+        fit_elo_many(problems, max_iterations=cap)
+    message = str(info.value)
+    assert message.startswith(
+        f"Elo fit for pipeline p01 (fold 2) did not converge in {cap} iterations"
+    )
+    assert "gradient norm" in message
+    with pytest.raises(NumericalError, match=r"^Elo fit did not converge in 3 "):
+        fit_elo(to_pairwise(record(90, 5, 5)), max_iterations=3)
+
+
+def test_holdout_report_is_unchanged_by_lockstep_folds():
+    records = list(population_dataset(seed=3, n_pipelines=1).records)
+    folds = holdout_folds(records, 4, rng_seed=1)
+    tables = [serial_fit_elo(comparisons_of(train)) for train, _ in folds]
+    report = elo_holdout_validation(records, k=4, rng_seed=1)
+    want = score_holdout([test for _, test in folds], tables)
+    for field in ("kl", "tv", "brier", "directional_accuracy"):
+        assert getattr(report, field) == pytest.approx(getattr(want, field), abs=1e-12)
+    assert report.n_directional == want.n_directional
+
+
+REFERENCE = Path(__file__).parent / "data" / "elo_cli_reference.json"
+
+
+def read_csv(text):
+    return list(csv.reader(text.splitlines()))
+
+
+def test_elo_command_output_matches_recorded_values(tmp_path):
+    # Recorded with the serial one-fit-per-call solver on this dataset.
+    data = tmp_path / "population.jsonl"
+    save_dataset(population_dataset(seed=7, n_pipelines=2), data)
+    out = tmp_path / "elo"
+    assert main(["elo", "--data", str(data), "--out", str(out), "--seed", "3"]) == 0
+    reference = json.loads(REFERENCE.read_text())
+    assert sorted(p.name for p in out.glob("*.csv")) == sorted(reference)
+    for name, text in reference.items():
+        got, want = read_csv((out / name).read_text()), read_csv(text)
+        assert len(got) == len(want) and got[0] == want[0], name
+        for got_row, want_row in zip(got[1:], want[1:]):
+            assert got_row[0] == want_row[0], name
+            for g, w in zip(got_row[1:], want_row[1:]):
+                if w.replace("-", "").isalpha():
+                    assert g == w, name
+                else:
+                    assert float(g) == pytest.approx(float(w), abs=1e-6), name
