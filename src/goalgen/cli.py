@@ -34,7 +34,6 @@ _CONFIG_SCHEMA: dict[str, type] = {
     "adam_beta1": float,
     "adam_beta2": float,
     "n_integration_steps": int,
-    "gradient_mode": str,
     "latent_dim": int,
     # desk agent / environment
     "desk_learning_rate": float,
@@ -85,7 +84,6 @@ def fit_config_from(config: dict, seed: int) -> FitConfig:
         "adam_beta1",
         "adam_beta2",
         "n_integration_steps",
-        "gradient_mode",
         "latent_dim",
     )
     kwargs = {k: config[k] for k in keys if k in config}
@@ -171,6 +169,8 @@ def _write_manifest(
 
 
 def _cmd_gen_data(args, config: dict) -> int:
+    if args.max_pairs is not None and args.max_pairs < 1:
+        raise ValidationError(f"--max-pairs must be at least 1, got {args.max_pairs}")
     pipelines = load_pipelines(args.pipelines)
     pairs = enumerate_eval_pairs()
     if args.max_pairs is not None:
@@ -221,6 +221,8 @@ def _cmd_gen_data(args, config: dict) -> int:
 
 
 def _cmd_elo(args, config: dict) -> int:
+    if args.folds < 2:
+        raise ValidationError(f"--folds must be at least 2, got {args.folds}")
     dataset = load_dataset(args.data)
     pids = sorted({r.pipeline_id for r in dataset.records})
     # Every pipeline's full fit and its K training folds, fitted in one call.
@@ -236,7 +238,7 @@ def _cmd_elo(args, config: dict) -> int:
                 for i, (train, _) in enumerate(folds)
             }
         except ValidationError:
-            continue  # too few records or folds, or a fold with nothing to fit
+            continue  # too few records, or a fold with nothing to fit
         problems.update(fold_problems)
         held_out[pid] = [test for _, test in folds]
     tables = elo_mod.fit_elo_many(problems)
@@ -271,7 +273,7 @@ def _cmd_elo(args, config: dict) -> int:
         [args.data],
         diagnostics=diagnostics,
     )
-    print(f"wrote Elo tables for {len(holdout_rows) - 1} agents to {args.out}")
+    print(f"wrote Elo tables for {len(pids)} agents to {args.out}")
     return 0
 
 

@@ -13,15 +13,16 @@ ascent by reverse accumulation: the forward pass records the latent
 trajectory, and the backward pass propagates an adjoint vector through
 each ascent step using the closed-form Jacobians of the step rule. The
 adjoint is linear and its Jacobians depend only on a pipeline's
-trajectory, so it runs once per pipeline, not once per record. A central
-finite-difference mode is kept as an independent cross-check.
+trajectory, so it runs once per pipeline, not once per record.
+``selfcheck.fd_gradient`` checks it against finite differences.
 
 Besides the proposed (full) model there are four alternatives: a diagonal
 saliency, a quadratic feature expansion with diagonal saliency, a
 memoryless variant that simulates only the final stage, and a simultaneous
 variant that ascends the mean of all stage objectives jointly. Per-agent
-per-goal and per-agent per-feature reference floors, a uniform baseline,
-and a latent-dimension sweep round out the comparison harness.
+per-goal and per-agent per-feature reference floors, solved exactly by
+one batched Newton solve, a uniform baseline, and a latent-dimension sweep
+round out the comparison harness.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .latent import (
 # Nothing here calls the scalar simulator any more, but the benchmark's
 # tracer (perfbench/layers.py, --trace 1) patches these two names here.
 from .latent import simulate_pipeline, stage_objective  # noqa: F401
-from .metrics import kl_divergence
 
 
 class ModelVariant(str, Enum):
@@ -82,7 +82,6 @@ class FitConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     n_integration_steps: int = DEFAULT_INTEGRATION_STEPS
-    gradient_mode: str = "adjoint"  # "adjoint" or "finite_difference"
     rng_seed: int = 0
     latent_dim: int = 10
 
@@ -95,8 +94,6 @@ class FitConfig:
             raise ValidationError("Adam betas must lie in (0, 1)")
         if self.n_integration_steps <= 0 or self.latent_dim <= 0:
             raise ValidationError("step counts and latent dim must be positive")
-        if self.gradient_mode not in ("adjoint", "finite_difference"):
-            raise ValidationError(f"unknown gradient mode {self.gradient_mode!r}")
 
 
 @dataclass
@@ -193,11 +190,27 @@ def _stage_features(pipeline: TrainingPipeline, variant: ModelVariant):
     return phi, np.array([s.distractor is not None for s in stages])
 
 
-class _Prepared:
-    """Records and their pipelines flattened into arrays for the engine.
+def _record_arrays(records: list[PreferenceRecord], encode):
+    """Records flattened into arrays, for the engine, the floors and the
+    uniform baseline.
 
-    Records are taken as given: no pair is reordered and duplicates stay.
+    Returns the sorted pipeline ids, each record's index into them, the
+    (R, 2, n) ``encode``d features of its objects (a, b) and its observed
+    (R, 3) distribution. Records are taken as given: no pair is reordered
+    and duplicates stay.
     """
+    if not records:
+        raise ValidationError("no preference records to fit or evaluate")
+    pids = sorted({r.pipeline_id for r in records})
+    pid_index = {pid: i for i, pid in enumerate(pids)}
+    pipeline = np.array([pid_index[r.pipeline_id] for r in records])
+    phi = np.array([[encode(r.object_a), encode(r.object_b)] for r in records])
+    p_hat = np.array([record_to_distribution(r).as_tuple() for r in records])
+    return pids, pipeline, phi, p_hat
+
+
+class _Prepared:
+    """Records and their pipelines flattened into arrays for the engine."""
 
     def __init__(
         self,
@@ -205,10 +218,10 @@ class _Prepared:
         records: list[PreferenceRecord],
         variant: ModelVariant,
     ):
-        if not records:
-            raise ValidationError("no preference records to fit or evaluate")
         self.variant = ModelVariant(variant)
-        pids = sorted({r.pipeline_id for r in records})
+        pids, self.record_pipeline, objects, self.p_hat = _record_arrays(
+            records, _encoder(self.variant)
+        )
         unknown = [pid for pid in pids if pid not in pipelines]
         if unknown:
             raise ValidationError(f"records name unknown pipelines {unknown}")
@@ -217,13 +230,7 @@ class _Prepared:
         self.stage_phi = [phi for phi, _ in staged]
         self.has_dis = [mask for _, mask in staged]
         self.stage_counts = np.array([len(mask) for mask in self.has_dis])
-
-        encode = _encoder(self.variant)
-        pid_index = {pid: i for i, pid in enumerate(pids)}
-        self.record_pipeline = np.array([pid_index[r.pipeline_id] for r in records])
-        self.phi_a = np.stack([encode(r.object_a) for r in records])
-        self.phi_b = np.stack([encode(r.object_b) for r in records])
-        self.p_hat = np.array([record_to_distribution(r).as_tuple() for r in records])
+        self.phi_a, self.phi_b = objects[:, 0], objects[:, 1]
         self.n_records = len(records)
 
 
@@ -435,35 +442,12 @@ def _evaluate_batch(model, prep: _Prepared, rec_sel, n_steps: int, want_grad: bo
     return losses, logp, (s_grad, tau_grad * tau, w0_grad)
 
 
-def _fd_gradient(theta, space, prep, rec_sel, config, step=1e-4):
-    """Central finite differences of the batch loss; the validation mode."""
-
-    def loss(x):
-        losses, _, _ = _evaluate_batch(
-            space.model(x), prep, rec_sel, config.n_integration_steps, False
-        )
-        return losses.mean()
-
-    grad = np.zeros_like(theta)
-    for i in range(len(theta)):
-        dx = np.zeros_like(theta)
-        dx[i] = step
-        grad[i] = (loss(theta + dx) - loss(theta - dx)) / (2.0 * step)
-    return grad
-
-
 def _loss_and_gradient(theta, space, prep, rec_sel, config: FitConfig):
-    """Mean loss of the selected records and its flat gradient, computed
-    in ``config.gradient_mode``."""
-    adjoint = config.gradient_mode == "adjoint"
-    losses, _, grads = _evaluate_batch(
-        space.model(theta), prep, rec_sel, config.n_integration_steps, adjoint
+    """Mean loss of the selected records and its flat adjoint gradient."""
+    losses, _, (s_grad, log_tau_grad, w0_grad) = _evaluate_batch(
+        space.model(theta), prep, rec_sel, config.n_integration_steps, True
     )
-    if adjoint:
-        s_grad, log_tau_grad, w0_grad = grads
-        grad = np.concatenate([s_grad[space.mask], [log_tau_grad, w0_grad]])
-    else:
-        grad = _fd_gradient(theta, space, prep, rec_sel, config)
+    grad = np.concatenate([s_grad[space.mask], [log_tau_grad, w0_grad]])
     return float(losses.mean()), grad
 
 
@@ -475,9 +459,9 @@ def hyperparameter_gradient(
 ):
     """Loss and flat hyperparameter gradient over a whole dataset.
 
-    Exposed for the gradient self-checks; ``config.gradient_mode`` picks
-    the adjoint or finite differences. Gradient ordering is (free saliency
-    entries row-major, log tau, w0).
+    Exposed for the gradient self-checks, which compare it with
+    ``selfcheck.fd_gradient``. Gradient ordering is (free saliency entries
+    row-major, log tau, w0).
     """
     variant = _checked_variant(hp, variant)
     space = _ParamSpace(variant, hp.latent_dim)
@@ -544,7 +528,6 @@ def fit_hyperparameters(
             "loss_trajectory": losses,
             "gradient_norm_trajectory": grad_norms,
             "wall_time_s": time.perf_counter() - started,
-            "gradient_mode": config.gradient_mode,
             "epochs": config.epochs,
         },
     )
@@ -612,98 +595,74 @@ def modelling_loss(
 
 def baseline_uniform(records: list[PreferenceRecord]) -> float:
     """Mean KL from the observations to the uniform three-way predictor."""
-    if not records:
-        raise ValidationError("no records to evaluate")
-    uniform = np.full(3, 1.0 / 3.0)
-    total = 0.0
-    for rec in records:
-        obs = np.array(record_to_distribution(rec).as_tuple())
-        total += kl_divergence(obs, uniform)
-    return total / len(records)
+    *_, p_hat = _record_arrays(records, _one_hot)
+    zeros = np.zeros(len(p_hat))
+    return float(_three_way_kl(zeros, zeros, p_hat)[0].mean())
 
 
-def _lower_bound(
-    dataset: Dataset,
-    per_feature: bool,
-    step: float = 1.0,
-    tol: float = 1e-8,
-    max_iterations: int = 50_000,
-) -> float:
-    """Reference floor: directly fitted per-agent values.
+_OBJECT_BASIS = np.eye(24)
+# Safety bound on the floors' Newton steps; separable tallies take about 20.
+_NEWTON_STEPS = 100
+# Keeps each Hessian solvable along directions that no record observes.
+_RIDGE = 1e-10
 
-    Per-goal mode gives every (agent, object) pair a free value; the
-    per-feature mode constrains values to be linear in the object's
-    features. Each agent's mean KL is minimised independently by plain
-    gradient descent; the dataset mean of the converged per-record losses
-    is returned.
+
+def _one_hot(obj) -> np.ndarray:
+    """Indicator of an object among the 24: the per-goal floor's encoding."""
+    return _OBJECT_BASIS[object_index(obj)]
+
+
+def _lower_bound(dataset: Dataset, encode) -> tuple[float, int]:
+    """Reference floor: per-agent values fitted directly to the records.
+
+    Each agent's value of an object is linear in ``encode(object)``, and
+    its mean KL to a three-way softmax over (x_a . theta, x_b . theta, 0)
+    is minimised independently of the other agents. One damped Newton
+    solve runs all agents in lockstep: the Hessian is X^T W X with
+    W = diag(p) - p p^T on the (a, b) outcomes, and each agent's step is
+    scaled by 1 / (1 + its Newton decrement). It stops when every gradient
+    entry is below 1e-8. Returns the dataset mean of the per-record losses
+    at the optimum and the number of Newton steps.
     """
-    if not dataset.records:
-        raise ValidationError("no records to bound")
-    pids = sorted({r.pipeline_id for r in dataset.records})
-    agent_index = {pid: i for i, pid in enumerate(pids)}
-    n_agents = len(pids)
-    n_rec = len(dataset.records)
-
-    aid = np.array([agent_index[r.pipeline_id] for r in dataset.records])
-    p_hat = np.array(
-        [record_to_distribution(r).as_tuple() for r in dataset.records]
-    )
-    counts = np.bincount(aid, minlength=n_agents).astype(float)
-    rec_scale = 1.0 / counts[aid]
-
-    if per_feature:
-        fa = np.stack([encode_features(r.object_a) for r in dataset.records])
-        fb = np.stack([encode_features(r.object_b) for r in dataset.records])
-        values = np.zeros((n_agents, N_FEATURES))
-    else:
-        ia = aid * 24 + np.array([object_index(r.object_a) for r in dataset.records])
-        ib = aid * 24 + np.array([object_index(r.object_b) for r in dataset.records])
-        values = np.zeros(n_agents * 24)
-
-    for iteration in range(max_iterations):
-        if per_feature:
-            va = (fa * values[aid]).sum(axis=1)
-            vb = (fb * values[aid]).sum(axis=1)
-        else:
-            va = values[ia]
-            vb = values[ib]
-        logits = np.stack([va, vb, np.zeros(n_rec)], axis=1)
-        mx = logits.max(axis=1, keepdims=True)
-        p = np.exp(logits - mx)
-        p /= p.sum(axis=1, keepdims=True)
-        resid = (p - p_hat) * rec_scale[:, None]
-        if per_feature:
-            grad = np.zeros_like(values)
-            np.add.at(grad, aid, resid[:, 0:1] * fa + resid[:, 1:2] * fb)
-        else:
-            grad = np.bincount(
-                ia, weights=resid[:, 0], minlength=values.size
-            ) + np.bincount(ib, weights=resid[:, 1], minlength=values.size)
-        delta = step * grad
-        values = values - delta
-        if np.abs(delta).max() < tol:
-            break
-    else:
-        raise NumericalError(
-            f"lower-bound fit did not converge in {max_iterations} iterations "
-            f"(max change {np.abs(delta).max():.3e})"
-        )
-
-    if per_feature:
-        va = (fa * values[aid]).sum(axis=1)
-        vb = (fb * values[aid]).sum(axis=1)
-    else:
-        va = values[ia]
-        vb = values[ib]
-    return float(_three_way_kl(va, vb, p_hat)[0].mean())
+    # Grouped by agent, so that each agent's records are one slice.
+    records = sorted(dataset.records, key=lambda r: r.pipeline_id)
+    _, agent, x, p_hat = _record_arrays(records, encode)
+    bounds = np.searchsorted(agent, np.arange(agent[-1] + 2))
+    counts = np.diff(bounds)[:, None]
+    n = x.shape[2]
+    theta = np.zeros((len(counts), n))
+    for steps in range(_NEWTON_STEPS):
+        v = np.einsum("rcn,rn->rc", x, theta[agent])
+        losses, logp = _three_way_kl(v[:, 0], v[:, 1], p_hat)
+        p = np.exp(logp[:, :2])
+        resid = np.einsum("rc,rcn->rn", p - p_hat[:, :2], x)
+        grad = np.add.reduceat(resid, bounds[:-1]) / counts
+        if not np.all(np.isfinite(grad)):
+            raise NumericalError(f"non-finite floor gradient at Newton step {steps}")
+        if np.abs(grad).max() < 1e-8:
+            return float(losses.mean()), steps
+        wx = x - np.einsum("rc,rcn->rn", p, x)[:, None]
+        wx *= p[..., None]
+        hess = np.stack(
+            [
+                x[i:j].reshape(-1, n).T @ wx[i:j].reshape(-1, n)
+                for i, j in zip(bounds, bounds[1:])
+            ]
+        ) / counts[..., None]
+        step = np.linalg.solve(hess + _RIDGE * np.eye(n), grad[..., None])[..., 0]
+        decrement = np.sqrt(np.maximum((grad * step).sum(axis=1), 0.0))
+        theta = theta - step / (1.0 + decrement[:, None])
+    raise NumericalError(f"floor Newton solve passed its {_NEWTON_STEPS}-step bound")
 
 
-def lower_bound_per_goal(dataset: Dataset, **kwargs) -> float:
-    return _lower_bound(dataset, per_feature=False, **kwargs)
+def lower_bound_per_goal(dataset: Dataset) -> float:
+    """Floor with a free value for every (agent, object) pair."""
+    return _lower_bound(dataset, _one_hot)[0]
 
 
-def lower_bound_per_feature(dataset: Dataset, **kwargs) -> float:
-    return _lower_bound(dataset, per_feature=True, **kwargs)
+def lower_bound_per_feature(dataset: Dataset) -> float:
+    """Floor with each agent's values linear in the object features."""
+    return _lower_bound(dataset, encode_features)[0]
 
 
 def latent_dim_sweep(

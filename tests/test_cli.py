@@ -48,6 +48,10 @@ def test_config_schema_validation(tmp_path):
     path.write_text('{"epochs": "three"}')
     with pytest.raises(ValidationError, match="must be int"):
         load_config(path)
+    # Finite differences are an oracle in selfcheck, not a fit option.
+    path.write_text('{"gradient_mode": "adjoint"}')
+    with pytest.raises(ValidationError, match="unknown config keys"):
+        load_config(path)
 
 
 def test_fit_writes_outputs(tmp_path, data_file):
@@ -170,7 +174,9 @@ def test_elo_command(tmp_path):
         assert 0.0 < fit["final_step"] < 1e-6
 
 
-def test_elo_sparse_pipeline_keeps_its_tables_but_loses_its_holdout_row(tmp_path):
+def test_elo_sparse_pipeline_keeps_its_tables_but_loses_its_holdout_row(
+    tmp_path, capsys
+):
     # Each "sparse" record is the only one with its two objects, so every
     # held-out record involves objects its fold never scored.
     from goalgen.dataset import Dataset, PreferenceRecord, TrainingPipeline, TrainingStage
@@ -192,6 +198,7 @@ def test_elo_sparse_pipeline_keeps_its_tables_but_loses_its_holdout_row(tmp_path
 
     out = tmp_path / "elo"
     assert main(["elo", "--data", str(data), "--out", str(out), "--folds", "4"]) == 0
+    assert "wrote Elo tables for 2 agents" in capsys.readouterr().out
     table = (out / "elo_sparse.csv").read_text().splitlines()
     assert len(table) == 1 + 8 + 1  # header, the 8 objects seen, no-goal
     assert len((out / "elo_marginalised_sparse.csv").read_text().splitlines()) > 1
@@ -199,6 +206,16 @@ def test_elo_sparse_pipeline_keeps_its_tables_but_loses_its_holdout_row(tmp_path
     assert [row.split(",")[0] for row in holdout[1:]] == ["dense"]
     diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
     assert sorted(diagnostics) == ["dense", "sparse"]
+
+
+@pytest.mark.parametrize("folds", ["1", "0", "-3"])
+def test_elo_rejects_fewer_than_two_folds(tmp_path, data_file, capsys, folds):
+    out = tmp_path / "elo"
+    code = main(["elo", "--data", str(data_file), "--out", str(out), "--folds", folds])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: --folds must be at least 2, got {folds}"]
+    assert not out.exists()
 
 
 def test_sweep_dim_command(tmp_path, data_file):
@@ -288,6 +305,22 @@ def test_gen_data_command(tmp_path):
     assert params["episodes_per_stage"] == 120
     assert params["baseline_decay"] == 0.99
     assert params["eval_episodes"] == 5
+
+
+@pytest.mark.parametrize("max_pairs", ["0", "-1"])
+def test_gen_data_rejects_max_pairs_below_one(tmp_path, capsys, max_pairs):
+    pfile = tmp_path / "pipes.json"
+    stage = {"goal": {"colour": "red", "shape": "cross"}, "distractor": None}
+    pfile.write_text(json.dumps({"pipelines": {"demo": [stage]}}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"episodes_per_stage": 20, "eval_episodes": 1}))
+    out = tmp_path / "gen"
+    argv = ["gen-data", "--pipelines", str(pfile), "--out", str(out),
+            "--config", str(cfg), "--max-pairs", max_pairs]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: --max-pairs must be at least 1, got {max_pairs}"]
+    assert not out.exists()
 
 
 def test_check_command_passes(tmp_path, capsys):

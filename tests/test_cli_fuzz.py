@@ -30,7 +30,6 @@ CONFIG_KEYS = (
     "adam_beta1",
     "adam_beta2",
     "n_integration_steps",
-    "gradient_mode",
     "latent_dim",
     "eval_episodes",
 )
