@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -77,17 +78,8 @@ def load_config(path: str | Path | None) -> dict:
 
 
 def fit_config_from(config: dict, seed: int) -> FitConfig:
-    keys = (
-        "learning_rate",
-        "batch_size",
-        "epochs",
-        "adam_beta1",
-        "adam_beta2",
-        "n_integration_steps",
-        "latent_dim",
-    )
-    kwargs = {k: config[k] for k in keys if k in config}
-    return FitConfig(rng_seed=seed, **kwargs)
+    keys = {f.name for f in fields(FitConfig)}
+    return FitConfig(rng_seed=seed, **{k: v for k, v in config.items() if k in keys})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,49 +93,46 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="goalgen", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, handler, summary):
+        """A subcommand with the common flags, dispatching to ``handler``."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", type=Path, default=None)
         p.add_argument("--out", type=Path, default=Path("out"))
+        return p
 
-    p = sub.add_parser("gen-data", help="train desk agents and emit preference data")
-    common(p)
+    p = command("gen-data", _cmd_gen_data, "train desk agents and emit preference data")
     p.add_argument("--pipelines", type=Path, required=True,
                    help="JSON file with a 'pipelines' map of id -> stage list")
     p.add_argument("--max-pairs", type=int, default=None,
                    help="evaluate only the first N canonical pairs")
 
-    p = sub.add_parser("elo", help="fit anchored Elo tables per agent")
-    common(p)
+    p = command("elo", _cmd_elo, "fit anchored Elo tables per agent")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--folds", type=int, default=4)
 
-    p = sub.add_parser("fit", help="fit a model variant")
-    common(p)
+    p = command("fit", _cmd_fit, "fit a model variant")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--variant", default="full",
                    choices=[v.value for v in ModelVariant])
 
-    p = sub.add_parser("eval", help="run a K-fold or transfer evaluation plan")
-    common(p)
+    p = command("eval", _cmd_eval, "run a K-fold or transfer evaluation plan")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--plan", type=Path, required=True)
     p.add_argument("--variant", default="full",
                    choices=[v.value for v in ModelVariant])
 
-    p = sub.add_parser("sweep-dim", help="sweep the latent dimension")
-    common(p)
+    p = command("sweep-dim", _cmd_sweep_dim, "sweep the latent dimension")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--dims", default="1-32", help="range like 1-32 or list like 1,2,4")
 
-    p = sub.add_parser("project", help="closed-form projection trace for a pipeline")
-    common(p)
+    p = command("project", _cmd_project, "closed-form projection trace for a pipeline")
     p.add_argument("--hp", type=Path, required=True)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--pipeline", required=True)
 
-    p = sub.add_parser("check", help="run gradient and oracle self-tests")
-    common(p)
+    command("check", _cmd_check, "run gradient and oracle self-tests")
     return parser
 
 
@@ -230,11 +219,12 @@ def _cmd_elo(args, config: dict) -> int:
     held_out = {}
     for pid in pids:
         records = dataset.records_for(pid)
-        problems[f"pipeline {pid}"] = elo_mod.EloProblem.from_records(records)
+        comparisons = elo_mod.RecordComparisons(records)
+        problems[f"pipeline {pid}"] = comparisons.problem()
         try:
             folds = elo_mod.holdout_folds(records, args.folds, args.seed)
             fold_problems = {
-                f"pipeline {pid} (fold {i})": elo_mod.EloProblem.from_records(train)
+                f"pipeline {pid} (fold {i})": comparisons.problem(train)
                 for i, (train, _) in enumerate(folds)
             }
         except ValidationError:
@@ -366,10 +356,18 @@ def _cmd_sweep_dim(args, config: dict) -> int:
     fit_config = fit_config_from(config, args.seed)
     results = fitting.latent_dim_sweep(dataset, dims, fit_config)
     args.out.mkdir(parents=True, exist_ok=True)
-    rows = ["d,loss"] + [f"{d},{loss:.6f}" for d, loss in results]
+    rows = ["d,loss"] + [f"{d},{r.train_loss:.6f}" for d, r in zip(dims, results)]
     (args.out / "sweep.csv").write_text("\n".join(rows) + "\n")
-    _write_manifest(args, {"data": str(args.data), "dims": args.dims}, [args.data])
-    print(f"swept {len(results)} dimensions; best loss {min(l for _, l in results):.4f}")
+    keys = ("n_updates", "final_gradient_norm")
+    diagnostics = {
+        str(d): {**{k: r.diagnostics[k] for k in keys}, "train_loss": r.train_loss}
+        for d, r in zip(dims, results)
+    }
+    _write_manifest(
+        args, {"data": str(args.data), "dims": args.dims}, [args.data], diagnostics
+    )
+    best = min(r.train_loss for r in results)
+    print(f"swept {len(results)} dimensions; best loss {best:.4f}")
     return 0
 
 
@@ -415,19 +413,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        config = load_config(args.config)
-        handler = {
-            "gen-data": _cmd_gen_data,
-            "elo": _cmd_elo,
-            "fit": _cmd_fit,
-            "eval": _cmd_eval,
-            "sweep-dim": _cmd_sweep_dim,
-            "project": _cmd_project,
-            "check": _cmd_check,
-        }[args.command]
-        return handler(args, config)
+        return args.handler(args, load_config(args.config))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy refuses an allocation far beyond the machine's memory at once
+        print(f"error: out of memory ({exc})", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -11,15 +11,16 @@ score is exactly zero.
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable, Iterable, Mapping
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from pathlib import Path
 from typing import TypeVar
 
 import numpy as np
 
 from .dataset import ChoiceDistribution, PreferenceRecord, record_to_distribution
 from .errors import NumericalError, ValidationError
-from .features import FEATURE_NAMES, ObjectFeatures
+from .features import FEATURE_NAMES, ObjectFeatures, enumerate_objects
 from .metrics import MetricMode, MetricsReport, compute_metrics
 
 # Natural-log growth rate of the base-10, 400-point Elo link.
@@ -31,6 +32,13 @@ CONVERGENCE_TOL = 1e-6
 MAX_ITERATIONS = 100_000
 
 Competitor = ObjectFeatures | None  # None is the no-goal competitor
+# Competitor codes: the objects in table order, then the no-goal competitor.
+_COMPETITORS: list[Competitor] = [
+    *sorted(enumerate_objects(), key=lambda o: (o.colour.value, o.shape.value)),
+    None,
+]
+_CODE = {c: i for i, c in enumerate(_COMPETITORS)}
+_NO_GOAL = _CODE[None]
 K = TypeVar("K", bound=Hashable)
 
 
@@ -70,23 +78,19 @@ class EloTable:
 
 
 def to_pairwise(record: PreferenceRecord) -> list[PairwiseComparison]:
-    """Three masked-and-renormalised comparisons from one record.
+    """Three masked-and-renormalised comparisons from one record: (a, b),
+    (a, no goal) and (b, no goal).
 
     Each comparison is weighted by the probability mass of its two
     outcomes; a comparison whose outcomes never occurred gets weight 0
     (its win rate is reported as 0.5 but carries no information).
     """
-    dist = record_to_distribution(record)
-    out = []
-    for ca, cb, pa, pb in (
-        (record.object_a, record.object_b, dist.p_a, dist.p_b),
-        (record.object_a, None, dist.p_a, dist.p_none),
-        (record.object_b, None, dist.p_b, dist.p_none),
-    ):
-        mass = pa + pb
-        rate = pa / mass if mass > 0 else 0.5
-        out.append(PairwiseComparison(ca, cb, rate, mass))
-    return out
+    rc = RecordComparisons([record])
+    columns = (rc.code_a[0], rc.code_b[0], rc.rate[0], rc.weight[0])
+    return [
+        PairwiseComparison(_COMPETITORS[a], _COMPETITORS[b], rate, weight)
+        for a, b, rate, weight in zip(*(c.tolist() for c in columns))
+    ]
 
 
 def elo_predict(table: EloTable, a: Competitor, b: Competitor) -> float:
@@ -112,33 +116,65 @@ class EloProblem:
     weighted_rate: np.ndarray
 
     @classmethod
-    def from_comparisons(cls, comparisons: Iterable[PairwiseComparison]) -> EloProblem:
-        merged: dict[tuple[Competitor, Competitor], list[float]] = {}
-        for c in comparisons:
-            if c.weight > 0:
-                sums = merged.setdefault((c.competitor_a, c.competitor_b), [0.0, 0.0])
-                sums[0] += c.weight
-                sums[1] += c.weight * c.win_rate_a
-        if not merged:
+    def merged(cls, code_a, code_b, weight, weighted_rate) -> EloProblem:
+        """Comparisons given as competitor codes (``_CODE``) and arrays,
+        merged per ordered pair in order of first appearance. Each sum
+        accumulates in input order, as adding comparison by comparison does.
+        """
+        keep = weight > 0
+        if not keep.any():
             raise ValidationError("no positive-weight comparisons to fit")
-        objects = sorted(
-            {c for pair in merged for c in pair} - {None},
-            key=lambda o: (o.colour.value, o.shape.value),
-        )
-        index: dict[Competitor, int] = {obj: i for i, obj in enumerate(objects)}
-        index[None] = len(objects)
-        sums = np.array(list(merged.values()))
+        key = code_a[keep] * (_NO_GOAL + 1) + code_b[keep]
+        pairs, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # the pairs in order of first appearance
+        rank = np.argsort(order)[inverse]
+        pair_a, pair_b = np.divmod(pairs[order], _NO_GOAL + 1)
+        codes = np.unique(np.concatenate([pair_a, pair_b]))
+        codes = codes[codes < _NO_GOAL]  # the no-goal slot comes last
         return cls(
-            tuple(objects),
-            np.array([index[a] for a, _ in merged]),
-            np.array([index[b] for _, b in merged]),
-            sums[:, 0],
-            sums[:, 1],
+            tuple(_COMPETITORS[c] for c in codes),
+            np.searchsorted(codes, pair_a),
+            np.searchsorted(codes, pair_b),
+            np.bincount(rank, weights=weight[keep]),
+            np.bincount(rank, weights=weighted_rate[keep]),
         )
 
     @classmethod
-    def from_records(cls, records: Iterable[PreferenceRecord]) -> EloProblem:
-        return cls.from_comparisons(c for rec in records for c in to_pairwise(rec))
+    def from_comparisons(cls, comparisons: Iterable[PairwiseComparison]) -> EloProblem:
+        cs = list(comparisons)
+        return cls.merged(
+            np.array([_CODE[c.competitor_a] for c in cs], dtype=int),
+            np.array([_CODE[c.competitor_b] for c in cs], dtype=int),
+            np.array([c.weight for c in cs], dtype=float),
+            np.array([c.weight * c.win_rate_a for c in cs], dtype=float),
+        )
+
+
+class RecordComparisons:
+    """The three ``to_pairwise`` comparisons of every record as (R, 3)
+    arrays, built once; ``problem`` merges those of some of the records.
+    """
+
+    def __init__(self, records: Sequence[PreferenceRecord]):
+        # Equal records get equal rows, so any index of a record serves.
+        self.row = {r: i for i, r in enumerate(records)}
+        codes = [(_CODE[r.object_a], _CODE[r.object_b], _NO_GOAL) for r in records]
+        codes = np.array(codes, dtype=int).reshape(-1, 3)
+        p = np.array([record_to_distribution(r).as_tuple() for r in records])
+        p = p.reshape(-1, 3)
+        # Columns (a, b, no goal) pair up as (a, b), (a, no goal), (b, no goal).
+        first, second = [0, 0, 1], [1, 2, 2]
+        self.code_a, self.code_b = codes[:, first], codes[:, second]
+        pa, pb = p[:, first], p[:, second]
+        self.weight = pa + pb
+        self.rate = np.full_like(pa, 0.5)
+        np.divide(pa, self.weight, out=self.rate, where=self.weight > 0)
+
+    def problem(self, records: Iterable[PreferenceRecord] | None = None) -> EloProblem:
+        """The merged problem of the given records (default: all), in order."""
+        rows = slice(None) if records is None else [self.row[r] for r in records]
+        arrays = (self.code_a, self.code_b, self.weight, self.weight * self.rate)
+        return EloProblem.merged(*(x[rows].ravel() for x in arrays))
 
 
 def fit_elo_many(
@@ -243,8 +279,6 @@ def marginalised_elo(table: EloTable, feature: str) -> float:
 
 def elo_table_to_csv(table: EloTable, path) -> None:
     """Write scores as (object_colour, object_shape, score) plus a no-goal row."""
-    from pathlib import Path
-
     lines = ["object_colour,object_shape,score"]
     for obj in sorted(table.scores, key=lambda o: (o.colour.value, o.shape.value)):
         lines.append(f"{obj.colour.value},{obj.shape.value},{table.scores[obj]:.6f}")
@@ -258,8 +292,6 @@ def marginalised_to_csv(table: EloTable, path) -> None:
     Features with no scored objects (possible on sparse tables) are
     omitted; full 24-object tables always produce all 10 rows.
     """
-    from pathlib import Path
-
     lines = ["feature,score"]
     for feature in FEATURE_NAMES:
         try:
@@ -344,10 +376,8 @@ def elo_holdout_validation(
     and scores each on its held-out fold (``score_holdout``).
     """
     folds = holdout_folds(records, k, rng_seed)
+    comparisons = RecordComparisons(records)
     tables = fit_elo_many(
-        {
-            f"fold {i}": EloProblem.from_records(train)
-            for i, (train, _) in enumerate(folds)
-        }
+        {f"fold {i}": comparisons.problem(train) for i, (train, _) in enumerate(folds)}
     )
     return score_holdout([test for _, test in folds], list(tables.values()))

@@ -2,9 +2,20 @@
 
 One batch engine (``_evaluate_batch``) simulates the training pipelines,
 predicts the three-way choice distributions and scores the records. The
-fit, ``predicted_distributions``, ``modelling_loss`` and
-``simulate_variant`` all run on it; ``latent.simulate_pipeline`` stays the
-scalar reference that the oracles compare against.
+fits, the latent-dimension sweep, ``predicted_distributions``,
+``modelling_loss`` and ``simulate_variant`` all run on it;
+``latent.simulate_pipeline`` stays the scalar reference that the oracles
+compare against.
+
+The engine runs M models at once: a model (S, log tau, w0) has a leading
+model axis, S being (M, n, d_max) and the others (M,). A model with fewer
+latent dimensions gets zero columns in S. Their ascent direction is zero,
+so they add nothing to any value u . w, and their gradient is masked out.
+The model axis folds into the pipeline axis: entry m * P + p is model m
+on pipeline p, with model m's tau. Every pipeline is front-padded to the
+most stages of any with zero-feature stages, which move neither the
+weights nor the adjoint, so one forward and one adjoint loop serve all
+stage counts. The fits of a sweep thus share one engine pass per update.
 
 The fit minimises the mean KL from observed to predicted choice
 distributions with mini-batch Adam. Gradients with respect to the free
@@ -27,7 +38,6 @@ round out the comparison harness.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -106,10 +116,11 @@ class FitResult:
 
 
 class _ParamSpace:
-    """Flat view of the free hyperparameters: masked saliency, log tau, w0."""
+    """A variant's parameters as one dense row: its saliency S, padded with
+    zero columns to some ``d_max``, row-major, then log tau and w0. ``mask``
+    marks the free entries of the unpadded S."""
 
     def __init__(self, variant: ModelVariant, latent_dim: int):
-        self.variant = ModelVariant(variant)
         self.structural = structural_variant(variant)
         if self.structural is SaliencyVariant.QUADRATIC:
             self.n, self.d = N_EXPANDED, N_EXPANDED
@@ -120,46 +131,29 @@ class _ParamSpace:
                 self.mask = np.eye(self.n, self.d, dtype=bool)
             else:
                 self.mask = np.triu(np.ones((self.n, self.d), dtype=bool))
-        self.n_saliency = int(self.mask.sum())
-        self.n_params = self.n_saliency + 2
 
-    def initial_theta(self) -> np.ndarray:
-        s0 = np.eye(self.n, self.d)
-        return np.concatenate([s0[self.mask], [0.0, 0.0]])
+    def dense_mask(self, d_max: int | None = None) -> np.ndarray:
+        """The free entries of a row padded to ``d_max`` columns (default:
+        unpadded); in order, they are the flat gradient's entries."""
+        padded = np.zeros((self.n, d_max or self.d), dtype=bool)
+        padded[:, : self.d] = self.mask
+        return np.append(padded.ravel(), [True, True])
 
-    def matrix(self, theta: np.ndarray) -> np.ndarray:
-        s = np.zeros((self.n, self.d))
-        s[self.mask] = theta[: self.n_saliency]
-        return s
-
-    def model(self, theta: np.ndarray) -> tuple[np.ndarray, float, float]:
-        """The engine's (S, log tau, w0) for a flat parameter vector."""
-        return (
-            self.matrix(theta),
-            float(theta[self.n_saliency]),
-            float(theta[self.n_saliency + 1]),
-        )
-
-    def hyperparameters(self, theta: np.ndarray) -> LpgHyperparameters:
-        dense = self.matrix(theta)
+    def hyperparameters(self, row: np.ndarray) -> LpgHyperparameters:
+        s = row[:-2].reshape(self.n, -1)[:, : self.d]
         if self.structural is SaliencyVariant.QUADRATIC:
-            saliency = np.diag(dense).copy()
-        else:
-            saliency = dense
-        return LpgHyperparameters(
-            saliency=saliency,
-            log_tau=float(theta[self.n_saliency]),
-            w0=float(theta[self.n_saliency + 1]),
-            variant=self.structural,
-        )
+            s = np.diag(s)
+        log_tau, w0 = map(float, row[-2:])
+        return LpgHyperparameters(s.copy(), log_tau, w0, self.structural)
 
     def pack(self, hp: LpgHyperparameters) -> np.ndarray:
+        """The unpadded row of ``hp``."""
         dense = hp.matrix()
         if dense.shape != (self.n, self.d):
             raise ValidationError(
                 f"saliency shape {dense.shape} does not match space ({self.n}, {self.d})"
             )
-        return np.concatenate([dense[self.mask], [hp.log_tau, hp.w0]])
+        return np.append(dense.ravel(), [hp.log_tau, hp.w0])
 
 
 def _checked_variant(hp: LpgHyperparameters, variant: ModelVariant) -> ModelVariant:
@@ -210,7 +204,9 @@ def _record_arrays(records: list[PreferenceRecord], encode):
 
 
 class _Prepared:
-    """Records and their pipelines flattened into arrays for the engine."""
+    """Records and their pipelines flattened into arrays for the engine,
+    with the (P, T, 2, n) stage features and (P, T) distractor mask padded
+    in front to the most stages of any pipeline."""
 
     def __init__(
         self,
@@ -225,24 +221,26 @@ class _Prepared:
         unknown = [pid for pid in pids if pid not in pipelines]
         if unknown:
             raise ValidationError(f"records name unknown pipelines {unknown}")
-        self.pipeline_ids = pids
         staged = [_stage_features(pipelines[pid], self.variant) for pid in pids]
-        self.stage_phi = [phi for phi, _ in staged]
-        self.has_dis = [mask for _, mask in staged]
-        self.stage_counts = np.array([len(mask) for mask in self.has_dis])
+        self.stage_counts = np.array([len(mask) for _, mask in staged])
+        pad = self.stage_counts.max() - self.stage_counts
+        padding = [((k, 0), (0, 0), (0, 0)) for k in pad]
+        self.stage_phi = np.stack([np.pad(x, w) for (x, _), w in zip(staged, padding)])
+        self.has_dis = np.stack([np.pad(m, (k, 0)) for (_, m), k in zip(staged, pad)])
         self.phi_a, self.phi_b = objects[:, 0], objects[:, 1]
         self.n_records = len(records)
 
 
 def _three_way_kl(va: np.ndarray, vb: np.ndarray, p_hat: np.ndarray):
-    """Per-record KL(p_hat || softmax(va, vb, 0)) and the log-probabilities."""
-    logits = np.stack([va, vb, np.zeros_like(va)], axis=1)
-    mx = logits.max(axis=1, keepdims=True)
-    lse = mx[:, 0] + np.log(np.exp(logits - mx).sum(axis=1))
-    logp = logits - lse[:, None]
+    """Per-record KL(p_hat || softmax(va, vb, 0)) and the log-probabilities,
+    which take a last axis of three."""
+    logits = np.stack([va, vb, np.zeros_like(va)], axis=-1)
+    mx = logits.max(axis=-1, keepdims=True)
+    lse = mx[..., 0] + np.log(np.exp(logits - mx).sum(axis=-1))
+    logp = logits - lse[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(p_hat > 0, p_hat * np.log(p_hat), 0.0)
-    return plogp.sum(axis=1) - (p_hat * logp).sum(axis=1), logp
+    return plogp.sum(axis=-1) - (p_hat * logp).sum(axis=-1), logp
 
 
 def _softmax_terms(v):
@@ -299,156 +297,146 @@ def _step_coef_partials(v, tau):
 
 
 def _ascent_steps(t_count: int, n_steps: int, simultaneous: bool):
-    """The unrolled inner ascent of a T-stage pipeline, in order.
-
-    Returns the step rate and a list of steps, each (the stages it
-    ascends, its history row, its index). A simultaneous step ascends the
-    mean of all stage objectives, so its stages share one trajectory and
-    its coefficients carry 1 / T.
-    """
+    """The unrolled inner ascent of T stages, in order: each step is (the
+    stages it ascends, its history row, its index). A simultaneous step
+    ascends the mean of all stage objectives, so its stages share one
+    trajectory."""
     if simultaneous:
-        return 1.0 / t_count, [(slice(None), 0, k) for k in range(n_steps)]
-    steps = [(slice(t, t + 1), t, k) for t in range(t_count) for k in range(n_steps)]
-    return 1.0, steps
+        return [(slice(None), 0, k) for k in range(n_steps)]
+    return [(slice(t, t + 1), t, k) for t in range(t_count) for k in range(n_steps)]
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _forward(model, phi, has_dis, n_steps, simultaneous, ids, keep_w):
-    """Ascend P pipelines of T stages in lockstep under ``model``, which
-    is (S, log tau, w0).
+def _forward(model, phi, has_dis, tau, rate, n_steps, simultaneous, keep):
+    """Ascend P pipelines of T stages under M models in lockstep, as
+    E = M * P entries.
 
     ``phi`` holds the (P, T, 2, n) goal and distractor features and
-    ``has_dis`` the (P, T) distractor mask. Returns the final weights
-    (P, d), the ascent directions S^T phi as (T, 2, P, d), the values
-    u . w at the start of every step as (T, K, 2, P) and, with ``keep_w``,
-    the weights at the start of every step as (rows, K, P, d), one history
-    row per trajectory.
+    ``has_dis`` the (P, T) distractor mask; ``tau`` and ``rate`` are each
+    entry's tau and step rate, (E,). Returns the final weights (E, d), the
+    ascent directions S^T phi as (T, 2, E, d) and, with ``keep``, the
+    values u . w at the start of every step as (T, K, 2, E) and the weights
+    there as (rows, K, E, d), one row per trajectory.
     """
-    s_matrix, log_tau, w0 = model
-    tau = np.exp(log_tau)  # inf, not OverflowError, for a diverged fit
-    t_count = phi.shape[1]
-    rate, steps = _ascent_steps(t_count, n_steps, simultaneous)
-    u_cat = np.einsum("ptcn,nd->tcpd", phi, s_matrix)
-    w_now = np.full((phi.shape[0], s_matrix.shape[1]), w0)
-    v_hist = np.empty((t_count, n_steps, 2, phi.shape[0]))
+    s_matrix, _, w0 = model
+    n_pipes, t_count = phi.shape[:2]
+    u_cat = np.einsum("ptcn,mnd->tcmpd", phi, s_matrix).reshape(
+        t_count, 2, len(tau), -1
+    )
+    w_now = np.outer(np.repeat(w0, n_pipes), np.ones(u_cat.shape[-1]))
     rows = 1 if simultaneous else t_count
-    w_hist = np.empty((rows, n_steps) + w_now.shape) if keep_w else None
-    no_distractor = np.where(has_dis.T, 0.0, -np.inf)  # added to v_d, (T, P)
-    u_step = rate * u_cat
-    for stages, h, k in steps:
-        if keep_w:
-            w_hist[h, k] = w_now
+    v_hist = np.empty((t_count, n_steps, 2, len(tau))) if keep else None
+    w_hist = np.empty((rows, n_steps) + w_now.shape) if keep else None
+    # Added to v_d, (T, E).
+    no_distractor = np.tile(np.where(has_dis.T, 0.0, -np.inf), len(w0))
+    u_step = rate[:, None] * u_cat
+    for stages, h, k in _ascent_steps(t_count, n_steps, simultaneous):
         v = np.einsum("tcpd,pd->tcp", u_cat[stages], w_now)
         v[:, 1] += no_distractor[stages]
-        v_hist[stages, k] = v
+        if keep:
+            w_hist[h, k] = w_now
+            v_hist[stages, k] = v
         w_now = w_now + np.einsum("tcp,tcpd->pd", _step_coefs(v, tau), u_step[stages])
-    if not np.all(np.isfinite(w_now)):
-        raise NumericalError(
-            f"non-finite latent weights while simulating pipelines {ids}"
-        )
     return w_now, u_cat, v_hist, w_hist
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _evaluate_batch(model, prep: _Prepared, rec_sel, n_steps: int, want_grad: bool):
-    """Per-record losses and log-probabilities, and optionally a gradient.
+    """Per-record losses and log-probabilities under M models, and
+    optionally the gradients of their mean losses.
 
-    ``model`` is (S, log tau, w0). Returns the KL of each selected record,
-    its three-way log-probabilities (a, b, neither), and, with
-    ``want_grad``, the gradient of the mean loss as (dS, d log tau, d w0).
-
-    Pipelines are simulated once each (vectorised within groups of equal
-    stage count). The adjoint pass pools the records' seeds per pipeline,
-    runs only the adjoint recurrence step by step, and contracts its
-    history into the gradients afterwards. Divergence surfaces as
-    NumericalError via explicit finiteness checks, so float warnings are
-    suppressed here.
+    Returns the (M, R) KL of each selected record, its (M, R, 3)
+    log-probabilities (a, b, neither) and, with ``want_grad``, the
+    gradients as (dS, d log tau, d w0). Each pipeline of the selection is
+    simulated once per model. The adjoint pass pools the records' seeds per
+    entry, runs only the adjoint recurrence step by step, and contracts its
+    history into the gradients afterwards. Callers check for non-finite
+    values, so float warnings are suppressed here.
     """
     s_matrix, log_tau, _ = model
-    tau = np.exp(log_tau)  # inf, not OverflowError, for a diverged fit
+    n_models = len(log_tau)
     simultaneous = prep.variant is ModelVariant.SIMULTANEOUS
+    pipes, pidx = np.unique(prep.record_pipeline[rec_sel], return_inverse=True)
+    counts = prep.stage_counts[pipes]
+    t_count = counts.max()
+    # Only padding precedes the last t_count stages of the selection.
+    phi, has_dis = prep.stage_phi[pipes, -t_count:], prep.has_dis[pipes, -t_count:]
+    tau = np.repeat(np.exp(log_tau), len(pipes))  # inf for a diverged fit
+    # A simultaneous step ascends the mean of the pipeline's stage objectives.
+    rate = np.tile(1.0 / counts if simultaneous else np.ones(len(pipes)), n_models)
+    w_now, u_cat, v_hist, w_hist = _forward(
+        model, phi, has_dis, tau, rate, n_steps, simultaneous, want_grad
+    )
 
-    n_sel = len(rec_sel)
-    losses = np.zeros(n_sel)
-    logp = np.zeros((n_sel, 3))
-    s_grad = np.zeros_like(s_matrix)
-    tau_grad = 0.0
-    w0_grad = 0.0
-
-    rec_pipes = prep.record_pipeline[rec_sel]
-    stage_counts = prep.stage_counts[rec_pipes]
-
-    for t_stages in np.unique(stage_counts):
-        in_group = stage_counts == t_stages
-        rsel = rec_sel[in_group]
-        rpos = np.nonzero(in_group)[0]
-        gpipes, pidx = np.unique(rec_pipes[in_group], return_inverse=True)
-        phi = np.stack([prep.stage_phi[g] for g in gpipes])  # (P, T, 2, n)
-        has_dis = np.stack([prep.has_dis[g] for g in gpipes])  # (P, T)
-        ids = [prep.pipeline_ids[g] for g in gpipes]
-        w_now, u_cat, v_hist, w_hist = _forward(
-            model, phi, has_dis, n_steps, simultaneous, ids, want_grad
-        )
-
-        phi_a = prep.phi_a[rsel]
-        phi_b = prep.phi_b[rsel]
-        p_hat = prep.p_hat[rsel]
-        u_a = phi_a @ s_matrix
-        u_b = phi_b @ s_matrix
-        w_final = w_now[pidx]
-        va = (u_a * w_final).sum(axis=1)
-        vb = (u_b * w_final).sum(axis=1)
-        losses[rpos], logp[rpos] = _three_way_kl(va, vb, p_hat)
-
-        if not want_grad:
-            continue
-
-        dv = (np.exp(logp[rpos]) - p_hat) / n_sel
-        dva, dvb = dv[:, 0], dv[:, 1]
-        s_grad += np.einsum("r,rn,rd->nd", dva, phi_a, w_final)
-        s_grad += np.einsum("r,rn,rd->nd", dvb, phi_b, w_final)
-
-        # The adjoint recurrence is linear in lam and its Jacobians depend
-        # only on the pipeline's trajectory, so records pool per pipeline.
-        lam = np.zeros_like(w_now)
-        np.add.at(lam, pidx, dva[:, None] * u_a + dvb[:, None] * u_b)
-
-        # Axis c below is (goal, distractor).
-        t_count = int(t_stages)
-        rate, steps = _ascent_steps(t_count, n_steps, simultaneous)
-        coef, jac, coef_tau = (rate * x for x in _step_coef_partials(v_hist, tau))
-        # Only the lam recurrence runs per step; its history is contracted
-        # into the S and tau gradients after the loop.
-        lam_hist = np.empty_like(w_hist)
-        a_hist = np.empty_like(coef)  # lam . u_c, before each step's update
-        for stages, h, k in reversed(steps):
-            lam_hist[h, k] = lam
-            a = np.einsum("tcpd,pd->tcp", u_cat[stages], lam)
-            a_hist[stages, k] = a
-            alpha = np.einsum("tecp,tep->tcp", jac[stages, k], a)
-            lam = lam + np.einsum("tcp,tcpd->pd", alpha, u_cat[stages])
-
-        tau_grad += float(np.einsum("tkcp,tkcp->", coef_tau, a_hist))
-        alpha_hist = np.einsum("tkecp,tkep->tkcp", jac, a_hist)
-        hist_shape = (t_count, n_steps) + w_now.shape
-        u_adj = np.einsum(
-            "tkcp,tkpd->tcpd", alpha_hist, np.broadcast_to(w_hist, hist_shape)
-        ) + np.einsum("tkcp,tkpd->tcpd", coef, np.broadcast_to(lam_hist, hist_shape))
-        s_grad += np.einsum("ptcn,tcpd->nd", phi, u_adj)
-        w0_grad += float(lam.sum())
-
+    phi_a, phi_b, p_hat = prep.phi_a[rec_sel], prep.phi_b[rec_sel], prep.p_hat[rec_sel]
+    w_final = w_now.reshape(n_models, len(pipes), -1)
+    sw = np.einsum("mnd,mpd->mpn", s_matrix, w_final)[:, pidx]  # S w, (M, R, n)
+    va = np.einsum("rn,mrn->mr", phi_a, sw)
+    vb = np.einsum("rn,mrn->mr", phi_b, sw)
+    losses, logp = _three_way_kl(va, vb, p_hat)
     if not want_grad:
         return losses, logp, None
-    return losses, logp, (s_grad, tau_grad * tau, w0_grad)
 
+    # The records' seeds of the S and w gradients, pooled per entry.
+    dv = (np.exp(logp) - p_hat) / len(rec_sel)
+    seeds = np.zeros((n_models, len(pipes), phi.shape[-1]))
+    np.add.at(seeds, (slice(None), pidx), dv[..., :1] * phi_a + dv[..., 1:2] * phi_b)
+    s_grad = np.einsum("mpn,mpd->mnd", seeds, w_final)
+    # The adjoint recurrence is linear in lam and its Jacobians depend
+    # only on an entry's trajectory, so records pool per entry.
+    lam = np.einsum("mpn,mnd->mpd", seeds, s_matrix).reshape(w_now.shape)
 
-def _loss_and_gradient(theta, space, prep, rec_sel, config: FitConfig):
-    """Mean loss of the selected records and its flat adjoint gradient."""
-    losses, _, (s_grad, log_tau_grad, w0_grad) = _evaluate_batch(
-        space.model(theta), prep, rec_sel, config.n_integration_steps, True
+    # Axis c below is (goal, distractor).
+    coef, jac, coef_tau = (rate * x for x in _step_coef_partials(v_hist, tau))
+    # Only the lam recurrence runs per step; its history is contracted
+    # into the S and tau gradients after the loop.
+    lam_hist = np.empty_like(w_hist)
+    a_hist = np.empty_like(coef)  # lam . u_c, before each step's update
+    for stages, h, k in reversed(_ascent_steps(t_count, n_steps, simultaneous)):
+        lam_hist[h, k] = lam
+        a = np.einsum("tcpd,pd->tcp", u_cat[stages], lam)
+        a_hist[stages, k] = a
+        alpha = np.einsum("tecp,tep->tcp", jac[stages, k], a)
+        lam = lam + np.einsum("tcp,tcpd->pd", alpha, u_cat[stages])
+
+    tau_grad = np.einsum("tkcp,tkcp->p", coef_tau, a_hist).reshape(n_models, -1)
+    alpha_hist = np.einsum("tkecp,tkep->tkcp", jac, a_hist)
+    hist_shape = (t_count, n_steps) + w_now.shape
+    u_adj = np.einsum(
+        "tkcp,tkpd->tcpd", alpha_hist, np.broadcast_to(w_hist, hist_shape)
+    ) + np.einsum("tkcp,tkpd->tcpd", coef, np.broadcast_to(lam_hist, hist_shape))
+    s_grad += np.einsum(
+        "ptcn,tcmpd->mnd", phi, u_adj.reshape(t_count, 2, n_models, len(pipes), -1)
     )
-    grad = np.concatenate([s_grad[space.mask], [log_tau_grad, w0_grad]])
-    return float(losses.mean()), grad
+    w0_grad = lam.reshape(n_models, -1).sum(axis=1)
+    return losses, logp, (s_grad, tau_grad.sum(axis=1) * np.exp(log_tau), w0_grad)
+
+
+def _single(hp: LpgHyperparameters):
+    """The engine's model with one entry on its model axis."""
+    return hp.matrix()[None], np.array([hp.log_tau]), np.array([hp.w0])
+
+
+def _evaluate_all(hp, pipelines, records, variant, config, want_grad: bool):
+    """One engine pass of ``hp`` over every record given."""
+    prep = _Prepared(pipelines, records, _checked_variant(hp, variant))
+    n_steps = (config or FitConfig()).n_integration_steps
+    sel = np.arange(prep.n_records)
+    return _evaluate_batch(_single(hp), prep, sel, n_steps, want_grad)
+
+
+def _diverged(values: np.ndarray, dims: list[int], what: str, when: str = "") -> None:
+    """Raise NumericalError naming the first fit with a non-finite value;
+    row i of ``values`` belongs to the fit of latent dim ``dims[i]``."""
+    bad = ~np.isfinite(values.reshape(len(dims), -1)).all(axis=1)
+    if bad.any():
+        d = dims[bad.argmax()]
+        raise NumericalError(f"non-finite {what} in the latent-dim {d} fit{when}")
+
+
+def _dense_gradient(s_grad, tau_grad, w0_grad) -> np.ndarray:
+    """The engine's gradients as dense parameter rows (see ``dense_mask``)."""
+    return np.column_stack([s_grad.reshape(len(s_grad), -1), tau_grad, w0_grad])
 
 
 def hyperparameter_gradient(
@@ -463,30 +451,38 @@ def hyperparameter_gradient(
     ``selfcheck.fd_gradient``. Gradient ordering is (free saliency entries
     row-major, log tau, w0).
     """
-    variant = _checked_variant(hp, variant)
+    losses, _, grads = _evaluate_all(
+        hp, dataset.pipelines, dataset.records, variant, config, want_grad=True
+    )
     space = _ParamSpace(variant, hp.latent_dim)
-    prep = _Prepared(dataset.pipelines, dataset.records, variant)
-    sel = np.arange(prep.n_records)
-    return _loss_and_gradient(space.pack(hp), space, prep, sel, config or FitConfig())
+    return float(losses.mean()), _dense_gradient(*grads)[0][space.dense_mask()]
 
 
-def fit_hyperparameters(
-    dataset: Dataset,
-    variant: ModelVariant = ModelVariant.FULL,
-    config: FitConfig | None = None,
-) -> FitResult:
-    """Fit saliency, log tau, and w0 by mini-batch Adam on the mean KL."""
-    config = config or FitConfig()
+def _fit_lockstep(dataset: Dataset, variant, configs: list[FitConfig]):
+    """Fit one model per config by mini-batch Adam on the mean KL, with
+    one engine pass per update for all of them.
+
+    The configs may differ only in ``latent_dim``, so every fit shuffles
+    the same records from the same seed and they share each mini-batch.
+    Each fit's parameters are one dense row (``_ParamSpace``) with its own
+    Adam state and trajectories. The entries its row fixes get a zero
+    gradient, which makes a zero Adam step.
+    """
+    config = configs[0]
     variant = ModelVariant(variant)
-    space = _ParamSpace(variant, config.latent_dim)
+    dims = [c.latent_dim for c in configs]
+    spaces = [_ParamSpace(variant, d) for d in dims]
     prep = _Prepared(dataset.pipelines, dataset.records, variant)
-    theta = space.initial_theta()
+    n, d_max = spaces[0].n, max(space.d for space in spaces)
+    mask = np.stack([space.dense_mask(d_max) for space in spaces])
+    theta = np.where(mask, np.append(np.eye(n, d_max), [0.0, 0.0]), 0.0)
 
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
+    def model(theta):
+        return theta[:, :-2].reshape(-1, n, d_max), theta[:, -2], theta[:, -1]
+
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
     step_count = 0
-    losses: list[float] = []
-    grad_norms: list[float] = []
+    losses, grad_norms = [], []  # one array per update, one entry per fit
     rng = np.random.default_rng([0x666974, config.rng_seed])
     order = np.arange(prep.n_records)
     started = time.perf_counter()
@@ -495,12 +491,17 @@ def fit_hyperparameters(
         rng.shuffle(order)
         for start in range(0, prep.n_records, config.batch_size):
             batch = order[start : start + config.batch_size]
-            loss, grad = _loss_and_gradient(theta, space, prep, batch, config)
-            if not (math.isfinite(loss) and np.all(np.isfinite(grad))):
-                raise NumericalError(
-                    f"non-finite loss or gradient in epoch {epoch}, "
-                    f"batch starting at {start} (loss={loss})"
-                )
+            batch_losses, _, grads = _evaluate_batch(
+                model(theta), prep, batch, config.n_integration_steps, True
+            )
+            loss = batch_losses.mean(axis=1)
+            grad = np.where(mask, _dense_gradient(*grads), 0.0)
+            _diverged(
+                np.column_stack([loss, grad]),
+                dims,
+                "loss or gradient",
+                f" (epoch {epoch}, batch starting at {start})",
+            )
             step_count += 1
             m = config.adam_beta1 * m + (1.0 - config.adam_beta1) * grad
             v = config.adam_beta2 * v + (1.0 - config.adam_beta2) * grad**2
@@ -508,29 +509,44 @@ def fit_hyperparameters(
             v_hat = v / (1.0 - config.adam_beta2**step_count)
             theta = theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
             losses.append(loss)
-            grad_norms.append(float(np.linalg.norm(grad)))
+            grad_norms.append(np.linalg.norm(grad, axis=1))
 
+    all_records = np.arange(prep.n_records)
     per_example, _, _ = _evaluate_batch(
-        space.model(theta),
-        prep,
-        np.arange(prep.n_records),
-        config.n_integration_steps,
-        want_grad=False,
+        model(theta), prep, all_records, config.n_integration_steps, False
     )
-    return FitResult(
-        hyperparameters=space.hyperparameters(theta),
-        variant=variant,
-        train_loss=float(per_example.mean()),
-        per_example_losses=per_example,
-        diagnostics={
-            "n_updates": step_count,
-            "final_gradient_norm": grad_norms[-1] if grad_norms else 0.0,
-            "loss_trajectory": losses,
-            "gradient_norm_trajectory": grad_norms,
-            "wall_time_s": time.perf_counter() - started,
-            "epochs": config.epochs,
-        },
+    _diverged(per_example, dims, "training loss")
+    wall_time = time.perf_counter() - started
+    # One list per fit.
+    losses, grad_norms = (
+        np.reshape(x, (step_count, len(dims))).T.tolist() for x in (losses, grad_norms)
     )
+    return [
+        FitResult(
+            space.hyperparameters(theta[i]),
+            variant,
+            float(per_example[i].mean()),
+            per_example[i],
+            diagnostics={
+                "n_updates": step_count,
+                "final_gradient_norm": grad_norms[i][-1] if step_count else 0.0,
+                "loss_trajectory": losses[i],
+                "gradient_norm_trajectory": grad_norms[i],
+                "wall_time_s": wall_time,
+                "epochs": config.epochs,
+            },
+        )
+        for i, space in enumerate(spaces)
+    ]
+
+
+def fit_hyperparameters(
+    dataset: Dataset,
+    variant: ModelVariant = ModelVariant.FULL,
+    config: FitConfig | None = None,
+) -> FitResult:
+    """Fit saliency, log tau, and w0 by mini-batch Adam on the mean KL."""
+    return _fit_lockstep(dataset, variant, [config or FitConfig()])[0]
 
 
 def simulate_variant(
@@ -542,31 +558,27 @@ def simulate_variant(
     """Latent weights for a pipeline under the given variant's rules."""
     variant = _checked_variant(hp, variant)
     phi, has_dis = _stage_features(pipeline, variant)
+    simultaneous = variant is ModelVariant.SIMULTANEOUS
+    rate = np.array([1.0 / len(has_dis) if simultaneous else 1.0])
+    n_steps = (config or FitConfig()).n_integration_steps
+    tau = np.exp([hp.log_tau])
     w, _, _, _ = _forward(
-        (hp.matrix(), hp.log_tau, hp.w0),
-        phi[None],
-        has_dis[None],
-        (config or FitConfig()).n_integration_steps,
-        variant is ModelVariant.SIMULTANEOUS,
-        [pipeline.id],
-        keep_w=False,
+        _single(hp), phi[None], has_dis[None], tau, rate, n_steps, simultaneous, False
     )
+    if not np.all(np.isfinite(w)):
+        raise NumericalError(f"non-finite latent weights in pipeline {pipeline.id!r}")
     return w[0]
 
 
 def _predict(hp, dataset, records, variant, config):
     """Per-record losses and log-probabilities from one engine pass."""
-    variant = _checked_variant(hp, variant)
     records = list(dataset.records) if records is None else records
-    prep = _Prepared(dataset.pipelines, records, variant)
-    losses, logp, _ = _evaluate_batch(
-        (hp.matrix(), hp.log_tau, hp.w0),
-        prep,
-        np.arange(prep.n_records),
-        (config or FitConfig()).n_integration_steps,
-        want_grad=False,
+    losses, logp, _ = _evaluate_all(
+        hp, dataset.pipelines, records, variant, config, want_grad=False
     )
-    return losses, logp
+    if not np.all(np.isfinite(logp)):
+        raise NumericalError("non-finite latent weights or predictions")
+    return losses[0], logp[0]
 
 
 def predicted_distributions(
@@ -669,16 +681,11 @@ def latent_dim_sweep(
     dataset: Dataset,
     dims: list[int] | None = None,
     config: FitConfig | None = None,
-) -> list[tuple[int, float]]:
-    """Fit the full variant at each latent dimension; returns (d, loss)."""
+) -> list[FitResult]:
+    """Fit the full variant at each latent dimension, every fit in
+    lockstep; one result per entry of ``dims``, in order."""
     dims = list(dims) if dims is not None else list(range(1, 33))
     if not dims:
         raise ValidationError("no dimensions to sweep")
-    config = config or FitConfig()
-    out = []
-    for d in dims:
-        result = fit_hyperparameters(
-            dataset, ModelVariant.FULL, replace(config, latent_dim=d)
-        )
-        out.append((d, result.train_loss))
-    return out
+    configs = [replace(config or FitConfig(), latent_dim=d) for d in dims]
+    return _fit_lockstep(dataset, ModelVariant.FULL, configs)

@@ -111,11 +111,12 @@ def fd_gradient(
     def loss(x):
         return modelling_loss(space.hyperparameters(x), dataset, variant=variant)
 
-    grad = np.zeros_like(theta)
-    for i in range(len(theta)):
+    free = np.flatnonzero(space.dense_mask())
+    grad = np.zeros(len(free))
+    for j, i in enumerate(free):
         dx = np.zeros_like(theta)
         dx[i] = h
-        grad[i] = (loss(theta + dx) - loss(theta - dx)) / (2.0 * h)
+        grad[j] = (loss(theta + dx) - loss(theta - dx)) / (2.0 * h)
     return grad
 
 

@@ -233,6 +233,30 @@ def test_sweep_dim_command(tmp_path, data_file):
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[0] == "d,loss"
     assert len(lines) == 3
+    diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert sorted(diagnostics) == ["2", "4"]
+    for line in lines[1:]:
+        d, loss = line.split(",")
+        fit = diagnostics[d]
+        assert sorted(fit) == ["final_gradient_norm", "n_updates", "train_loss"]
+        assert fit["n_updates"] == 1  # 48 records in one batch of 64
+        assert fit["final_gradient_norm"] > 0.0
+        assert f"{fit['train_loss']:.6f}" == loss
+
+
+@pytest.mark.parametrize("command", ["sweep-dim", "fit"])
+def test_allocation_failure_exits_1(tmp_path, data_file, capsys, command):
+    # numpy refuses a 9 TiB saliency mask at once, so this takes no memory.
+    huge = 10**12
+    if command == "sweep-dim":
+        extra = ["--dims", f"1,{huge}", "--config", str(fast_config(tmp_path))]
+    else:
+        extra = ["--config", str(fast_config(tmp_path, latent_dim=huge))]
+    out = tmp_path / "out"
+    code = main([command, "--data", str(data_file), "--out", str(out), *extra])
+    assert code == 1
+    assert_one_line_error(capsys, "out of memory", "Unable to allocate")
+    assert not out.exists()
 
 
 def test_project_command(tmp_path, data_file):

@@ -539,7 +539,10 @@ def test_latent_dim_sweep_rank4_generator():
     records = sample_records(rng, gen, pipelines, 120, episodes=2000)
     ds = Dataset(pipelines, tuple(records))
     cfg = FitConfig(epochs=25, rng_seed=0)
-    losses = dict(latent_dim_sweep(ds, [1, 2, 4, 10], cfg))
+    losses = {
+        r.hyperparameters.latent_dim: r.train_loss
+        for r in latent_dim_sweep(ds, [1, 2, 4, 10], cfg)
+    }
     assert losses[10] <= losses[1] + 1e-6
     assert losses[2] <= losses[1] + 1e-3
     assert losses[4] <= losses[2] + 1e-3
