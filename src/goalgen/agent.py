@@ -140,14 +140,13 @@ def _episode(
             return -1, steps, total, grad
 
 
-def _maze_tables(grid) -> tuple[list, list, list, list, tuple[int, int]]:
-    """A maze as the first five arguments of ``_episode``."""
+def _maze_tables(grid) -> tuple[list, list, list, list]:
     walls_rows = grid.walls.tolist()
     dist_rows = [
         distance_field(grid.walls, cell).tolist() for cell in grid.object_cells
     ]
     feature_idx = [obj.feature_indices() for obj in grid.objects]
-    return walls_rows, dist_rows, feature_idx, grid.object_cells, grid.agent_pos
+    return walls_rows, dist_rows, feature_idx, grid.object_cells
 
 
 def train_desk_agent(
@@ -180,8 +179,17 @@ def train_desk_agent(
         w_list = weights.tolist()
         for ep in range(params0.episodes_per_stage):
             grid = generate_maze(rng, objects, wall_prob)
+            walls_rows, dist_rows, feature_idx, cells = _maze_tables(grid)
             _, _, ret, grad = _episode(
-                *_maze_tables(grid), w_list, rng, rewarded_index=0, collect_grad=True
+                walls_rows,
+                dist_rows,
+                feature_idx,
+                cells,
+                grid.agent_pos,
+                w_list,
+                rng,
+                rewarded_index=0,
+                collect_grad=True,
             )
             if baseline is None:
                 baseline = ret
@@ -218,8 +226,17 @@ def mean_return(
     total = 0.0
     for _ in range(n_episodes):
         grid = generate_maze(rng, [goal], wall_prob)
+        walls_rows, dist_rows, feature_idx, cells = _maze_tables(grid)
         _, _, ret, _ = _episode(
-            *_maze_tables(grid), w_list, rng, rewarded_index=0, collect_grad=False
+            walls_rows,
+            dist_rows,
+            feature_idx,
+            cells,
+            grid.agent_pos,
+            w_list,
+            rng,
+            rewarded_index=0,
+            collect_grad=False,
         )
         total += ret
     return total / n_episodes
@@ -255,9 +272,17 @@ def evaluate_preferences(
         for ep in range(episodes_per_pair):
             rng = np.random.default_rng([0x6576616C, rng_seed, lo, hi, ep])
             grid = generate_maze(rng, [first, second], wall_prob)
-            tables = _maze_tables(grid)
+            walls_rows, dist_rows, feature_idx, cells = _maze_tables(grid)
             outcome, _, _, _ = _episode(
-                *tables, w_list, rng, rewarded_index=None, collect_grad=False
+                walls_rows,
+                dist_rows,
+                feature_idx,
+                cells,
+                grid.agent_pos,
+                w_list,
+                rng,
+                rewarded_index=None,
+                collect_grad=False,
             )
             counts[outcome if outcome >= 0 else 2] += 1
         count_a, count_b = (counts[1], counts[0]) if swap else (counts[0], counts[1])

@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -78,8 +77,17 @@ def load_config(path: str | Path | None) -> dict:
 
 
 def fit_config_from(config: dict, seed: int) -> FitConfig:
-    keys = {f.name for f in fields(FitConfig)}
-    return FitConfig(rng_seed=seed, **{k: v for k, v in config.items() if k in keys})
+    keys = (
+        "learning_rate",
+        "batch_size",
+        "epochs",
+        "adam_beta1",
+        "adam_beta2",
+        "n_integration_steps",
+        "latent_dim",
+    )
+    kwargs = {k: config[k] for k in keys if k in config}
+    return FitConfig(rng_seed=seed, **kwargs)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,46 +101,49 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="goalgen", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, summary):
-        """A subcommand with the common flags, dispatching to ``handler``."""
-        p = sub.add_parser(name, help=summary)
-        p.set_defaults(handler=handler)
+    def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", type=Path, default=None)
         p.add_argument("--out", type=Path, default=Path("out"))
-        return p
 
-    p = command("gen-data", _cmd_gen_data, "train desk agents and emit preference data")
+    p = sub.add_parser("gen-data", help="train desk agents and emit preference data")
+    common(p)
     p.add_argument("--pipelines", type=Path, required=True,
                    help="JSON file with a 'pipelines' map of id -> stage list")
     p.add_argument("--max-pairs", type=int, default=None,
                    help="evaluate only the first N canonical pairs")
 
-    p = command("elo", _cmd_elo, "fit anchored Elo tables per agent")
+    p = sub.add_parser("elo", help="fit anchored Elo tables per agent")
+    common(p)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--folds", type=int, default=4)
 
-    p = command("fit", _cmd_fit, "fit a model variant")
+    p = sub.add_parser("fit", help="fit a model variant")
+    common(p)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--variant", default="full",
                    choices=[v.value for v in ModelVariant])
 
-    p = command("eval", _cmd_eval, "run a K-fold or transfer evaluation plan")
+    p = sub.add_parser("eval", help="run a K-fold or transfer evaluation plan")
+    common(p)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--plan", type=Path, required=True)
     p.add_argument("--variant", default="full",
                    choices=[v.value for v in ModelVariant])
 
-    p = command("sweep-dim", _cmd_sweep_dim, "sweep the latent dimension")
+    p = sub.add_parser("sweep-dim", help="sweep the latent dimension")
+    common(p)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--dims", default="1-32", help="range like 1-32 or list like 1,2,4")
 
-    p = command("project", _cmd_project, "closed-form projection trace for a pipeline")
+    p = sub.add_parser("project", help="closed-form projection trace for a pipeline")
+    common(p)
     p.add_argument("--hp", type=Path, required=True)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--pipeline", required=True)
 
-    command("check", _cmd_check, "run gradient and oracle self-tests")
+    p = sub.add_parser("check", help="run gradient and oracle self-tests")
+    common(p)
     return parser
 
 
@@ -413,7 +424,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args, load_config(args.config))
+        config = load_config(args.config)
+        handler = {
+            "gen-data": _cmd_gen_data,
+            "elo": _cmd_elo,
+            "fit": _cmd_fit,
+            "eval": _cmd_eval,
+            "sweep-dim": _cmd_sweep_dim,
+            "project": _cmd_project,
+            "check": _cmd_check,
+        }[args.command]
+        return handler(args, config)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TypeVar
 
 import numpy as np
@@ -279,6 +278,8 @@ def marginalised_elo(table: EloTable, feature: str) -> float:
 
 def elo_table_to_csv(table: EloTable, path) -> None:
     """Write scores as (object_colour, object_shape, score) plus a no-goal row."""
+    from pathlib import Path
+
     lines = ["object_colour,object_shape,score"]
     for obj in sorted(table.scores, key=lambda o: (o.colour.value, o.shape.value)):
         lines.append(f"{obj.colour.value},{obj.shape.value},{table.scores[obj]:.6f}")
@@ -292,6 +293,8 @@ def marginalised_to_csv(table: EloTable, path) -> None:
     Features with no scored objects (possible on sparse tables) are
     omitted; full 24-object tables always produce all 10 rows.
     """
+    from pathlib import Path
+
     lines = ["feature,score"]
     for feature in FEATURE_NAMES:
         try:

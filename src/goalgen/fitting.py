@@ -15,7 +15,9 @@ The model axis folds into the pipeline axis: entry m * P + p is model m
 on pipeline p, with model m's tau. Every pipeline is front-padded to the
 most stages of any with zero-feature stages, which move neither the
 weights nor the adjoint, so one forward and one adjoint loop serve all
-stage counts. The fits of a sweep thus share one engine pass per update.
+stage counts. The fits of a sweep thus share one engine pass per update,
+in passes of at most ``_LOCKSTEP_ENTRIES`` (model, pipeline, stage)
+entries.
 
 The fit minimises the mean KL from observed to predicted choice
 distributions with mini-batch Adam. Gradients with respect to the free
@@ -39,7 +41,7 @@ round out the comparison harness.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -298,12 +300,11 @@ def _step_coef_partials(v, tau):
 
 def _ascent_steps(t_count: int, n_steps: int, simultaneous: bool):
     """The unrolled inner ascent of T stages, in order: each step is (the
-    stages it ascends, its history row, its index). A simultaneous step
-    ascends the mean of all stage objectives, so its stages share one
-    trajectory."""
+    stages it ascends, its index). A simultaneous step ascends the mean of
+    all stage objectives, so its stages share one trajectory."""
     if simultaneous:
-        return [(slice(None), 0, k) for k in range(n_steps)]
-    return [(slice(t, t + 1), t, k) for t in range(t_count) for k in range(n_steps)]
+        return [(slice(None), k) for k in range(n_steps)]
+    return [(slice(t, t + 1), k) for t in range(t_count) for k in range(n_steps)]
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -316,7 +317,7 @@ def _forward(model, phi, has_dis, tau, rate, n_steps, simultaneous, keep):
     entry's tau and step rate, (E,). Returns the final weights (E, d), the
     ascent directions S^T phi as (T, 2, E, d) and, with ``keep``, the
     values u . w at the start of every step as (T, K, 2, E) and the weights
-    there as (rows, K, E, d), one row per trajectory.
+    at the start of each stage's trajectory as (T, E, d).
     """
     s_matrix, _, w0 = model
     n_pipes, t_count = phi.shape[:2]
@@ -324,20 +325,20 @@ def _forward(model, phi, has_dis, tau, rate, n_steps, simultaneous, keep):
         t_count, 2, len(tau), -1
     )
     w_now = np.outer(np.repeat(w0, n_pipes), np.ones(u_cat.shape[-1]))
-    rows = 1 if simultaneous else t_count
     v_hist = np.empty((t_count, n_steps, 2, len(tau))) if keep else None
-    w_hist = np.empty((rows, n_steps) + w_now.shape) if keep else None
+    w_start = np.empty((t_count,) + w_now.shape) if keep else None
     # Added to v_d, (T, E).
     no_distractor = np.tile(np.where(has_dis.T, 0.0, -np.inf), len(w0))
     u_step = rate[:, None] * u_cat
-    for stages, h, k in _ascent_steps(t_count, n_steps, simultaneous):
+    for stages, k in _ascent_steps(t_count, n_steps, simultaneous):
         v = np.einsum("tcpd,pd->tcp", u_cat[stages], w_now)
         v[:, 1] += no_distractor[stages]
         if keep:
-            w_hist[h, k] = w_now
+            if k == 0:
+                w_start[stages] = w_now
             v_hist[stages, k] = v
         w_now = w_now + np.einsum("tcp,tcpd->pd", _step_coefs(v, tau), u_step[stages])
-    return w_now, u_cat, v_hist, w_hist
+    return w_now, u_cat, v_hist, w_start
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -352,6 +353,12 @@ def _evaluate_batch(model, prep: _Prepared, rec_sel, n_steps: int, want_grad: bo
     entry, runs only the adjoint recurrence step by step, and contracts its
     history into the gradients afterwards. Callers check for non-finite
     values, so float warnings are suppressed here.
+
+    No weight or adjoint vector is kept per step. Along a trajectory the
+    weights are its start weights plus the running sum of coefficient x u,
+    and the adjoint is its end value plus the reverse running sum of
+    alpha x u. So the S gradient needs only the (T, K, 2, E) coefficient
+    histories and their running sums, and the histories do not grow with d.
     """
     s_matrix, log_tau, _ = model
     n_models = len(log_tau)
@@ -364,7 +371,7 @@ def _evaluate_batch(model, prep: _Prepared, rec_sel, n_steps: int, want_grad: bo
     tau = np.repeat(np.exp(log_tau), len(pipes))  # inf for a diverged fit
     # A simultaneous step ascends the mean of the pipeline's stage objectives.
     rate = np.tile(1.0 / counts if simultaneous else np.ones(len(pipes)), n_models)
-    w_now, u_cat, v_hist, w_hist = _forward(
+    w_now, u_cat, v_hist, w_start = _forward(
         model, phi, has_dis, tau, rate, n_steps, simultaneous, want_grad
     )
 
@@ -386,14 +393,15 @@ def _evaluate_batch(model, prep: _Prepared, rec_sel, n_steps: int, want_grad: bo
     # only on an entry's trajectory, so records pool per entry.
     lam = np.einsum("mpn,mnd->mpd", seeds, s_matrix).reshape(w_now.shape)
 
-    # Axis c below is (goal, distractor).
+    # Axis c (and e) below is (goal, distractor).
     coef, jac, coef_tau = (rate * x for x in _step_coef_partials(v_hist, tau))
     # Only the lam recurrence runs per step; its history is contracted
     # into the S and tau gradients after the loop.
-    lam_hist = np.empty_like(w_hist)
+    lam_end = np.empty_like(w_start)  # lam at the end of each trajectory
     a_hist = np.empty_like(coef)  # lam . u_c, before each step's update
-    for stages, h, k in reversed(_ascent_steps(t_count, n_steps, simultaneous)):
-        lam_hist[h, k] = lam
+    for stages, k in reversed(_ascent_steps(t_count, n_steps, simultaneous)):
+        if k == n_steps - 1:
+            lam_end[stages] = lam
         a = np.einsum("tcpd,pd->tcp", u_cat[stages], lam)
         a_hist[stages, k] = a
         alpha = np.einsum("tecp,tep->tcp", jac[stages, k], a)
@@ -401,10 +409,19 @@ def _evaluate_batch(model, prep: _Prepared, rec_sel, n_steps: int, want_grad: bo
 
     tau_grad = np.einsum("tkcp,tkcp->p", coef_tau, a_hist).reshape(n_models, -1)
     alpha_hist = np.einsum("tkecp,tkep->tkcp", jac, a_hist)
-    hist_shape = (t_count, n_steps) + w_now.shape
-    u_adj = np.einsum(
-        "tkcp,tkpd->tcpd", alpha_hist, np.broadcast_to(w_hist, hist_shape)
-    ) + np.einsum("tkcp,tkpd->tcpd", coef, np.broadcast_to(lam_hist, hist_shape))
+    # The sum of alpha over the later steps of a trajectory.
+    later = np.cumsum(alpha_hist[:, ::-1], axis=1)[:, ::-1] - alpha_hist
+    # sum_k alpha_k w_k + coef_k lam_k, with w_k and lam_k as running sums
+    # over the stages s that share stage t's trajectory.
+    pairs = np.einsum("tkcp,skep->tcsep", coef, later)
+    pairs = pairs + pairs.transpose(2, 3, 0, 1, 4)
+    if not simultaneous:  # then each stage is a trajectory of its own
+        pairs *= np.eye(t_count)[:, None, :, None, None]
+    u_adj = (
+        np.einsum("tcsep,sepd->tcpd", pairs, u_cat)
+        + alpha_hist.sum(axis=1)[..., None] * w_start[:, None]
+        + coef.sum(axis=1)[..., None] * lam_end[:, None]
+    )
     s_grad += np.einsum(
         "ptcn,tcmpd->mnd", phi, u_adj.reshape(t_count, 2, n_models, len(pipes), -1)
     )
@@ -455,24 +472,24 @@ def hyperparameter_gradient(
         hp, dataset.pipelines, dataset.records, variant, config, want_grad=True
     )
     space = _ParamSpace(variant, hp.latent_dim)
-    return float(losses.mean()), _dense_gradient(*grads)[0][space.dense_mask()]
+    loss, grad = float(losses.mean()), _dense_gradient(*grads)[0][space.dense_mask()]
+    if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
+        raise NumericalError("non-finite loss or gradient")
+    return loss, grad
 
 
-def _fit_lockstep(dataset: Dataset, variant, configs: list[FitConfig]):
-    """Fit one model per config by mini-batch Adam on the mean KL, with
-    one engine pass per update for all of them.
+def _fit_lockstep(prep: _Prepared, config: FitConfig, dims: list[int]):
+    """Fit one model per latent dim in ``dims`` (``config.latent_dim`` is
+    not used) by mini-batch Adam on the mean KL, with one engine pass per
+    update for all of them.
 
-    The configs may differ only in ``latent_dim``, so every fit shuffles
-    the same records from the same seed and they share each mini-batch.
-    Each fit's parameters are one dense row (``_ParamSpace``) with its own
-    Adam state and trajectories. The entries its row fixes get a zero
-    gradient, which makes a zero Adam step.
+    Every fit shuffles the same records from the same seed, so they share
+    each mini-batch. Each fit's parameters are one dense row
+    (``_ParamSpace``) with its own Adam state and trajectories. The entries
+    its row fixes get a zero gradient, which makes a zero Adam step.
     """
-    config = configs[0]
-    variant = ModelVariant(variant)
-    dims = [c.latent_dim for c in configs]
+    variant = prep.variant
     spaces = [_ParamSpace(variant, d) for d in dims]
-    prep = _Prepared(dataset.pipelines, dataset.records, variant)
     n, d_max = spaces[0].n, max(space.d for space in spaces)
     mask = np.stack([space.dense_mask(d_max) for space in spaces])
     theta = np.where(mask, np.append(np.eye(n, d_max), [0.0, 0.0]), 0.0)
@@ -546,7 +563,9 @@ def fit_hyperparameters(
     config: FitConfig | None = None,
 ) -> FitResult:
     """Fit saliency, log tau, and w0 by mini-batch Adam on the mean KL."""
-    return _fit_lockstep(dataset, variant, [config or FitConfig()])[0]
+    config = config or FitConfig()
+    prep = _Prepared(dataset.pipelines, dataset.records, variant)
+    return _fit_lockstep(prep, config, [config.latent_dim])[0]
 
 
 def simulate_variant(
@@ -677,15 +696,33 @@ def lower_bound_per_feature(dataset: Dataset) -> float:
     return _lower_bound(dataset, encode_features)[0]
 
 
+# Bounds the fits of a sweep that share one engine pass: each
+# (model, pipeline, stage) entry keeps about a dozen float64 (K, 2)
+# histories while the adjoint runs, about 20 kB at K = 100.
+_LOCKSTEP_ENTRIES = 1024
+
+
 def latent_dim_sweep(
     dataset: Dataset,
     dims: list[int] | None = None,
     config: FitConfig | None = None,
 ) -> list[FitResult]:
-    """Fit the full variant at each latent dimension, every fit in
-    lockstep; one result per entry of ``dims``, in order."""
+    """Fit the full variant at each latent dimension; one result per entry
+    of ``dims``, in order.
+
+    The fits run in lockstep, as many at a time as keep one engine pass
+    within ``_LOCKSTEP_ENTRIES`` (model, pipeline, stage) entries, so the
+    sweep's memory does not grow with the number of dims.
+    """
     dims = list(dims) if dims is not None else list(range(1, 33))
     if not dims:
         raise ValidationError("no dimensions to sweep")
-    configs = [replace(config or FitConfig(), latent_dim=d) for d in dims]
-    return _fit_lockstep(dataset, ModelVariant.FULL, configs)
+    config = config or FitConfig()
+    prep = _Prepared(dataset.pipelines, dataset.records, ModelVariant.FULL)
+    n_pipes, t_max = prep.stage_phi.shape[:2]
+    per_pass = max(1, _LOCKSTEP_ENTRIES // (min(config.batch_size, n_pipes) * t_max))
+    return [
+        fit
+        for i in range(0, len(dims), per_pass)
+        for fit in _fit_lockstep(prep, config, dims[i : i + per_pass])
+    ]

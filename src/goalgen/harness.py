@@ -206,10 +206,16 @@ def transfer_eval(
         raise ValidationError("transfer plan needs both train and eval filters")
     config = config or FitConfig()
     active = {r.pipeline_id for r in dataset.records}
-    train_ids, eval_ids = (
-        {pid for pid in active if predicate.matches(dataset.pipelines[pid])}
-        for predicate in (plan.train, plan.eval)
-    )
+    train_ids = {
+        pid
+        for pid, pipe in dataset.pipelines.items()
+        if pid in active and plan.train.matches(pipe)
+    }
+    eval_ids = {
+        pid
+        for pid, pipe in dataset.pipelines.items()
+        if pid in active and plan.eval.matches(pipe)
+    }
     if not train_ids:
         raise ValidationError("train filter matched no pipelines with records")
     if not eval_ids:

@@ -382,6 +382,13 @@ def test_fit_aborts_on_divergence():
             fit_hyperparameters(ds, config=config)
 
 
+def test_gradient_rejects_non_finite_values():
+    ds, _ = synthetic_dataset(seed=6, n_pipelines=4, n_records=40)
+    hp = LpgHyperparameters(1e200 * np.eye(10), 0.0, 1.0)
+    with pytest.raises(NumericalError, match="non-finite loss or gradient"):
+        hyperparameter_gradient(ds, hp)
+
+
 def test_modelling_loss_zero_on_exact_match():
     # all-zero saliency predicts uniform thirds; counts (1,1,1) match exactly
     hp = LpgHyperparameters(np.zeros((10, 10)))

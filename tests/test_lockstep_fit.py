@@ -18,6 +18,7 @@ import pytest
 
 from conftest import GOALS, OBJECTS, sample_records, synthetic_dataset
 from goalgen.dataset import Dataset, TrainingPipeline, TrainingStage
+from goalgen import fitting
 from goalgen.errors import NumericalError
 from goalgen.fitting import (
     FitConfig,
@@ -118,6 +119,17 @@ def test_lockstep_sweep_matches_serial_fits(reference):
     results = latent_dim_sweep(lockstep_dataset(), SWEEP_DIMS, CONFIG)
     assert [r.hyperparameters.latent_dim for r in results] == SWEEP_DIMS
     assert sorted(reference["sweep"]) == sorted(map(str, SWEEP_DIMS))
+    for d, result in zip(SWEEP_DIMS, results):
+        assert_matches(fit_values(result), reference["sweep"][str(d)], f"d={d}")
+
+
+@pytest.mark.parametrize("entries", [18, 36])
+def test_sweep_split_across_passes_matches_serial_fits(reference, monkeypatch, entries):
+    # 6 pipelines of up to 3 stages make 18 entries per model: one or two
+    # fits per engine pass.
+    monkeypatch.setattr(fitting, "_LOCKSTEP_ENTRIES", entries)
+    results = latent_dim_sweep(lockstep_dataset(), SWEEP_DIMS, CONFIG)
+    assert [r.hyperparameters.latent_dim for r in results] == SWEEP_DIMS
     for d, result in zip(SWEEP_DIMS, results):
         assert_matches(fit_values(result), reference["sweep"][str(d)], f"d={d}")
 
