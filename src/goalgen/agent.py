@@ -4,12 +4,30 @@ The policy scores each action by a dot product between shared weights and
 that action's 20-dim observation (see maze.observe) and samples from the
 softmax. Training is REINFORCE on the total episode return against a
 moving-average baseline, one stage at a time, with a fresh maze per
-episode.
+episode. It steps one episode at a time, since each episode depends on the
+last update.
+
+Evaluation steps every agent's episodes together. An evaluation episode is
+seeded only by the run seed, its unordered pair and its index, so agents
+evaluated with one seed meet the same maze and the same uniforms in it.
+Each maze is generated once, and its HORIZON uniforms are drawn in one call,
+which returns the doubles the per-step draws would. The mazes of a pass
+become flat tables over their cells: the object at each cell, and per
+(cell, action) the code 3 * c0 + c1, where c_o is 0, 1 or 2 as the move
+goes closer to, no nearer or farther from object o. An action's score is
+then one of 9 values per (agent, pair), and a 9 x 9 table of
+math.exp(s_i - s_j) per (agent, pair) serves every softmax; np.exp can
+differ from math.exp in the last bit. Per step, every live episode gathers
+its cell's codes, scores and exps, sums the normaliser and the cumulative
+probabilities in the scalar loop's order, samples its action and moves;
+episodes that reach an object drop out. So the tallies are bit-identical to
+stepping each episode on its own with ``_episode``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,6 +36,7 @@ from .dataset import PreferenceRecord, TrainingPipeline
 from .errors import NumericalError, ValidationError
 from .features import ObjectFeatures, object_index
 from .maze import (
+    GRID_SIZE,
     HORIZON,
     N_OBSERVATION_FEATURES,
     WALL_PROBABILITY,
@@ -26,6 +45,12 @@ from .maze import (
 )
 
 _MOVE_DELTAS = ((-1, 0), (1, 0), (0, -1), (0, 1))
+# Each move's step in the flat cell index r * GRID_SIZE + c.
+_CELL_STEP = np.array([dr * GRID_SIZE + dc for dr, dc in _MOVE_DELTAS])
+# Most episodes that evaluate_preferences steps together in one pass. A
+# pass keeps about 2 kB of tables per maze, most of it the maze's uniforms,
+# and every agent walks each maze of the pass.
+_LOCKSTEP_EPISODES = 16_384
 
 
 @dataclass(frozen=True)
@@ -56,13 +81,12 @@ def _episode(
     start: tuple[int, int],
     weights: list[float],
     rng: np.random.Generator,
-    rewarded_index: int | None,
     collect_grad: bool,
-) -> tuple[int, int, float, list[float] | None]:
-    """Run one episode with the softmax policy.
+) -> tuple[int, float, list[float] | None]:
+    """Run one episode with the softmax policy; object 0 pays the reward.
 
-    Returns (outcome index or -1 for none, steps taken, total return,
-    summed score-function gradient when collect_grad).
+    Returns (outcome index or -1 for none, total return, summed
+    score-function gradient when collect_grad).
     """
     size = len(walls_rows)
     n_obj = len(obj_cells)
@@ -133,11 +157,11 @@ def _episode(
         pos = (r, c)
         if pos in obj_cells:
             idx = obj_cells.index(pos)
-            total += 1.0 if idx == rewarded_index else -0.1
-            return idx, steps, total, grad
+            total += 1.0 if idx == 0 else -0.1
+            return idx, total, grad
         total += -0.1
         if steps >= HORIZON:
-            return -1, steps, total, grad
+            return -1, total, grad
 
 
 def _maze_tables(grid) -> tuple[list, list, list, list]:
@@ -180,7 +204,7 @@ def train_desk_agent(
         for ep in range(params0.episodes_per_stage):
             grid = generate_maze(rng, objects, wall_prob)
             walls_rows, dist_rows, feature_idx, cells = _maze_tables(grid)
-            _, _, ret, grad = _episode(
+            _, ret, grad = _episode(
                 walls_rows,
                 dist_rows,
                 feature_idx,
@@ -188,7 +212,6 @@ def train_desk_agent(
                 grid.agent_pos,
                 w_list,
                 rng,
-                rewarded_index=0,
                 collect_grad=True,
             )
             if baseline is None:
@@ -227,7 +250,7 @@ def mean_return(
     for _ in range(n_episodes):
         grid = generate_maze(rng, [goal], wall_prob)
         walls_rows, dist_rows, feature_idx, cells = _maze_tables(grid)
-        _, _, ret, _ = _episode(
+        _, ret, _ = _episode(
             walls_rows,
             dist_rows,
             feature_idx,
@@ -235,66 +258,195 @@ def mean_return(
             grid.agent_pos,
             w_list,
             rng,
-            rewarded_index=0,
             collect_grad=False,
         )
         total += ret
     return total / n_episodes
 
 
+def _softmax_tables(
+    weights: np.ndarray, pairs: list[tuple[ObjectFeatures, ObjectFeatures]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat score and exp tables of every (agent, pair).
+
+    Entry 9 * t + k of the scores is the score of code k under (agent,
+    pair) t = agent * len(pairs) + pair, summed from 0.0 in the scalar
+    loop's order. Entry 81 * t + 9 * j + i of the exps is math.exp(s_i -
+    s_j). A softmax only looks up j for a code of maximal score, where
+    s_i - s_j <= 0; the other entries are clipped to 0 so none overflows.
+    """
+    feature = np.array([[obj.feature_indices() for obj in pair] for pair in pairs])
+    feature = feature.reshape(len(pairs), 2, 2)  # (pair, object, colour/shape)
+    closer = weights[:, feature[..., 0]] + weights[:, feature[..., 1]]
+    farther = weights[:, 10 + feature[..., 0]] + weights[:, 10 + feature[..., 1]]
+    # per (agent, pair, object, c_o): the weight sum that c_o adds
+    added = np.stack([closer, np.zeros_like(closer), farther], axis=-1)
+    scores = (0.0 + added[:, :, 0, :, None]) + added[:, :, 1, None, :]
+    scores = scores.reshape(-1, 9)
+    diffs = scores[:, None, :] - scores[:, :, None]
+    np.minimum(diffs, 0.0, out=diffs)
+    exps = np.fromiter(map(math.exp, diffs.flat), float, diffs.size)
+    return scores.ravel(), exps
+
+
+def _maze_pass(mazes, keys, pairs, rng_seed: int, wall_prob: float):
+    """Generate a pass's evaluation mazes and flatten them into tables.
+
+    ``mazes`` lists (pair, episode) per maze; cell m * GRID_SIZE**2 + r *
+    GRID_SIZE + c is cell (r, c) of maze m. Returns the start cells, the
+    (cells, 4) move codes, the object at each cell (-1 for none) and the
+    (mazes, HORIZON) uniforms.
+    """
+    size, n_mazes = GRID_SIZE, len(mazes)
+    # BFS distances to each object, -1 on walls; at most 63 on 8 x 8.
+    dist = np.empty((n_mazes, 2, size, size), dtype=np.int8)
+    start = np.empty(n_mazes, dtype=np.intp)
+    obj_at = np.full((n_mazes, size, size), -1, dtype=np.int8)
+    uniforms = np.empty((n_mazes, HORIZON))
+    for m, (pair, ep) in enumerate(mazes):
+        lo, hi = keys[pair]
+        rng = np.random.default_rng([0x6576616C, rng_seed, lo, hi, ep])
+        grid = generate_maze(rng, list(pairs[pair]), wall_prob)
+        start[m] = (m * size + grid.agent_pos[0]) * size + grid.agent_pos[1]
+        for o, cell in enumerate(grid.object_cells):
+            dist[m, o] = distance_field(grid.walls, cell)
+            obj_at[(m, *cell)] = o
+        rng.random(out=uniforms[m])
+
+    padded = np.pad(dist, ((0, 0), (0, 0), (1, 1), (1, 1)), constant_values=-1)
+    codes = np.empty((n_mazes, size, size, 4), dtype=np.uint8)
+    for a, (dr, dc) in enumerate(_MOVE_DELTAS):
+        there = padded[:, :, 1 + dr : 1 + dr + size, 1 + dc : 1 + dc + size]
+        # A wall or the edge blocks the move and leaves both distances.
+        there = np.where(there < 0, dist, there)
+        c = 1 + np.sign(there - dist)  # c_o per object
+        codes[..., a] = 3 * c[:, 0] + c[:, 1]
+    return start, codes.reshape(-1, 4), obj_at.ravel(), uniforms
+
+
+def _walk(tables, table: np.ndarray, scores, exps, counts: np.ndarray) -> None:
+    """Step every episode of a pass together and tally its outcome.
+
+    ``tables`` are the pass's ``_maze_pass`` tables. Episode i walks maze i
+    % mazes under (agent, pair) table[i], and its outcome, the object it
+    reached or 2 for none, is added to counts[3 * table[i] + outcome].
+    """
+    start, codes, obj_at, uniforms = tables
+    maze = np.arange(len(table)) % len(start)
+    pos = start[maze]
+    for t in range(HORIZON):
+        code = codes[pos]
+        s = scores[9 * table[:, None] + code]
+        top = np.take_along_axis(code, s.argmax(axis=1)[:, None], axis=1)
+        e = exps[81 * table[:, None] + 9 * top + code]
+        z = e[:, 0] + e[:, 1] + e[:, 2] + e[:, 3]
+        acc = np.cumsum(e[:, :3] / z[:, None], axis=1)
+        # acc never falls along an episode's row, so the first action
+        # with u < acc is 3 less the number of such actions; a nan row
+        # takes action 3, as the scalar loop does.
+        action = 3 - (uniforms[maze, t][:, None] < acc).sum(axis=1)
+        # Neighbouring cells differ in the parity of their distance to
+        # any cell, so an open move changes both distances: code 4
+        # (no nearer, no farther from either object) is a blocked move.
+        moves = np.take_along_axis(code, action[:, None], axis=1)[:, 0] != 4
+        pos = pos + moves * _CELL_STEP[action]
+        hit = obj_at[pos]
+        done = hit >= 0
+        if done.any():
+            counts += np.bincount(3 * table[done] + hit[done], minlength=counts.size)
+            live = ~done
+            maze, table, pos = maze[live], table[live], pos[live]
+            if not len(pos):
+                return
+    counts += np.bincount(3 * table + 2, minlength=counts.size)
+
+
+def _lockstep_counts(
+    weights: np.ndarray,
+    keys: list[tuple[int, int]],
+    pairs: list[tuple[ObjectFeatures, ObjectFeatures]],
+    episodes: int,
+    rng_seed: int,
+    wall_prob: float,
+) -> np.ndarray:
+    """(agents, pairs, 3) tallies of the first object, the second and neither.
+
+    Pair p's objects are pairs[p] in canonical order, and keys[p] their
+    object indices. Every agent walks the same episodes; a pass takes the
+    next mazes such that at most _LOCKSTEP_EPISODES episodes walk together.
+    """
+    n_agents, n_pairs = len(weights), len(pairs)
+    counts = np.zeros(n_agents * n_pairs * 3, dtype=np.int64)
+    if not n_agents:
+        return counts.reshape(n_agents, n_pairs, 3)
+    scores, exps = _softmax_tables(weights, pairs)
+    mazes = [(p, ep) for p in range(n_pairs) for ep in range(episodes)]
+    per_pass = max(1, _LOCKSTEP_EPISODES // n_agents)
+    for first in range(0, len(mazes), per_pass):
+        chunk = mazes[first : first + per_pass]
+        # Agent g on the chunk's maze m is episode g * len(chunk) + m.
+        table = np.arange(n_agents)[:, None] * n_pairs + [p for p, _ in chunk]
+        # The pass's tables live only for the walk, not into the next pass.
+        tables = _maze_pass(chunk, keys, pairs, rng_seed, wall_prob)
+        _walk(tables, table.ravel(), scores, exps, counts)
+        del tables
+    return counts.reshape(n_agents, n_pairs, 3)
+
+
 def evaluate_preferences(
-    policy: DeskPolicyParameters,
+    policy: DeskPolicyParameters | Mapping[str, DeskPolicyParameters],
     pairs: list[tuple[ObjectFeatures, ObjectFeatures]],
     episodes_per_pair: int = 100,
     rng_seed: int = 0,
     pipeline_id: str = "agent",
     wall_prob: float = WALL_PROBABILITY,
 ) -> list[PreferenceRecord]:
-    """Tally which object the policy reaches first over two-object mazes.
+    """Tally which object each policy reaches first over two-object mazes.
 
-    No reward is delivered; the episode ends on reaching either object or
-    at the horizon. Episodes are seeded by the unordered pair and episode
-    index, so evaluating a swapped pair replays the identical episodes and
-    exactly swaps the tallies.
+    ``policy`` is one policy, evaluated as ``pipeline_id``, or a mapping
+    {pipeline_id: policy}. Records come agent by agent in mapping order,
+    each agent's pairs in the given order. No reward is delivered; the
+    episode ends on reaching either object or at the horizon. Episodes are
+    seeded by the unordered pair and episode index, so evaluating a swapped
+    pair replays the identical episodes and exactly swaps the tallies, and
+    every agent meets the same episodes.
     """
-    if not np.all(np.isfinite(policy.weights)):
+    if isinstance(policy, DeskPolicyParameters):
+        policy = {pipeline_id: policy}
+    weights = np.array([p.weights for p in policy.values()], dtype=float)
+    weights = weights.reshape(len(policy), N_OBSERVATION_FEATURES)
+    if not np.all(np.isfinite(weights)):
         raise ValidationError("policy weights must be finite")
-    w_list = policy.weights.tolist()
-    records = []
+    index: dict[tuple[int, int], int] = {}
+    canonical = []
+    slots = []
     for obj_a, obj_b in pairs:
         ia, ib = object_index(obj_a), object_index(obj_b)
         if ia == ib:
             raise ValidationError(f"pair contains {obj_a.name} twice")
         swap = ia > ib
-        first, second = (obj_b, obj_a) if swap else (obj_a, obj_b)
-        lo, hi = min(ia, ib), max(ia, ib)
-        counts = [0, 0, 0]  # first, second, none
-        for ep in range(episodes_per_pair):
-            rng = np.random.default_rng([0x6576616C, rng_seed, lo, hi, ep])
-            grid = generate_maze(rng, [first, second], wall_prob)
-            walls_rows, dist_rows, feature_idx, cells = _maze_tables(grid)
-            outcome, _, _, _ = _episode(
-                walls_rows,
-                dist_rows,
-                feature_idx,
-                cells,
-                grid.agent_pos,
-                w_list,
-                rng,
-                rewarded_index=None,
-                collect_grad=False,
+        key = (ib, ia) if swap else (ia, ib)
+        if key not in index:
+            index[key] = len(canonical)
+            canonical.append((obj_b, obj_a) if swap else (obj_a, obj_b))
+        slots.append((index[key], swap))
+    counts = _lockstep_counts(
+        weights, list(index), canonical, episodes_per_pair, rng_seed, wall_prob
+    ).tolist()
+
+    records = []
+    for agent_counts, pid in zip(counts, policy):
+        for (obj_a, obj_b), (p, swap) in zip(pairs, slots):
+            first, second, none = agent_counts[p]
+            records.append(
+                PreferenceRecord(
+                    pipeline_id=pid,
+                    object_a=obj_a,
+                    object_b=obj_b,
+                    count_a=second if swap else first,
+                    count_b=first if swap else second,
+                    count_none=none,
+                    episodes=episodes_per_pair,
+                )
             )
-            counts[outcome if outcome >= 0 else 2] += 1
-        count_a, count_b = (counts[1], counts[0]) if swap else (counts[0], counts[1])
-        records.append(
-            PreferenceRecord(
-                pipeline_id=pipeline_id,
-                object_a=obj_a,
-                object_b=obj_b,
-                count_a=count_a,
-                count_b=count_b,
-                count_none=counts[2],
-                episodes=episodes_per_pair,
-            )
-        )
     return records

@@ -42,6 +42,13 @@ _CONFIG_SCHEMA: dict[str, type] = {
     "eval_episodes": int,
     "wall_prob": float,
 }
+# The ranges gen-data accepts for its desk keys: a test and its wording.
+_DESK_RANGES = {
+    "eval_episodes": (lambda v: v >= 1, "at least 1"),
+    "episodes_per_stage": (lambda v: v >= 0, "at least 0"),
+    "wall_prob": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    "baseline_decay": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+}
 
 
 def load_config(path: str | Path | None) -> dict:
@@ -171,6 +178,12 @@ def _write_manifest(
 def _cmd_gen_data(args, config: dict) -> int:
     if args.max_pairs is not None and args.max_pairs < 1:
         raise ValidationError(f"--max-pairs must be at least 1, got {args.max_pairs}")
+    for key, (in_range, allowed) in _DESK_RANGES.items():
+        if key in config and not in_range(config[key]):
+            raise ValidationError(
+                f"{args.config}: config key {key!r} must be {allowed}, "
+                f"got {config[key]}"
+            )
     pipelines = load_pipelines(args.pipelines)
     pairs = enumerate_eval_pairs()
     if args.max_pairs is not None:
@@ -184,22 +197,20 @@ def _cmd_gen_data(args, config: dict) -> int:
     eval_episodes = config.get("eval_episodes", 100)
 
     args.out.mkdir(parents=True, exist_ok=True)
-    records = []
+    trained = {}
     for pid in sorted(pipelines):
         print(f"training agent for pipeline {pid} ...", flush=True)
-        trained = agent_mod.train_desk_agent(
+        trained[pid] = agent_mod.train_desk_agent(
             pipelines[pid], params, rng_seed=args.seed, wall_prob=wall_prob
         )
-        records.extend(
-            agent_mod.evaluate_preferences(
-                trained,
-                pairs,
-                episodes_per_pair=eval_episodes,
-                rng_seed=args.seed,
-                pipeline_id=pid,
-                wall_prob=wall_prob,
-            )
-        )
+    # Every agent walks the same evaluation episodes in one lockstep call.
+    records = agent_mod.evaluate_preferences(
+        trained,
+        pairs,
+        episodes_per_pair=eval_episodes,
+        rng_seed=args.seed,
+        wall_prob=wall_prob,
+    )
     dataset = Dataset(pipelines, tuple(records))
     out_file = args.out / "preferences.jsonl"
     save_dataset(dataset, out_file)

@@ -11,6 +11,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ValidationError
 from .features import Colour, ObjectFeatures, Shape, object_index
 
@@ -117,6 +119,13 @@ def record_to_distribution(record: PreferenceRecord) -> ChoiceDistribution:
     return ChoiceDistribution(
         record.count_a / n, record.count_b / n, record.count_none / n
     )
+
+
+def observed_rates(records: list[PreferenceRecord]) -> np.ndarray:
+    """(R, 3) empirical distributions (a, b, neither) of the records."""
+    counts = [(r.count_a, r.count_b, r.count_none, r.episodes) for r in records]
+    counts = np.array(counts, dtype=float).reshape(-1, 4)
+    return counts[:, :3] / counts[:, 3:]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import TypeVar
 
 import numpy as np
 
-from .dataset import ChoiceDistribution, PreferenceRecord, record_to_distribution
+from .dataset import PreferenceRecord, observed_rates
 from .errors import NumericalError, ValidationError
 from .features import FEATURE_NAMES, ObjectFeatures, enumerate_objects
 from .metrics import MetricMode, MetricsReport, compute_metrics
@@ -159,8 +159,7 @@ class RecordComparisons:
         self.row = {r: i for i, r in enumerate(records)}
         codes = [(_CODE[r.object_a], _CODE[r.object_b], _NO_GOAL) for r in records]
         codes = np.array(codes, dtype=int).reshape(-1, 3)
-        p = np.array([record_to_distribution(r).as_tuple() for r in records])
-        p = p.reshape(-1, 3)
+        p = observed_rates(records)
         # Columns (a, b, no goal) pair up as (a, b), (a, no goal), (b, no goal).
         first, second = [0, 0, 1], [1, 2, 2]
         self.code_a, self.code_b = codes[:, first], codes[:, second]
@@ -337,16 +336,14 @@ def score_holdout(
     reports = []
     n_uncovered = 0
     for test, table in zip(held_out, tables):
-        predictions = []
-        observations = []
-        for rec in test:
-            if rec.object_a not in table.scores or rec.object_b not in table.scores:
-                n_uncovered += 1
-                continue
-            p = elo_predict(table, rec.object_a, rec.object_b)
-            predictions.append(ChoiceDistribution(p, 1.0 - p, 0.0))
-            observations.append(record_to_distribution(rec))
-        if predictions:
+        covered = [
+            r for r in test if r.object_a in table.scores and r.object_b in table.scores
+        ]
+        n_uncovered += len(test) - len(covered)
+        if covered:
+            p = np.array([elo_predict(table, r.object_a, r.object_b) for r in covered])
+            predictions = np.column_stack([p, 1.0 - p, np.zeros_like(p)])
+            observations = observed_rates(covered)
             reports.append(
                 compute_metrics(predictions, observations, MetricMode.TWO_WAY)
             )

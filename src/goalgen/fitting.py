@@ -51,7 +51,7 @@ from .dataset import (
     Dataset,
     PreferenceRecord,
     TrainingPipeline,
-    record_to_distribution,
+    observed_rates,
 )
 from .errors import NumericalError, ValidationError
 from .features import N_FEATURES, encode_features, object_index
@@ -201,7 +201,7 @@ def _record_arrays(records: list[PreferenceRecord], encode):
     pid_index = {pid: i for i, pid in enumerate(pids)}
     pipeline = np.array([pid_index[r.pipeline_id] for r in records])
     phi = np.array([[encode(r.object_a), encode(r.object_b)] for r in records])
-    p_hat = np.array([record_to_distribution(r).as_tuple() for r in records])
+    p_hat = observed_rates(records)
     return pids, pipeline, phi, p_hat
 
 

@@ -14,10 +14,9 @@ import numpy as np
 from scipy.stats import spearmanr
 
 from .dataset import (
-    ChoiceDistribution,
     Dataset,
     TrainingPipeline,
-    record_to_distribution,
+    observed_rates,
 )
 from .elo import EloTable
 from .errors import ValidationError
@@ -231,8 +230,8 @@ def transfer_eval(
     losses, logp = _predict(
         result.hyperparameters, dataset, eval_records, variant, config
     )
-    predictions = [ChoiceDistribution(*p) for p in np.exp(logp).tolist()]
-    observations = [record_to_distribution(r) for r in eval_records]
+    predictions = np.exp(logp)
+    observations = observed_rates(eval_records)
     return TransferResult(
         fit=result,
         eval_loss=float(losses.mean()),

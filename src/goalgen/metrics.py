@@ -37,90 +37,84 @@ class MetricsReport:
     n_skipped: int = 0
 
 
-def kl_divergence(observed: np.ndarray, predicted: np.ndarray) -> float:
-    """KL(observed || predicted) with 0 log 0 = 0."""
+def _per_row(values: np.ndarray) -> float | np.ndarray:
+    """A float for one distribution, an array for rows of them."""
+    return float(values) if values.ndim == 0 else values
+
+
+def kl_divergence(observed: np.ndarray, predicted: np.ndarray) -> float | np.ndarray:
+    """KL(observed || predicted) along the last axis, with 0 log 0 = 0."""
     obs = np.asarray(observed, dtype=float)
     pred = np.asarray(predicted, dtype=float)
-    mask = obs > 0
-    with np.errstate(divide="ignore"):
-        terms = obs[mask] * (np.log(obs[mask]) - np.log(pred[mask]))
-    return float(terms.sum())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(obs > 0, obs * (np.log(obs) - np.log(pred)), 0.0)
+    return _per_row(terms.sum(axis=-1))
 
 
-def total_variation(observed: np.ndarray, predicted: np.ndarray) -> float:
-    return float(0.5 * np.abs(np.asarray(observed) - np.asarray(predicted)).sum())
-
-
-def brier_score(observed: np.ndarray, predicted: np.ndarray) -> float:
+def total_variation(observed: np.ndarray, predicted: np.ndarray) -> float | np.ndarray:
+    """Total variation distance along the last axis."""
     diff = np.asarray(observed, dtype=float) - np.asarray(predicted, dtype=float)
-    return float((diff**2).mean())
+    return _per_row(0.5 * np.abs(diff).sum(axis=-1))
 
 
-def _two_way(dist: ChoiceDistribution) -> np.ndarray | None:
-    mass = dist.p_a + dist.p_b
-    if mass <= 0:
-        return None
-    return np.array([dist.p_a / mass, dist.p_b / mass])
+def brier_score(observed: np.ndarray, predicted: np.ndarray) -> float | np.ndarray:
+    """Mean squared difference along the last axis."""
+    diff = np.asarray(observed, dtype=float) - np.asarray(predicted, dtype=float)
+    return _per_row((diff**2).mean(axis=-1))
+
+
+def _rows(dists) -> np.ndarray:
+    """Distributions as an (R, 3) array; rows may be ChoiceDistributions."""
+    if not isinstance(dists, np.ndarray):
+        dists = [
+            d.as_tuple() if isinstance(d, ChoiceDistribution) else d for d in dists
+        ]
+    return np.asarray(dists, dtype=float).reshape(-1, 3)
 
 
 def compute_metrics(
-    predictions: list[ChoiceDistribution],
-    observations: list[ChoiceDistribution],
+    predictions: np.ndarray | list[ChoiceDistribution],
+    observations: np.ndarray | list[ChoiceDistribution],
     mode: MetricMode = MetricMode.THREE_WAY,
 ) -> MetricsReport:
-    """Score aligned prediction/observation lists."""
+    """Score aligned (R, 3) predicted and observed (a, b, neither) rows."""
     mode = MetricMode(mode)
-    if len(predictions) != len(observations):
-        raise ValidationError(
-            f"{len(predictions)} predictions vs {len(observations)} observations"
-        )
-    if not predictions:
+    pred, obs = _rows(predictions), _rows(observations)
+    if len(pred) != len(obs):
+        raise ValidationError(f"{len(pred)} predictions vs {len(obs)} observations")
+    if not len(pred):
         raise ValidationError("no examples to score")
 
-    kls: list[float] = []
-    tvs: list[float] = []
-    briers: list[float] = []
-    n_dir = 0
-    n_correct = 0
-    n_skipped = 0
+    # Observations with goal mass have a two-way view; two-way mode skips
+    # the others, and only they count towards directional accuracy.
+    mass = obs[:, 0] + obs[:, 1]
+    two_way = mass > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        obs2 = obs[:, :2] / mass[:, None]
+    if mode is MetricMode.THREE_WAY:
+        p, q = pred, obs
+    else:
+        if not two_way.any():
+            raise ValidationError("every example was skipped (zero goal mass)")
+        pred_mass = pred[two_way, 0] + pred[two_way, 1]
+        if np.any(pred_mass <= 0):
+            raise NumericalError("prediction has zero goal mass in two-way mode")
+        p, q = pred[two_way, :2] / pred_mass[:, None], obs2[two_way]
 
-    for pred, obs in zip(predictions, observations):
-        obs2 = _two_way(obs)
-        if mode is MetricMode.THREE_WAY:
-            p = np.array(pred.as_tuple())
-            q = np.array(obs.as_tuple())
-            kls.append(kl_divergence(q, p))
-            tvs.append(total_variation(q, p))
-            briers.append(brier_score(q, p))
-        else:
-            if obs2 is None:
-                n_skipped += 1
-                continue
-            pred2 = _two_way(pred)
-            if pred2 is None:
-                raise NumericalError("prediction has zero goal mass in two-way mode")
-            kls.append(kl_divergence(obs2, pred2))
-            tvs.append(total_variation(obs2, pred2))
-            briers.append(brier_score(obs2, pred2))
-
-        # Directional accuracy on the observed two-way gap; predicted ties
-        # count as incorrect.
-        if obs2 is not None and abs(obs2[0] - obs2[1]) >= DIRECTIONAL_GAP_THRESHOLD:
-            n_dir += 1
-            obs_sign = np.sign(obs2[0] - obs2[1])
-            pred_sign = np.sign(pred.p_a - pred.p_b)
-            if pred_sign != 0 and pred_sign == obs_sign:
-                n_correct += 1
-
-    if not kls:
-        raise ValidationError("every example was skipped (zero goal mass)")
+    # Directional accuracy on the observed two-way gap; predicted ties
+    # count as incorrect.
+    gap = obs2[:, 0] - obs2[:, 1]
+    directional = two_way & (np.abs(gap) >= DIRECTIONAL_GAP_THRESHOLD)
+    pred_sign = np.sign(pred[:, 0] - pred[:, 1])
+    correct = directional & (pred_sign != 0) & (pred_sign == np.sign(gap))
+    n_dir = int(directional.sum())
 
     return MetricsReport(
-        kl=float(np.mean(kls)),
-        tv=float(np.mean(tvs)),
-        brier=float(np.mean(briers)),
-        directional_accuracy=(n_correct / n_dir) if n_dir else 0.0,
+        kl=float(kl_divergence(q, p).mean()),
+        tv=float(total_variation(q, p).mean()),
+        brier=float(brier_score(q, p).mean()),
+        directional_accuracy=int(correct.sum()) / n_dir if n_dir else 0.0,
         n_directional=n_dir,
         mode=mode,
-        n_skipped=n_skipped,
+        n_skipped=0 if mode is MetricMode.THREE_WAY else int((~two_way).sum()),
     )

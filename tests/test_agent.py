@@ -1,18 +1,29 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import goalgen.agent as agent_mod
 from goalgen.agent import (
     DeskPolicyParameters,
+    _episode,
+    _maze_tables,
     evaluate_preferences,
     mean_return,
     train_desk_agent,
 )
-from goalgen.dataset import TrainingPipeline, TrainingStage
+from goalgen.dataset import PreferenceRecord, TrainingPipeline, TrainingStage
 from goalgen.errors import NumericalError, ValidationError
-from goalgen.features import Colour, ObjectFeatures, Shape, enumerate_eval_pairs
+from goalgen.features import (
+    Colour,
+    ObjectFeatures,
+    Shape,
+    enumerate_eval_pairs,
+    object_index,
+)
+from goalgen.maze import generate_maze
 
 RC = ObjectFeatures(Colour.RED, Shape.CROSS)
 BD = ObjectFeatures(Colour.BLUE, Shape.DIAMOND)
@@ -160,3 +171,159 @@ def test_seeded_rollouts_match_pinned_digest():
     for rec in records:
         digest.update(f"{rec.count_a},{rec.count_b},{rec.count_none};".encode())
     assert digest.hexdigest() == PINNED_ROLLOUT_DIGEST
+
+
+def scalar_preferences(policy, pairs, episodes_per_pair, rng_seed, pipeline_id):
+    """The per-pair, per-episode evaluation loop: the lockstep walk's oracle."""
+    w_list = policy.weights.tolist()
+    records = []
+    for obj_a, obj_b in pairs:
+        ia, ib = object_index(obj_a), object_index(obj_b)
+        swap = ia > ib
+        first, second = (obj_b, obj_a) if swap else (obj_a, obj_b)
+        lo, hi = min(ia, ib), max(ia, ib)
+        counts = [0, 0, 0]  # first, second, none
+        for ep in range(episodes_per_pair):
+            rng = np.random.default_rng([0x6576616C, rng_seed, lo, hi, ep])
+            grid = generate_maze(rng, [first, second])
+            outcome, _, _ = _episode(
+                *_maze_tables(grid), grid.agent_pos, w_list, rng, collect_grad=False
+            )
+            counts[outcome if outcome >= 0 else 2] += 1
+        count_a, count_b = (counts[1], counts[0]) if swap else (counts[0], counts[1])
+        records.append(
+            PreferenceRecord(
+                pipeline_id, obj_a, obj_b, count_a, count_b, counts[2],
+                episodes_per_pair,
+            )
+        )
+    return records
+
+
+def scalar_all(policies, pairs, episodes_per_pair, rng_seed):
+    return [
+        rec
+        for pid, policy in policies.items()
+        for rec in scalar_preferences(policy, pairs, episodes_per_pair, rng_seed, pid)
+    ]
+
+
+@pytest.fixture(scope="module")
+def three_agents():
+    pipelines = [
+        TrainingPipeline("single", (TrainingStage(RC),)),
+        TrainingPipeline("distractor", (TrainingStage(BD, BR),)),
+        TrainingPipeline("two", (TrainingStage(BR), TrainingStage(GC))),
+    ]
+    params = DeskPolicyParameters(episodes_per_stage=150)
+    return {p.id: train_desk_agent(p, params, rng_seed=21) for p in pipelines}
+
+
+def test_lockstep_matches_scalar_oracle_for_trained_agents(three_agents):
+    pairs = enumerate_eval_pairs()
+    got = evaluate_preferences(three_agents, pairs, episodes_per_pair=2, rng_seed=3)
+    assert got == scalar_all(three_agents, pairs, 2, 3)
+    assert [r.pipeline_id for r in got[:: len(pairs)]] == list(three_agents)
+
+
+def test_lockstep_matches_scalar_oracle_at_ten_episodes(three_agents):
+    pairs = enumerate_eval_pairs()[::23]
+    got = evaluate_preferences(three_agents, pairs, episodes_per_pair=10, rng_seed=4)
+    assert got == scalar_all(three_agents, pairs, 10, 4)
+
+
+def test_zero_weight_policy_reaches_the_horizon_like_the_oracle():
+    policies = {"zero": DeskPolicyParameters()}
+    pairs = enumerate_eval_pairs()[:40]
+    got = evaluate_preferences(policies, pairs, episodes_per_pair=3, rng_seed=5)
+    assert got == scalar_all(policies, pairs, 3, 5)
+    assert sum(r.count_none for r in got) > 0
+
+
+@pytest.mark.parametrize("scale", [50.0, 400.0])
+def test_extreme_weights_match_the_oracle(scale):
+    # At +-50 the smaller probabilities vanish against the cumulative sum,
+    # so sums tie; at +-400 the exps themselves underflow to 0.
+    rng = np.random.default_rng(int(scale))
+    policies = {
+        f"w{i}": DeskPolicyParameters(weights=scale * rng.choice([-1.0, 1.0], 20))
+        for i in range(2)
+    }
+    pairs = enumerate_eval_pairs()[::5]
+    got = evaluate_preferences(policies, pairs, episodes_per_pair=3, rng_seed=6)
+    assert got == scalar_all(policies, pairs, 3, 6)
+    weights = np.array([p.weights for p in policies.values()])
+    _, exps = agent_mod._softmax_tables(weights, pairs)
+    assert (exps == 0.0).any() == (scale == 400.0)
+
+
+def test_swapped_and_repeated_pairs_in_one_call(three_agents):
+    pairs = [(RC, BD), (BD, RC), (RC, BD), (GC, BR), (BR, GC)]
+    got = evaluate_preferences(three_agents, pairs, episodes_per_pair=8, rng_seed=7)
+    assert got == scalar_all(three_agents, pairs, 8, 7)
+    fwd, rev, again = got[:3]
+    assert (fwd.count_a, fwd.count_b, fwd.count_none) == (
+        rev.count_b,
+        rev.count_a,
+        rev.count_none,
+    )
+    assert fwd == again
+
+
+def test_unsorted_mapping_keeps_its_order(three_agents):
+    policies = {
+        "zeta": three_agents["two"],
+        "alpha": three_agents["single"],
+        "mid": three_agents["distractor"],
+    }
+    pairs = enumerate_eval_pairs()[:30]
+    got = evaluate_preferences(policies, pairs, episodes_per_pair=2, rng_seed=8)
+    assert got == scalar_all(policies, pairs, 2, 8)
+    assert [r.pipeline_id for r in got[::30]] == ["zeta", "alpha", "mid"]
+
+
+@pytest.mark.parametrize("bound", [1, 5, 7])
+def test_run_split_across_passes(three_agents, monkeypatch, bound):
+    # 3 agents: 1 maze per pass at bounds 1 and 5, 2 at 7 with a short last pass
+    monkeypatch.setattr(agent_mod, "_LOCKSTEP_EPISODES", bound)
+    pairs = enumerate_eval_pairs()[:7]
+    got = evaluate_preferences(three_agents, pairs, episodes_per_pair=3, rng_seed=9)
+    assert got == scalar_all(three_agents, pairs, 3, 9)
+
+
+def test_repeated_object_rejected_before_any_episode(trained_single, monkeypatch):
+    def no_maze(*args, **kwargs):
+        raise AssertionError("a maze was generated")
+
+    monkeypatch.setattr(agent_mod, "generate_maze", no_maze)
+    with pytest.raises(ValidationError, match="twice"):
+        evaluate_preferences(trained_single, [(RC, BD), (BD, BD)], 10, 0, "single")
+
+
+def test_default_size_evaluation_memory_is_bounded(three_agents, monkeypatch):
+    # Maze generation and BFS are replayed from a pool of real mazes, which
+    # keeps the run short under tracemalloc; the tables and the walk are
+    # the full 3 agents x 276 pairs x 100 episodes.
+    rng = np.random.default_rng(10)
+    pool = [generate_maze(rng, list(pair)) for pair in enumerate_eval_pairs()[:50]]
+    fields = {
+        (id(g.walls), cell): agent_mod.distance_field(g.walls, cell)
+        for g in pool
+        for cell in g.object_cells
+    }
+    replay = iter(range(10**9))
+
+    monkeypatch.setattr(
+        agent_mod, "generate_maze", lambda *args: pool[next(replay) % len(pool)]
+    )
+    monkeypatch.setattr(agent_mod, "distance_field", lambda w, c: fields[id(w), c])
+    pairs = enumerate_eval_pairs()
+    tracemalloc.start()
+    try:
+        records = evaluate_preferences(three_agents, pairs, episodes_per_pair=100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 3 * 276
+    assert all(r.count_a + r.count_b + r.count_none == 100 for r in records)
+    assert peak < 64 * 2**20

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_dataset
+from goalgen.agent import DeskPolicyParameters, evaluate_preferences, train_desk_agent
 from goalgen.cli import load_config, main
-from goalgen.dataset import load_dataset, save_dataset
+from goalgen.dataset import load_dataset, load_pipelines, save_dataset
 from goalgen.errors import ValidationError
+from goalgen.features import enumerate_eval_pairs
 from goalgen.latent import load_hyperparameters
 
 
@@ -345,6 +347,77 @@ def test_gen_data_rejects_max_pairs_below_one(tmp_path, capsys, max_pairs):
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: --max-pairs must be at least 1, got {max_pairs}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, allowed",
+    [
+        ("eval_episodes", 0, "at least 1"),
+        ("eval_episodes", -1, "at least 1"),
+        ("episodes_per_stage", -1, "at least 0"),
+        ("wall_prob", 1.5, "in [0, 1)"),
+        ("wall_prob", 1.0, "in [0, 1)"),
+        ("wall_prob", -0.5, "in [0, 1)"),
+        ("baseline_decay", 2.0, "in [0, 1]"),
+        ("baseline_decay", -0.1, "in [0, 1]"),
+    ],
+)
+def test_gen_data_rejects_desk_config_out_of_range(tmp_path, capsys, key, value, allowed):
+    pfile = tmp_path / "pipes.json"
+    stage = {"goal": {"colour": "red", "shape": "cross"}, "distractor": None}
+    pfile.write_text(json.dumps({"pipelines": {"demo": [stage]}}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"episodes_per_stage": 20, "eval_episodes": 1, key: value}))
+    out = tmp_path / "gen"
+    argv = ["gen-data", "--pipelines", str(pfile), "--out", str(out),
+            "--config", str(cfg), "--max-pairs", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [
+        f"error: {cfg}: config key {key!r} must be {allowed}, got {value}"
+    ]
+    assert "training" not in captured.out
+    assert not out.exists()
+
+
+def test_gen_data_accepts_desk_config_range_ends(tmp_path):
+    pfile = tmp_path / "pipes.json"
+    stage = {"goal": {"colour": "red", "shape": "cross"}, "distractor": None}
+    pfile.write_text(json.dumps({"pipelines": {"demo": [stage]}}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"episodes_per_stage": 0, "eval_episodes": 1, "wall_prob": 0.0, "baseline_decay": 1.0}
+    ))
+    argv = ["gen-data", "--pipelines", str(pfile), "--out", str(tmp_path / "gen"),
+            "--config", str(cfg), "--max-pairs", "2"]
+    assert main(argv) == 0
+    assert len(load_dataset(tmp_path / "gen" / "preferences.jsonl").records) == 2
+
+
+def test_gen_data_evaluates_every_agent_like_one_at_a_time(tmp_path):
+    stages = {
+        "zz": [{"goal": {"colour": "red", "shape": "cross"}, "distractor": None}],
+        "aa": [{"goal": {"colour": "blue", "shape": "ring"},
+                "distractor": {"colour": "green", "shape": "diamond"}}],
+    }
+    pfile = tmp_path / "pipes.json"
+    pfile.write_text(json.dumps({"pipelines": stages}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"episodes_per_stage": 60, "eval_episodes": 3}))
+    out = tmp_path / "gen"
+    argv = ["gen-data", "--pipelines", str(pfile), "--out", str(out),
+            "--config", str(cfg), "--max-pairs", "6", "--seed", "4"]
+    assert main(argv) == 0
+    records = load_dataset(out / "preferences.jsonl").records
+    pipelines = load_pipelines(pfile)
+    params = DeskPolicyParameters(episodes_per_stage=60)
+    expected = []
+    for pid in ("aa", "zz"):
+        trained = train_desk_agent(pipelines[pid], params, rng_seed=4)
+        expected += evaluate_preferences(
+            trained, enumerate_eval_pairs()[:6], 3, rng_seed=4, pipeline_id=pid
+        )
+    assert list(records) == expected
 
 
 def test_check_command_passes(tmp_path, capsys):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from goalgen.dataset import ChoiceDistribution
-from goalgen.errors import ValidationError
+from goalgen.errors import NumericalError, ValidationError
 from goalgen.metrics import (
+    DIRECTIONAL_GAP_THRESHOLD,
     MetricMode,
     brier_score,
     compute_metrics,
@@ -128,3 +129,90 @@ def test_scalar_helpers_random_properties(rng):
         assert 0.0 <= total_variation(p, q) <= 1.0
         assert 0.0 <= brier_score(p, q) <= 2.0 / 3.0
         assert kl_divergence(p, p) == pytest.approx(0.0)
+
+
+def scalar_metrics(predictions, observations, mode):
+    """The per-record loop over ChoiceDistributions: compute_metrics' oracle.
+
+    Returns (kl, tv, brier, directional accuracy, n_directional, n_skipped).
+    """
+
+    def two_way(dist):
+        mass = dist.p_a + dist.p_b
+        return None if mass <= 0 else np.array([dist.p_a / mass, dist.p_b / mass])
+
+    kls, tvs, briers = [], [], []
+    n_dir = n_correct = n_skipped = 0
+    for pred, obs in zip(predictions, observations):
+        obs2 = two_way(obs)
+        if mode is MetricMode.THREE_WAY:
+            q, p = np.array(obs.as_tuple()), np.array(pred.as_tuple())
+        else:
+            if obs2 is None:
+                n_skipped += 1
+                continue
+            q, p = obs2, two_way(pred)
+            if p is None:
+                raise NumericalError("prediction has zero goal mass in two-way mode")
+        mask = q > 0
+        with np.errstate(divide="ignore"):
+            kls.append(float((q[mask] * (np.log(q[mask]) - np.log(p[mask]))).sum()))
+        tvs.append(float(0.5 * np.abs(q - p).sum()))
+        briers.append(float(((q - p) ** 2).mean()))
+        if obs2 is not None and abs(obs2[0] - obs2[1]) >= DIRECTIONAL_GAP_THRESHOLD:
+            n_dir += 1
+            pred_sign = np.sign(pred.p_a - pred.p_b)
+            if pred_sign != 0 and pred_sign == np.sign(obs2[0] - obs2[1]):
+                n_correct += 1
+    if not kls:
+        raise ValidationError("every example was skipped (zero goal mass)")
+    accuracy = n_correct / n_dir if n_dir else 0.0
+    return np.mean(kls), np.mean(tvs), np.mean(briers), accuracy, n_dir, n_skipped
+
+
+def random_rows(rng, n, episodes):
+    """Count-based distributions with zeros, ties and zero goal mass."""
+    counts = rng.multinomial(episodes, rng.dirichlet(np.full(3, 0.4), size=n))
+    return counts / episodes
+
+
+@pytest.mark.parametrize("mode", list(MetricMode))
+@pytest.mark.parametrize("episodes", [1, 2, 5, 100])
+def test_vectorised_metrics_match_the_scalar_oracle(rng, mode, episodes):
+    for _ in range(20):
+        n = int(rng.integers(1, 60))
+        obs = random_rows(rng, n, episodes)
+        pred = rng.dirichlet(np.ones(3), size=n)
+        pred[rng.random(n) < 0.2, 1] = 0.0  # predictions without b
+        pred[rng.random(n) < 0.1] = [0.3, 0.3, 0.4]  # predicted ties
+        pred /= pred.sum(axis=1, keepdims=True)
+        pred_d = [ChoiceDistribution(*row) for row in pred.tolist()]
+        obs_d = [ChoiceDistribution(*row) for row in obs.tolist()]
+        try:
+            want = scalar_metrics(pred_d, obs_d, mode)
+        except ValidationError:
+            with pytest.raises(ValidationError, match="skipped"):
+                compute_metrics(pred, obs, mode)
+            continue
+        for given in ((pred, obs), (pred_d, obs_d)):
+            report = compute_metrics(*given, mode)
+            assert report.kl == pytest.approx(want[0], rel=0, abs=1e-12)
+            assert report.tv == pytest.approx(want[1], rel=0, abs=1e-12)
+            assert report.brier == pytest.approx(want[2], rel=0, abs=1e-12)
+            got = (report.directional_accuracy, report.n_directional, report.n_skipped)
+            assert got == want[3:]
+
+
+def test_two_way_zero_mass_prediction_raises():
+    pred = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    obs = np.array([[0.5, 0.5, 0.0], [0.6, 0.4, 0.0]])
+    with pytest.raises(NumericalError, match="zero goal mass"):
+        compute_metrics(pred, obs, MetricMode.TWO_WAY)
+    # the same prediction on an observation that two-way mode skips is fine
+    obs[1] = [0.0, 0.0, 1.0]
+    assert compute_metrics(pred, obs, MetricMode.TWO_WAY).n_skipped == 1
+
+
+def test_every_example_skipped_rejected():
+    with pytest.raises(ValidationError, match="skipped"):
+        compute_metrics([dist(0.5, 0.5, 0.0)], [dist(0.0, 0.0, 1.0)], MetricMode.TWO_WAY)
