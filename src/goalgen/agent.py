@@ -1,8 +1,19 @@
 """Desk-scale linear policy-gradient agent and preference rollout harness.
 
+``_episode`` steps the maze MDP. Each move goes up, down, left or right;
+a wall or the grid's edge leaves the agent in place. Reaching any object
+ends the episode: object 0, the rewarded goal, pays GOAL_REWARD (+1), any
+other object pays STEP_PENALTY (-0.1) like every other move, and an
+episode that reaches no object ends after HORIZON (200) moves. So reaching
+the goal on move t returns 1 - 0.1 * (t - 1). Evaluation pays no reward;
+it only tallies which object an episode reaches.
+
 The policy scores each action by a dot product between shared weights and
-that action's 20-dim observation (see maze.observe) and samples from the
-softmax. Training is REINFORCE on the total episode return against a
+that action's 20-dim observation and samples from the softmax. The
+observation sums the feature vectors of the objects the move brings
+strictly closer, by BFS distance, into components 0..9, and of those it
+takes strictly farther into 10..19; a blocked move observes nothing.
+Training is REINFORCE on the total episode return against a
 moving-average baseline, one stage at a time, with a fresh maze per
 episode. It steps one episode at a time, since each episode depends on the
 last update.
@@ -36,9 +47,11 @@ from .dataset import PreferenceRecord, TrainingPipeline
 from .errors import NumericalError, ValidationError
 from .features import ObjectFeatures, object_index
 from .maze import (
+    GOAL_REWARD,
     GRID_SIZE,
     HORIZON,
     N_OBSERVATION_FEATURES,
+    STEP_PENALTY,
     WALL_PROBABILITY,
     distance_field,
     generate_maze,
@@ -157,9 +170,9 @@ def _episode(
         pos = (r, c)
         if pos in obj_cells:
             idx = obj_cells.index(pos)
-            total += 1.0 if idx == 0 else -0.1
+            total += GOAL_REWARD if idx == 0 else STEP_PENALTY
             return idx, total, grad
-        total += -0.1
+        total += STEP_PENALTY
         if steps >= HORIZON:
             return -1, total, grad
 

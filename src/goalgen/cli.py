@@ -21,7 +21,7 @@ import numpy as np
 from . import agent as agent_mod
 from . import elo as elo_mod
 from . import fitting, harness, latent
-from .dataset import Dataset, load_dataset, load_pipelines, save_dataset
+from .dataset import Dataset, load_dataset, load_pipelines, read_json, save_dataset
 from .errors import NumericalError, ValidationError
 from .features import enumerate_eval_pairs
 from .fitting import FitConfig, ModelVariant
@@ -55,12 +55,7 @@ def load_config(path: str | Path | None) -> dict:
     """Load and validate the run configuration document."""
     if path is None:
         return {}
-    try:
-        data = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise ValidationError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: malformed config JSON ({exc})") from exc
+    data = read_json(path, "config")
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
     unknown = set(data) - set(_CONFIG_SCHEMA)
@@ -108,49 +103,50 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="goalgen", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, handler):
+        p.set_defaults(handler=handler)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", type=Path, default=None)
         p.add_argument("--out", type=Path, default=Path("out"))
 
     p = sub.add_parser("gen-data", help="train desk agents and emit preference data")
-    common(p)
+    common(p, _cmd_gen_data)
     p.add_argument("--pipelines", type=Path, required=True,
                    help="JSON file with a 'pipelines' map of id -> stage list")
     p.add_argument("--max-pairs", type=int, default=None,
                    help="evaluate only the first N canonical pairs")
 
     p = sub.add_parser("elo", help="fit anchored Elo tables per agent")
-    common(p)
+    common(p, _cmd_elo)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--folds", type=int, default=4)
 
     p = sub.add_parser("fit", help="fit a model variant")
-    common(p)
+    common(p, _cmd_fit)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--variant", default="full",
                    choices=[v.value for v in ModelVariant])
 
     p = sub.add_parser("eval", help="run a K-fold or transfer evaluation plan")
-    common(p)
+    common(p, _cmd_eval)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--plan", type=Path, required=True)
     p.add_argument("--variant", default="full",
                    choices=[v.value for v in ModelVariant])
 
     p = sub.add_parser("sweep-dim", help="sweep the latent dimension")
-    common(p)
+    common(p, _cmd_sweep_dim)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--dims", default="1-32", help="range like 1-32 or list like 1,2,4")
 
     p = sub.add_parser("project", help="closed-form projection trace for a pipeline")
-    common(p)
+    common(p, _cmd_project)
     p.add_argument("--hp", type=Path, required=True)
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--pipeline", required=True)
 
     p = sub.add_parser("check", help="run gradient and oracle self-tests")
-    common(p)
+    common(p, _cmd_check)
     return parser
 
 
@@ -436,16 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         config = load_config(args.config)
-        handler = {
-            "gen-data": _cmd_gen_data,
-            "elo": _cmd_elo,
-            "fit": _cmd_fit,
-            "eval": _cmd_eval,
-            "sweep-dim": _cmd_sweep_dim,
-            "project": _cmd_project,
-            "check": _cmd_check,
-        }[args.command]
-        return handler(args, config)
+        return args.handler(args, config)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

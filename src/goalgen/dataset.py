@@ -255,6 +255,26 @@ def _read_text(path: Path, what: str) -> str:
         raise ValidationError(f"{path}: cannot read {what} file ({exc})") from exc
 
 
+def _decode_json(text: str, where: str) -> object:
+    """``json.loads``; bad syntax, an integer past Python's digit limit or
+    nesting past the recursion limit raise ValidationError(where)."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise ValidationError(f"{where} ({exc})") from exc
+
+
+def read_json(path: str | Path, what: str) -> object:
+    """Read and decode the JSON input file at ``path``; ``what`` names the
+    file in errors, as in "plan file not found: ...".
+
+    A missing, unreadable or non-UTF-8 file or malformed JSON raises
+    ValidationError naming the path.
+    """
+    path = Path(path)
+    return _decode_json(_read_text(path, what), f"{path}: malformed {what} JSON")
+
+
 def _parse_pipelines(header: object, where: str) -> dict[str, TrainingPipeline]:
     """Parse a ``{"pipelines": {id: [stage, ...]}}`` document.
 
@@ -291,12 +311,7 @@ def _parse_pipelines(header: object, where: str) -> dict[str, TrainingPipeline]:
 
 def load_pipelines(path: str | Path) -> dict[str, TrainingPipeline]:
     """Load a JSON pipelines file (the same document as a dataset header)."""
-    path = Path(path)
-    try:
-        data = json.loads(_read_text(path, "pipelines"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: malformed JSON ({exc})") from exc
-    pipelines = _parse_pipelines(data, str(path))
+    pipelines = _parse_pipelines(read_json(path, "pipelines"), str(path))
     if not pipelines:
         raise ValidationError(f"{path}: no pipelines defined")
     return pipelines
@@ -309,19 +324,13 @@ def load_dataset(path: str | Path) -> Dataset:
     if not lines:
         raise ValidationError(f"{path}: empty dataset file")
 
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: malformed header line ({exc})") from exc
+    header = _decode_json(lines[0], f"{path}: malformed header line")
     pipelines = _parse_pipelines(header, str(path))
 
     records = []
     for i, line in enumerate(lines[1:]):
         where = f"record {i}"
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{where}: malformed JSON ({exc})") from exc
+        data = _decode_json(line, f"{where}: malformed JSON")
         records.append(_record_from_json(data, where))
 
     return Dataset(pipelines=pipelines, records=tuple(records))

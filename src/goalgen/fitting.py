@@ -717,6 +717,8 @@ def latent_dim_sweep(
     dims = list(dims) if dims is not None else list(range(1, 33))
     if not dims:
         raise ValidationError("no dimensions to sweep")
+    if min(dims) < 1:
+        raise ValidationError(f"latent dims must be at least 1, got {min(dims)}")
     config = config or FitConfig()
     prep = _Prepared(dataset.pipelines, dataset.records, ModelVariant.FULL)
     n_pipes, t_max = prep.stage_phi.shape[:2]

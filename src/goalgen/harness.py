@@ -17,6 +17,7 @@ from .dataset import (
     Dataset,
     TrainingPipeline,
     observed_rates,
+    read_json,
 )
 from .elo import EloTable
 from .errors import ValidationError
@@ -124,12 +125,7 @@ class EvaluationPlan:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "EvaluationPlan":
-        try:
-            data = json.loads(Path(path).read_text())
-        except FileNotFoundError as exc:
-            raise ValidationError(f"plan file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: malformed plan JSON ({exc})") from exc
+        data = read_json(path, "plan")
         try:
             return cls.from_json(data)
         except ValidationError as exc:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import ChoiceDistribution, TrainingPipeline, TrainingStage
+from .dataset import ChoiceDistribution, TrainingPipeline, TrainingStage, read_json
 from .errors import NumericalError, ValidationError
 from .features import N_FEATURES, ObjectFeatures, encode_features
 
@@ -352,9 +352,5 @@ def save_hyperparameters(hp: LpgHyperparameters, path: str | Path) -> None:
 
 
 def load_hyperparameters(path: str | Path) -> LpgHyperparameters:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: malformed JSON ({exc})") from exc
-    return hyperparameters_from_json(data)
+    return hyperparameters_from_json(read_json(path, "hyperparameters"))
 

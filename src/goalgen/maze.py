@@ -1,9 +1,10 @@
-"""Procedurally generated 8x8 maze MDP.
+"""Procedurally generated 8x8 mazes and their BFS distance fields.
 
 Wall cells are sampled independently (p = 0.2 by default) and the map is
 rejection-sampled until every vacant cell is reachable from every other.
-Reaching any object cell ends the episode; only the rewarded goal pays +1,
-every other transition pays -0.1, and episodes are cut off after 200 steps.
+The agent, the goal and an optional distractor then take distinct vacant
+cells. The reward and horizon constants live here; the episodes that use
+them are stepped in ``agent``.
 
 Connectivity and distance fields run breadth-first search on bitboards. The
 vacant cells of a size x size grid form one Python int, with bit
@@ -16,13 +17,12 @@ so any grid size works.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .features import ObjectFeatures, encode_features
+from .features import ObjectFeatures
 
 GRID_SIZE = 8
 HORIZON = 200
@@ -35,28 +35,6 @@ MAX_GENERATION_ATTEMPTS = 10_000
 # action moves strictly closer to (block 0) and strictly farther from
 # (block 1), by BFS distance.
 N_OBSERVATION_FEATURES = 20
-
-
-class Action(int, Enum):
-    UP = 0
-    DOWN = 1
-    LEFT = 2
-    RIGHT = 3
-
-
-_MOVES = {
-    Action.UP: (-1, 0),
-    Action.DOWN: (1, 0),
-    Action.LEFT: (0, -1),
-    Action.RIGHT: (0, 1),
-}
-
-
-class Outcome(str, Enum):
-    GOAL_A = "goal_a"
-    GOAL_B = "goal_b"
-    NONE = "none"
-    PENDING = "pending"
 
 
 @dataclass(frozen=True)
@@ -83,27 +61,6 @@ class MazeGrid:
         if self.distractor_pos is not None:
             cells.append(self.distractor_pos)
         return cells
-
-
-@dataclass(frozen=True)
-class EpisodeState:
-    """Episode progress through a maze.
-
-    ``rewarded`` marks whether the goal-slot object pays +1 on contact;
-    evaluation episodes run with rewarded=False (pure behavioural tally).
-    """
-
-    grid: MazeGrid
-    step_count: int = 0
-    terminated: bool = False
-    outcome: Outcome = Outcome.PENDING
-    rewarded: bool = True
-
-
-def _as_generator(rng: int | np.random.Generator) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 def _vacant_bits(walls: np.ndarray) -> int:
@@ -174,7 +131,7 @@ def distance_field(walls: np.ndarray, target: tuple[int, int]) -> np.ndarray:
 
 
 def generate_maze(
-    rng: int | np.random.Generator,
+    rng: np.random.Generator,
     objects: list[ObjectFeatures],
     wall_prob: float = WALL_PROBABILITY,
     size: int = GRID_SIZE,
@@ -183,14 +140,13 @@ def generate_maze(
     """Sample a connected maze and place objects and agent in distinct vacant cells."""
     if not 1 <= len(objects) <= 2:
         raise ValidationError(f"expected 1 or 2 objects, got {len(objects)}")
-    gen = _as_generator(rng)
     needed = len(objects) + 1
     for _ in range(max_attempts):
-        walls = gen.random((size, size)) < wall_prob
+        walls = rng.random((size, size)) < wall_prob
         if int((~walls).sum()) < needed or not _connected(walls):
             continue
         vacant = np.argwhere(~walls)
-        chosen = gen.choice(len(vacant), size=needed, replace=False)
+        chosen = rng.choice(len(vacant), size=needed, replace=False)
         cells = [tuple(int(x) for x in vacant[i]) for i in chosen]
         return MazeGrid(
             walls=walls,
@@ -204,76 +160,3 @@ def generate_maze(
         f"no connected maze with {needed} vacant cells found in "
         f"{max_attempts} attempts (wall_prob={wall_prob})"
     )
-
-
-def initial_state(grid: MazeGrid, rewarded: bool = True) -> EpisodeState:
-    return EpisodeState(grid=grid, rewarded=rewarded)
-
-
-def step(state: EpisodeState, action: Action) -> tuple[EpisodeState, float]:
-    """Apply one action; returns the new state and the transition reward."""
-    if state.terminated:
-        raise ValidationError("cannot step a terminated episode")
-    grid = state.grid
-    size = grid.walls.shape[0]
-    r, c = grid.agent_pos
-    dr, dc = _MOVES[Action(action)]
-    nr, nc = r + dr, c + dc
-    if not (0 <= nr < size and 0 <= nc < size) or grid.walls[nr, nc]:
-        nr, nc = r, c
-
-    step_count = state.step_count + 1
-    new_pos = (nr, nc)
-    cells = grid.object_cells
-
-    if new_pos in cells:
-        idx = cells.index(new_pos)
-        outcome = Outcome.GOAL_A if idx == 0 else Outcome.GOAL_B
-        reward = GOAL_REWARD if (idx == 0 and state.rewarded) else STEP_PENALTY
-        terminated = True
-    elif step_count >= HORIZON:
-        outcome = Outcome.NONE
-        reward = STEP_PENALTY
-        terminated = True
-    else:
-        outcome = Outcome.PENDING
-        reward = STEP_PENALTY
-        terminated = False
-
-    new_state = EpisodeState(
-        grid=replace(grid, agent_pos=new_pos),
-        step_count=step_count,
-        terminated=terminated,
-        outcome=outcome,
-        rewarded=state.rewarded,
-    )
-    return new_state, reward
-
-
-def observe(state: EpisodeState) -> np.ndarray:
-    """Per-action observation features, shape (4, 20).
-
-    For each action, the feature vectors of all objects the action moves
-    strictly closer to are summed into components 0..9, and those it moves
-    strictly farther from into components 10..19. A blocked move leaves all
-    distances unchanged and therefore contributes nothing.
-    """
-    if state.terminated:
-        raise ValidationError("cannot observe a terminated episode")
-    grid = state.grid
-    size = grid.walls.shape[0]
-    obs = np.zeros((len(_MOVES), N_OBSERVATION_FEATURES))
-    fields = [distance_field(grid.walls, cell) for cell in grid.object_cells]
-    vectors = [encode_features(obj) for obj in grid.objects]
-    r, c = grid.agent_pos
-    for action, (dr, dc) in _MOVES.items():
-        nr, nc = r + dr, c + dc
-        if not (0 <= nr < size and 0 <= nc < size) or grid.walls[nr, nc]:
-            nr, nc = r, c
-        for field, vec in zip(fields, vectors):
-            d0, d1 = field[r, c], field[nr, nc]
-            if d1 < d0:
-                obs[action.value, :10] += vec
-            elif d1 > d0:
-                obs[action.value, 10:] += vec
-    return obs

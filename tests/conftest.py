@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from goalgen.agent import _episode, _maze_tables
 from goalgen.dataset import (
     Dataset,
     PreferenceRecord,
@@ -96,6 +97,29 @@ def population_dataset(seed=0, n_pipelines=4, episodes=100):
             counts = rng.multinomial(episodes, predict_preferences(hp, w, a, b).as_tuple())
             records.append(PreferenceRecord(pid, a, b, *map(int, counts), episodes))
     return Dataset(pipelines, tuple(records))
+
+
+def steer_weights(obj, closer: float, farther: float) -> list[float]:
+    """Policy weights that add ``2 * closer`` to an action's score when the
+    move goes strictly closer to ``obj`` and ``2 * farther`` when it goes
+    strictly farther; a blocked move scores 0.
+
+    At +-400 every exp of the softmax but the top action's underflows to 0,
+    so the policy is deterministic wherever one action scores highest.
+    """
+    weights = [0.0] * 20
+    for i in obj.feature_indices():
+        weights[i] = closer
+        weights[10 + i] = farther
+    return weights
+
+
+def run_episode(grid, weights, seed=0, collect_grad=False):
+    """One ``agent._episode`` on ``grid``: (outcome, return, gradient)."""
+    rng = np.random.default_rng(seed)
+    return _episode(
+        *_maze_tables(grid), grid.agent_pos, list(weights), rng, collect_grad
+    )
 
 
 @pytest.fixture

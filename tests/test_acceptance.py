@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from conftest import random_pipelines, sample_records
+from conftest import random_pipelines, run_episode, sample_records, steer_weights
 from goalgen.cli import main
 from goalgen.dataset import (
     Dataset,
@@ -45,7 +45,7 @@ from goalgen.latent import (
     simulate_pipeline,
     stage_objective,
 )
-from goalgen.maze import Action, MazeGrid, distance_field, generate_maze, initial_state, step
+from goalgen.maze import MazeGrid, distance_field, generate_maze
 from goalgen.metrics import MetricMode, brier_score, compute_metrics, kl_divergence, total_variation
 from goalgen.selfcheck import inner_gradient_error, outer_gradient_error, projection_error
 
@@ -278,35 +278,32 @@ def test_environment_suite():
             _report("environment suite", False, "disconnected maze accepted")
             raise AssertionError("disconnected maze accepted")
 
-    # scripted straight-line episodes: return = 1 - 0.1 * (t - 1)
+    # The training episodes themselves, under deterministic policies.
+    # Straight to the goal: reaching it on move t returns 1 - 0.1 * (t - 1).
+    toward = steer_weights(OBJECTS[0], 400.0, -400.0)
     reward_ok = True
     for goal_col in (1, 4, 7):
         walls = np.zeros((8, 8), dtype=bool)
         grid = MazeGrid(
             walls=walls, agent_pos=(0, 0), goal_pos=(0, goal_col), goal=OBJECTS[0]
         )
-        state = initial_state(grid)
-        total, steps = 0.0, 0
-        while not state.terminated:
-            state, reward = step(state, Action.RIGHT)
-            total += reward
-            steps += 1
-        reward_ok = reward_ok and abs(total - (1.0 - 0.1 * (steps - 1))) < 1e-12
+        outcome, ret, _ = run_episode(grid, toward)
+        reward_ok = reward_ok and outcome == 0
+        reward_ok = reward_ok and abs(ret - (1.0 - 0.1 * (goal_col - 1))) < 1e-12
 
+    # Blocked forever in the corner: 200 moves of -0.1 and no outcome.
+    stay = steer_weights(OBJECTS[0], -400.0, -400.0)
     walls = np.zeros((8, 8), dtype=bool)
     grid = MazeGrid(walls=walls, agent_pos=(0, 0), goal_pos=(7, 7), goal=OBJECTS[0])
-    state = initial_state(grid)
-    count = 0
-    while not state.terminated:
-        state, _ = step(state, Action.UP)  # blocked forever
-        count += 1
-    horizon_ok = count == 200 and state.step_count == 200
+    outcome, ret, _ = run_episode(grid, stay)
+    count = round(-ret / 0.1)
+    horizon_ok = outcome == -1 and abs(ret + 20.0) < 1e-12
 
     ok = reward_ok and horizon_ok
     _report(
         "environment suite",
         ok,
-        f"1000 mazes connected, reward identity {reward_ok}, horizon at {count}",
+        f"1000 mazes connected, reward identity {reward_ok}, horizon at {count} moves",
     )
     assert reward_ok
     assert horizon_ok

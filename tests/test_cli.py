@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -516,6 +517,68 @@ def test_missing_plan_file_exits_1(tmp_path, data_file, capsys):
     )
     assert code == 1
     assert_one_line_error(capsys, "plan file not found", str(missing))
+
+
+def file_flag_argv(flag, path, data_file, out):
+    """A run whose only unusable input is ``path`` given as ``flag``."""
+    command = {"--hp": "project", "--config": "fit", "--plan": "eval"}[flag]
+    argv = [command, flag, str(path), "--data", str(data_file), "--out", str(out)]
+    if flag == "--hp":
+        argv += ["--pipeline", "p000"]
+    if flag == "--plan":
+        argv += ["--config", str(fast_config(out.parent))]
+    return argv
+
+
+@pytest.mark.parametrize("flag", ["--hp", "--config", "--plan"])
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+def test_unreadable_input_file_exits_1(tmp_path, data_file, capsys, flag, case):
+    path = tmp_path / "input.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf8":
+        path.write_bytes(b'{"k": "\xff\xfe"}')
+    out = tmp_path / "out"
+    assert main(file_flag_argv(flag, path, data_file, out)) == 1
+    what = {"--hp": "hyperparameters", "--config": "config", "--plan": "plan"}[flag]
+    if case == "missing":
+        assert_one_line_error(capsys, f"{what} file not found: {path}")
+    else:
+        assert_one_line_error(capsys, f"{path}: cannot read {what} file")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--hp", "--config", "--plan"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("{", id="truncated"),
+        pytest.param("[" * 100_000, id="deep"),
+        # Pythons from 3.10.7 refuse to decode integers past 4,300 digits.
+        pytest.param(
+            "[" + "1" * 5000 + "]",
+            id="long-integer",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"),
+                reason="no integer digit limit",
+            ),
+        ),
+    ],
+)
+def test_malformed_input_json_exits_1(tmp_path, data_file, capsys, flag, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main(file_flag_argv(flag, path, data_file, tmp_path / "out")) == 1
+    assert_one_line_error(capsys, str(path), "malformed", "JSON")
+
+
+@pytest.mark.parametrize("dims", ["0", "0-3", "2,0"])
+def test_sweep_dim_rejects_dims_below_one(tmp_path, data_file, capsys, dims):
+    out = tmp_path / "sweep"
+    code = main(["sweep-dim", "--data", str(data_file), "--dims", dims, "--out", str(out)])
+    assert code == 1
+    assert_one_line_error(capsys, "latent dims must be at least 1", "got 0")
+    assert not out.exists()
 
 
 def test_config_file_is_a_digested_input(tmp_path, data_file):

@@ -3,22 +3,25 @@ from collections import deque
 import numpy as np
 import pytest
 
+import goalgen.agent as agent_mod
+from conftest import run_episode, steer_weights
 from goalgen.errors import NumericalError, ValidationError
 from goalgen.features import Colour, ObjectFeatures, Shape
-from goalgen.maze import (
-    Action,
-    MazeGrid,
-    Outcome,
-    _connected,
-    distance_field,
-    generate_maze,
-    initial_state,
-    observe,
-    step,
-)
+from goalgen.maze import MazeGrid, _connected, distance_field, generate_maze
 
 RC = ObjectFeatures(Colour.RED, Shape.CROSS)
 BD = ObjectFeatures(Colour.BLUE, Shape.DIAMOND)
+PHI_RC = [0, 0, 0, 1, 0, 1, 0, 0, 0, 0]
+PHI_BD = [0, 1, 0, 0, 0, 0, 1, 0, 0, 0]
+
+# Deterministic policies: every move closer to the red cross, every move
+# away from it, and every blocked move (it scores 0, above -800).
+TOWARD = steer_weights(RC, 400.0, -400.0)
+FLEE = steer_weights(RC, -400.0, 400.0)
+STAY = steer_weights(RC, -400.0, -400.0)
+# The zero policy picks each action with probability 0.25; under this seed
+# its first move is RIGHT (the first uniform is at least 0.75).
+RIGHT_FIRST_SEED = next(s for s in range(64) if np.random.default_rng(s).random() >= 0.75)
 
 
 def oracle_distance_field(walls, target):
@@ -58,7 +61,7 @@ def corridor_grid(goal_col=7, agent_col=0, distractor=None, distractor_col=None)
 
 
 def test_zero_wall_probability_always_accepts():
-    grid = generate_maze(0, [RC], wall_prob=0.0)
+    grid = generate_maze(np.random.default_rng(0), [RC], wall_prob=0.0)
     assert not grid.walls.any()
 
 
@@ -73,8 +76,8 @@ def test_connectivity_of_generated_mazes():
 
 
 def test_same_seed_reproduces_grid():
-    g1 = generate_maze(1234, [RC, BD])
-    g2 = generate_maze(1234, [RC, BD])
+    g1 = generate_maze(np.random.default_rng(1234), [RC, BD])
+    g2 = generate_maze(np.random.default_rng(1234), [RC, BD])
     assert (g1.walls == g2.walls).all()
     assert g1.agent_pos == g2.agent_pos
     assert g1.goal_pos == g2.goal_pos
@@ -93,119 +96,111 @@ def test_placement_distinct_cells():
 
 def test_generation_budget_exhaustion():
     with pytest.raises(NumericalError, match="attempts"):
-        generate_maze(0, [RC], wall_prob=0.999, max_attempts=20)
+        generate_maze(np.random.default_rng(0), [RC], wall_prob=0.999, max_attempts=20)
 
 
 def test_object_count_validated():
     with pytest.raises(ValidationError):
-        generate_maze(0, [])
+        generate_maze(np.random.default_rng(0), [])
 
 
 def test_reaching_goal_pays_one_and_terminates():
-    state = initial_state(corridor_grid(goal_col=1))
-    state, reward = step(state, Action.RIGHT)
-    assert reward == 1.0
-    assert state.terminated
-    assert state.outcome is Outcome.GOAL_A
-
-
-def test_unrewarded_goal_contact_pays_step_penalty():
-    state = initial_state(corridor_grid(goal_col=1), rewarded=False)
-    state, reward = step(state, Action.RIGHT)
-    assert reward == -0.1
-    assert state.outcome is Outcome.GOAL_A
-
-
-def test_wall_blocks_movement():
-    walls = np.zeros((8, 8), dtype=bool)
-    walls[0, 1] = True
-    grid = MazeGrid(walls=walls, agent_pos=(0, 0), goal_pos=(0, 7), goal=RC)
-    state, reward = step(initial_state(grid), Action.RIGHT)
-    assert state.grid.agent_pos == (0, 0)
-    assert reward == -0.1
-    assert not state.terminated
-
-
-def test_edge_blocks_movement():
-    state, reward = step(initial_state(corridor_grid()), Action.UP)
-    assert state.grid.agent_pos == (0, 0)
-    assert reward == -0.1
-
-
-def test_horizon_terminates_at_exactly_200():
-    state = initial_state(corridor_grid())
-    for i in range(200):
-        assert not state.terminated
-        state, reward = step(state, Action.DOWN if i % 2 else Action.UP)
-    assert state.terminated
-    assert state.step_count == 200
-    assert state.outcome is Outcome.NONE
-    assert reward == -0.1
-
-
-def test_step_after_termination_rejected():
-    state = initial_state(corridor_grid(goal_col=1))
-    state, _ = step(state, Action.RIGHT)
-    with pytest.raises(ValidationError, match="terminated"):
-        step(state, Action.LEFT)
+    assert run_episode(corridor_grid(goal_col=1), TOWARD)[:2] == (0, 1.0)
 
 
 def test_return_accounting_identity():
-    # reaching the goal on step t yields return 1 - 0.1 * (t - 1)
-    for goal_col in (1, 3, 7):
-        state = initial_state(corridor_grid(goal_col=goal_col))
-        total = 0.0
-        steps = 0
-        while not state.terminated:
-            state, reward = step(state, Action.RIGHT)
-            total += reward
-            steps += 1
-        assert steps == goal_col
-        assert total == pytest.approx(1.0 - 0.1 * (steps - 1))
+    # reaching the goal on move t returns 1 - 0.1 * (t - 1)
+    for goal_col in (1, 4, 7):
+        outcome, ret, _ = run_episode(corridor_grid(goal_col=goal_col), TOWARD)
+        assert outcome == 0
+        assert abs(ret - (1.0 - 0.1 * (goal_col - 1))) < 1e-12
 
 
 def test_distractor_contact_terminates_with_goal_b():
     grid = corridor_grid(goal_col=7, distractor=BD, distractor_col=1)
-    state, reward = step(initial_state(grid), Action.RIGHT)
-    assert state.terminated
-    assert state.outcome is Outcome.GOAL_B
-    assert reward == -0.1
+    assert run_episode(grid, TOWARD)[:2] == (1, -0.1)
+
+
+def test_wall_blocks_movement():
+    # Walls on two sides: the only blocked moves run into them, so the
+    # agent stands next to the goal until the horizon.
+    walls = np.zeros((8, 8), dtype=bool)
+    walls[2, 3] = walls[3, 2] = True
+    grid = MazeGrid(walls=walls, agent_pos=(3, 3), goal_pos=(3, 4), goal=RC)
+    outcome, ret, _ = run_episode(grid, STAY)
+    assert outcome == -1
+    assert abs(ret + 20.0) < 1e-12
+    # A wall between agent and goal forces the 4-move detour below it.
+    walls = np.zeros((8, 8), dtype=bool)
+    walls[0, 1] = True
+    grid = MazeGrid(walls=walls, agent_pos=(0, 0), goal_pos=(0, 2), goal=RC)
+    outcome, ret, _ = run_episode(grid, TOWARD)
+    assert outcome == 0
+    assert abs(ret - 0.7) < 1e-12
+
+
+def test_edge_blocks_movement():
+    outcome, ret, _ = run_episode(corridor_grid(goal_col=1), STAY)
+    assert outcome == -1
+    assert abs(ret + 20.0) < 1e-12
+
+
+def test_horizon_terminates_at_exactly_200():
+    # Fleeing the goal ends in the corner (0, 0), where only the blocked
+    # moves do not approach it; 200 moves of -0.1 return -20.
+    walls = np.zeros((8, 8), dtype=bool)
+    grid = MazeGrid(walls=walls, agent_pos=(4, 4), goal_pos=(5, 5), goal=RC)
+    for seed in range(5):
+        outcome, ret, _ = run_episode(grid, FLEE, seed)
+        assert outcome == -1
+        assert abs(ret + 20.0) < 1e-12
 
 
 def test_observe_closer_sign():
-    grid = corridor_grid(goal_col=3)
-    obs = observe(initial_state(grid))
-    phi = [0, 0, 0, 1, 0, 1, 0, 0, 0, 0]
-    assert obs[Action.RIGHT.value, :10].tolist() == phi
-    assert obs[Action.RIGHT.value, 10:].tolist() == [0.0] * 10
-    # moving left is blocked by the edge: distance unchanged, no signal
-    assert obs[Action.LEFT.value].tolist() == [0.0] * 20
+    # One move under the zero policy: the score-function gradient is
+    # 0.75 * obs[RIGHT] - 0.25 * (obs[UP] + obs[DOWN] + obs[LEFT]). RIGHT
+    # goes closer to the goal, DOWN farther, UP and LEFT are blocked.
+    outcome, ret, grad = run_episode(
+        corridor_grid(goal_col=1), [0.0] * 20, RIGHT_FIRST_SEED, collect_grad=True
+    )
+    assert (outcome, ret) == (0, 1.0)
+    assert grad == [0.75 * x for x in PHI_RC] + [-0.25 * x for x in PHI_RC]
 
 
-def test_observe_farther_sign():
+def test_observe_farther_sign(monkeypatch):
+    # Move codes 3 * c0 + c1, with c_o 0, 1 or 2 as the move goes closer to,
+    # no nearer or farther from object o; both edge moves are blocked.
     walls = np.zeros((8, 8), dtype=bool)
-    grid = MazeGrid(walls=walls, agent_pos=(4, 4), goal_pos=(4, 6), goal=RC)
-    obs = observe(initial_state(grid))
-    phi = [0, 0, 0, 1, 0, 1, 0, 0, 0, 0]
-    assert obs[Action.LEFT.value, 10:].tolist() == phi
-    assert obs[Action.LEFT.value, :10].tolist() == [0.0] * 10
+    grid = MazeGrid(
+        walls=walls,
+        agent_pos=(0, 0),
+        goal_pos=(0, 3),
+        goal=RC,
+        distractor_pos=(3, 0),
+        distractor=BD,
+    )
+    monkeypatch.setattr(agent_mod, "generate_maze", lambda rng, objects, wall_prob: grid)
+    start, codes, obj_at, _ = agent_mod._maze_pass([(0, 0)], [(0, 1)], [(RC, BD)], 0, 0.2)
+    # UP, DOWN, LEFT, RIGHT
+    assert codes[start[0]].tolist() == [4, 3 * 2 + 0, 4, 3 * 0 + 2]
+    assert obj_at[[3, 24, 0]].tolist() == [0, 1, -1]
 
 
 def test_observe_two_objects_sum():
+    # RIGHT reaches the goal and goes closer to the distractor behind it;
+    # every other move goes farther from both.
     walls = np.zeros((8, 8), dtype=bool)
     grid = MazeGrid(
         walls=walls,
         agent_pos=(4, 4),
-        goal_pos=(4, 7),
+        goal_pos=(4, 5),
         goal=RC,
         distractor_pos=(4, 6),
         distractor=BD,
     )
-    obs = observe(initial_state(grid))
-    expected = np.zeros(10)
-    expected[[3, 5]] += 1  # red cross
-    expected[[1, 6]] += 1  # blue diamond
-    assert obs[Action.RIGHT.value, :10].tolist() == expected.tolist()
+    _, _, grad = run_episode(grid, [0.0] * 20, RIGHT_FIRST_SEED, collect_grad=True)
+    both = np.add(PHI_RC, PHI_BD)
+    assert grad == [*(0.75 * both), *(-0.75 * both)]
 
 
 def test_distance_field_rejects_wall_target():
@@ -239,6 +234,6 @@ def test_bitboard_bfs_matches_queue_oracle():
 
 def test_generate_maze_any_size():
     for size in (2, 3, 12):
-        grid = generate_maze(size, [RC], wall_prob=0.3, size=size)
+        grid = generate_maze(np.random.default_rng(size), [RC], wall_prob=0.3, size=size)
         assert grid.walls.shape == (size, size)
         assert oracle_connected(grid.walls)
