@@ -16,7 +16,6 @@ from .dataset import (
     TrainingPipeline,
     TrainingStage,
     load_dataset,
-    record_to_distribution,
     save_dataset,
 )
 from .errors import NumericalError, ValidationError
@@ -71,7 +70,6 @@ __all__ = [
     "identity_hyperparameters",
     "load_dataset",
     "predict_preferences",
-    "record_to_distribution",
     "save_dataset",
     "similarity_metric",
     "simulate_pipeline",

@@ -249,34 +249,6 @@ def train_desk_agent(
     return trained
 
 
-def mean_return(
-    policy: DeskPolicyParameters,
-    goal: ObjectFeatures,
-    n_episodes: int = 100,
-    rng_seed: int = 0,
-    wall_prob: float = WALL_PROBABILITY,
-) -> float:
-    """Average return of the policy on fresh single-goal mazes (goal rewarded)."""
-    rng = np.random.default_rng([0x6D65616E, rng_seed])
-    w_list = policy.weights.tolist()
-    total = 0.0
-    for _ in range(n_episodes):
-        grid = generate_maze(rng, [goal], wall_prob)
-        walls_rows, dist_rows, feature_idx, cells = _maze_tables(grid)
-        _, ret, _ = _episode(
-            walls_rows,
-            dist_rows,
-            feature_idx,
-            cells,
-            grid.agent_pos,
-            w_list,
-            rng,
-            collect_grad=False,
-        )
-        total += ret
-    return total / n_episodes
-
-
 def _softmax_tables(
     weights: np.ndarray, pairs: list[tuple[ObjectFeatures, ObjectFeatures]]
 ) -> tuple[np.ndarray, np.ndarray]:

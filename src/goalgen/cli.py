@@ -11,6 +11,7 @@ error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -79,17 +80,9 @@ def load_config(path: str | Path | None) -> dict:
 
 
 def fit_config_from(config: dict, seed: int) -> FitConfig:
-    keys = (
-        "learning_rate",
-        "batch_size",
-        "epochs",
-        "adam_beta1",
-        "adam_beta2",
-        "n_integration_steps",
-        "latent_dim",
-    )
-    kwargs = {k: config[k] for k in keys if k in config}
-    return FitConfig(rng_seed=seed, **kwargs)
+    """The config's FitConfig keys, seeded by ``--seed``."""
+    keys = {f.name for f in dataclasses.fields(FitConfig)} - {"rng_seed"}
+    return FitConfig(rng_seed=seed, **{k: v for k, v in config.items() if k in keys})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -431,6 +424,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed < 0:
+            raise ValidationError(f"--seed must be at least 0, got {args.seed}")
         config = load_config(args.config)
         return args.handler(args, config)
     except ValidationError as exc:

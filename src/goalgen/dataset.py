@@ -66,9 +66,6 @@ class ChoiceDistribution:
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.p_a, self.p_b, self.p_none)
 
-    def swapped(self) -> "ChoiceDistribution":
-        return ChoiceDistribution(self.p_b, self.p_a, self.p_none)
-
 
 @dataclass(frozen=True)
 class PreferenceRecord:
@@ -109,16 +106,6 @@ class PreferenceRecord:
             count_none=self.count_none,
             episodes=self.episodes,
         )
-
-
-def record_to_distribution(record: PreferenceRecord) -> ChoiceDistribution:
-    """Empirical three-way distribution of a record."""
-    if record.episodes <= 0:
-        raise ValidationError("record has no episodes")
-    n = record.episodes
-    return ChoiceDistribution(
-        record.count_a / n, record.count_b / n, record.count_none / n
-    )
 
 
 def observed_rates(records: list[PreferenceRecord]) -> np.ndarray:

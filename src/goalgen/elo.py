@@ -31,28 +31,11 @@ CONVERGENCE_TOL = 1e-6
 MAX_ITERATIONS = 100_000
 
 Competitor = ObjectFeatures | None  # None is the no-goal competitor
-# Competitor codes: the objects in table order, then the no-goal competitor.
-_COMPETITORS: list[Competitor] = [
-    *sorted(enumerate_objects(), key=lambda o: (o.colour.value, o.shape.value)),
-    None,
-]
+# Competitor codes: the objects in canonical order, then the no-goal competitor.
+_COMPETITORS: list[Competitor] = [*enumerate_objects(), None]
 _CODE = {c: i for i, c in enumerate(_COMPETITORS)}
 _NO_GOAL = _CODE[None]
 K = TypeVar("K", bound=Hashable)
-
-
-@dataclass(frozen=True)
-class PairwiseComparison:
-    competitor_a: Competitor
-    competitor_b: Competitor
-    win_rate_a: float
-    weight: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.win_rate_a <= 1.0:
-            raise ValidationError(f"win_rate_a {self.win_rate_a} outside [0, 1]")
-        if not math.isfinite(self.weight) or self.weight < 0:
-            raise ValidationError(f"bad comparison weight {self.weight}")
 
 
 @dataclass(frozen=True)
@@ -74,22 +57,6 @@ class EloTable:
         if competitor not in self.scores:
             raise ValidationError(f"unknown competitor {competitor.name}")
         return self.scores[competitor]
-
-
-def to_pairwise(record: PreferenceRecord) -> list[PairwiseComparison]:
-    """Three masked-and-renormalised comparisons from one record: (a, b),
-    (a, no goal) and (b, no goal).
-
-    Each comparison is weighted by the probability mass of its two
-    outcomes; a comparison whose outcomes never occurred gets weight 0
-    (its win rate is reported as 0.5 but carries no information).
-    """
-    rc = RecordComparisons([record])
-    columns = (rc.code_a[0], rc.code_b[0], rc.rate[0], rc.weight[0])
-    return [
-        PairwiseComparison(_COMPETITORS[a], _COMPETITORS[b], rate, weight)
-        for a, b, rate, weight in zip(*(c.tolist() for c in columns))
-    ]
 
 
 def elo_predict(table: EloTable, a: Competitor, b: Competitor) -> float:
@@ -114,44 +81,14 @@ class EloProblem:
     weight: np.ndarray
     weighted_rate: np.ndarray
 
-    @classmethod
-    def merged(cls, code_a, code_b, weight, weighted_rate) -> EloProblem:
-        """Comparisons given as competitor codes (``_CODE``) and arrays,
-        merged per ordered pair in order of first appearance. Each sum
-        accumulates in input order, as adding comparison by comparison does.
-        """
-        keep = weight > 0
-        if not keep.any():
-            raise ValidationError("no positive-weight comparisons to fit")
-        key = code_a[keep] * (_NO_GOAL + 1) + code_b[keep]
-        pairs, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        order = np.argsort(first)  # the pairs in order of first appearance
-        rank = np.argsort(order)[inverse]
-        pair_a, pair_b = np.divmod(pairs[order], _NO_GOAL + 1)
-        codes = np.unique(np.concatenate([pair_a, pair_b]))
-        codes = codes[codes < _NO_GOAL]  # the no-goal slot comes last
-        return cls(
-            tuple(_COMPETITORS[c] for c in codes),
-            np.searchsorted(codes, pair_a),
-            np.searchsorted(codes, pair_b),
-            np.bincount(rank, weights=weight[keep]),
-            np.bincount(rank, weights=weighted_rate[keep]),
-        )
-
-    @classmethod
-    def from_comparisons(cls, comparisons: Iterable[PairwiseComparison]) -> EloProblem:
-        cs = list(comparisons)
-        return cls.merged(
-            np.array([_CODE[c.competitor_a] for c in cs], dtype=int),
-            np.array([_CODE[c.competitor_b] for c in cs], dtype=int),
-            np.array([c.weight for c in cs], dtype=float),
-            np.array([c.weight * c.win_rate_a for c in cs], dtype=float),
-        )
-
 
 class RecordComparisons:
-    """The three ``to_pairwise`` comparisons of every record as (R, 3)
-    arrays, built once; ``problem`` merges those of some of the records.
+    """Every record's three masked-and-renormalised comparisons, (a, b),
+    (a, no goal) and (b, no goal), as (R, 3) arrays built once.
+
+    Each comparison is weighted by the probability mass of its two
+    outcomes; one whose outcomes never occurred gets weight 0 and rate 0.5.
+    ``problem`` merges the comparisons of some of the records.
     """
 
     def __init__(self, records: Sequence[PreferenceRecord]):
@@ -169,10 +106,31 @@ class RecordComparisons:
         np.divide(pa, self.weight, out=self.rate, where=self.weight > 0)
 
     def problem(self, records: Iterable[PreferenceRecord] | None = None) -> EloProblem:
-        """The merged problem of the given records (default: all), in order."""
+        """The merged problem of the given records (default: all), in order.
+
+        Pairs appear in order of first appearance, and each sum accumulates
+        in record order, as adding comparison by comparison does.
+        """
         rows = slice(None) if records is None else [self.row[r] for r in records]
         arrays = (self.code_a, self.code_b, self.weight, self.weight * self.rate)
-        return EloProblem.merged(*(x[rows].ravel() for x in arrays))
+        code_a, code_b, weight, weighted_rate = (x[rows].ravel() for x in arrays)
+        keep = weight > 0
+        if not keep.any():
+            raise ValidationError("no positive-weight comparisons to fit")
+        key = code_a[keep] * (_NO_GOAL + 1) + code_b[keep]
+        pairs, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # the pairs in order of first appearance
+        rank = np.argsort(order)[inverse]
+        pair_a, pair_b = np.divmod(pairs[order], _NO_GOAL + 1)
+        codes = np.unique(np.concatenate([pair_a, pair_b]))
+        codes = codes[codes < _NO_GOAL]  # the no-goal slot comes last
+        return EloProblem(
+            tuple(_COMPETITORS[c] for c in codes),
+            np.searchsorted(codes, pair_a),
+            np.searchsorted(codes, pair_b),
+            np.bincount(rank, weights=weight[keep]),
+            np.bincount(rank, weights=weighted_rate[keep]),
+        )
 
 
 def fit_elo_many(
@@ -251,13 +209,13 @@ def _stack(problems: list[EloProblem]):
 
 
 def fit_elo(
-    comparisons: Iterable[PairwiseComparison],
+    records: Sequence[PreferenceRecord],
     step: float = GRADIENT_STEP,
     tol: float = CONVERGENCE_TOL,
     max_iterations: int = MAX_ITERATIONS,
 ) -> EloTable:
-    """Scores for one set of comparisons; see ``fit_elo_many``."""
-    problem = EloProblem.from_comparisons(comparisons)
+    """Scores fitted to one set of records; see ``fit_elo_many``."""
+    problem = RecordComparisons(records).problem()
     return fit_elo_many({None: problem}, step, tol, max_iterations)[None]
 
 

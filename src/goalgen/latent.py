@@ -115,10 +115,6 @@ class LpgHyperparameters:
             return N_EXPANDED
         return self.saliency.shape[1]
 
-    @property
-    def n_features(self) -> int:
-        return N_EXPANDED if self.variant is SaliencyVariant.QUADRATIC else N_FEATURES
-
     def matrix(self) -> np.ndarray:
         """Dense saliency matrix, (n_features, latent_dim)."""
         if self.variant is SaliencyVariant.QUADRATIC:

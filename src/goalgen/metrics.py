@@ -15,7 +15,6 @@ from enum import Enum
 
 import numpy as np
 
-from .dataset import ChoiceDistribution
 from .errors import NumericalError, ValidationError
 
 DIRECTIONAL_GAP_THRESHOLD = 0.10
@@ -63,23 +62,16 @@ def brier_score(observed: np.ndarray, predicted: np.ndarray) -> float | np.ndarr
     return _per_row((diff**2).mean(axis=-1))
 
 
-def _rows(dists) -> np.ndarray:
-    """Distributions as an (R, 3) array; rows may be ChoiceDistributions."""
-    if not isinstance(dists, np.ndarray):
-        dists = [
-            d.as_tuple() if isinstance(d, ChoiceDistribution) else d for d in dists
-        ]
-    return np.asarray(dists, dtype=float).reshape(-1, 3)
-
-
 def compute_metrics(
-    predictions: np.ndarray | list[ChoiceDistribution],
-    observations: np.ndarray | list[ChoiceDistribution],
+    predictions: np.ndarray,
+    observations: np.ndarray,
     mode: MetricMode = MetricMode.THREE_WAY,
 ) -> MetricsReport:
-    """Score aligned (R, 3) predicted and observed (a, b, neither) rows."""
+    """Score aligned (R, 3) predicted and observed (a, b, neither) rows,
+    given as arrays or nested sequences."""
     mode = MetricMode(mode)
-    pred, obs = _rows(predictions), _rows(observations)
+    pred = np.asarray(predictions, dtype=float).reshape(-1, 3)
+    obs = np.asarray(observations, dtype=float).reshape(-1, 3)
     if len(pred) != len(obs):
         raise ValidationError(f"{len(pred)} predictions vs {len(obs)} observations")
     if not len(pred):

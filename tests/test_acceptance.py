@@ -19,9 +19,9 @@ from goalgen.dataset import (
     TrainingPipeline,
     TrainingStage,
     load_dataset,
-    record_to_distribution,
+    observed_rates,
 )
-from goalgen.elo import elo_holdout_validation, elo_predict, fit_elo, to_pairwise
+from goalgen.elo import elo_holdout_validation, elo_predict, fit_elo
 from goalgen.features import (
     Colour,
     ObjectFeatures,
@@ -158,8 +158,9 @@ def test_synthetic_recovery():
             holdout.append(rec)
             train_keys.add((rec.pipeline_id, rec.object_a, rec.object_b))
     predictions = predicted_distributions(result.hyperparameters, dataset, holdout)
-    observations = [record_to_distribution(r) for r in holdout]
-    report = compute_metrics(predictions, observations, MetricMode.TWO_WAY)
+    report = compute_metrics(
+        [p.as_tuple() for p in predictions], observed_rates(holdout), MetricMode.TWO_WAY
+    )
 
     ok = gap < 0.01 and elapsed < 60.0 and report.directional_accuracy >= 0.9
     _report(
@@ -243,7 +244,7 @@ def test_elo_suite():
     report = elo_holdout_validation(records, k=4, rng_seed=3)
     holdout_ok = report.directional_accuracy > 0.95
 
-    table = fit_elo([c for r in records for c in to_pairwise(r)])
+    table = fit_elo(records)
     anchor_ok = table.no_goal_score == 0.0
 
     def logit10(p):
@@ -384,12 +385,8 @@ def test_metrics_identities():
     bs = brier_score(p, u)
     values_ok = abs(tv - 2.0 / 3.0) < 1e-12 and abs(bs - 0.2222) < 5e-5
 
-    from goalgen.dataset import ChoiceDistribution
-
     excluded = compute_metrics(
-        [ChoiceDistribution(0.2, 0.7, 0.1)],
-        [ChoiceDistribution(0.54, 0.46, 0.0)],
-        MetricMode.THREE_WAY,
+        [[0.2, 0.7, 0.1]], [[0.54, 0.46, 0.0]], MetricMode.THREE_WAY
     )
     threshold_ok = excluded.n_directional == 0
 

@@ -11,7 +11,6 @@ from goalgen.agent import (
     _episode,
     _maze_tables,
     evaluate_preferences,
-    mean_return,
     train_desk_agent,
 )
 from goalgen.dataset import PreferenceRecord, TrainingPipeline, TrainingStage
@@ -34,14 +33,20 @@ SINGLE = TrainingPipeline("single", (TrainingStage(RC),))
 
 
 @pytest.fixture(scope="module")
-def trained_single():
-    return train_desk_agent(SINGLE, DeskPolicyParameters(), rng_seed=0)
+def single_with_history():
+    return train_desk_agent(
+        SINGLE, DeskPolicyParameters(), rng_seed=0, with_history=True
+    )
 
 
-def test_training_improves_mean_return(trained_single):
-    before = mean_return(DeskPolicyParameters(), RC, 100, rng_seed=1)
-    after = mean_return(trained_single, RC, 100, rng_seed=1)
-    assert after > before
+@pytest.fixture(scope="module")
+def trained_single(single_with_history):
+    return single_with_history[0]
+
+
+def test_training_improves_mean_return(single_with_history):
+    (returns,) = single_with_history[1]
+    assert np.mean(returns[-200:]) > np.mean(returns[:200])
 
 
 def test_zero_episodes_returns_params_unchanged():

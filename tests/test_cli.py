@@ -221,6 +221,27 @@ def test_elo_rejects_fewer_than_two_folds(tmp_path, data_file, capsys, folds):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command", ["gen-data", "elo", "fit", "eval", "sweep-dim", "check"]
+)
+def test_negative_seed_exits_1(tmp_path, data_file, capsys, command):
+    pipelines = tmp_path / "pipes.json"
+    stage = {"goal": {"colour": "red", "shape": "cross"}, "distractor": None}
+    pipelines.write_text(json.dumps({"pipelines": {"demo": [stage]}}))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"k": 2}))
+    inputs = {
+        "gen-data": ["--pipelines", str(pipelines)],
+        "eval": ["--data", str(data_file), "--plan", str(plan)],
+        "check": [],
+    }.get(command, ["--data", str(data_file)])
+    out = tmp_path / "out"
+    assert main([command, *inputs, "--out", str(out), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: --seed must be at least 0, got -1"]
+    assert not out.exists()
+
+
 def test_sweep_dim_command(tmp_path, data_file):
     out = tmp_path / "sweep"
     code = main(

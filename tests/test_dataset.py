@@ -9,7 +9,7 @@ from goalgen.dataset import (
     TrainingPipeline,
     TrainingStage,
     load_dataset,
-    record_to_distribution,
+    observed_rates,
     save_dataset,
 )
 from goalgen.errors import ValidationError
@@ -32,20 +32,23 @@ def two_record_dataset():
     return Dataset(pipes, records)
 
 
-def test_record_to_distribution_from_counts():
+def test_observed_rates_from_counts():
     rec = PreferenceRecord("one", RC, BD, 73, 27, 0, 100)
-    dist = record_to_distribution(rec)
-    assert dist.as_tuple() == (0.73, 0.27, 0.0)
+    assert observed_rates([rec]).tolist() == [[0.73, 0.27, 0.0]]
 
 
-def test_record_to_distribution_degenerate_none():
+def test_observed_rates_degenerate_none():
     rec = PreferenceRecord("one", RC, BD, 0, 0, 100, 100)
-    assert record_to_distribution(rec).as_tuple() == (0.0, 0.0, 1.0)
+    assert observed_rates([rec]).tolist() == [[0.0, 0.0, 1.0]]
 
 
-def test_record_to_distribution_plain_arithmetic():
-    rec = PreferenceRecord("one", RC, BD, 50, 30, 20, 100)
-    assert record_to_distribution(rec).as_tuple() == (0.5, 0.3, 0.2)
+def test_observed_rates_plain_arithmetic():
+    recs = [
+        PreferenceRecord("one", RC, BD, 50, 30, 20, 100),
+        PreferenceRecord("one", BD, GP, 1, 2, 5, 8),
+    ]
+    assert observed_rates(recs).tolist() == [[0.5, 0.3, 0.2], [1 / 8, 2 / 8, 5 / 8]]
+    assert observed_rates([]).shape == (0, 3)
 
 
 def test_count_mismatch_rejected():

@@ -17,7 +17,8 @@ from goalgen.elo import (
     RIDGE,
     EloProblem,
     EloTable,
-    PairwiseComparison,
+    RecordComparisons,
+    _COMPETITORS,
     elo_holdout_validation,
     elo_predict,
     elo_table_to_csv,
@@ -26,7 +27,6 @@ from goalgen.elo import (
     holdout_folds,
     marginalised_elo,
     score_holdout,
-    to_pairwise,
 )
 from goalgen.errors import NumericalError, ValidationError
 from goalgen.features import Colour, ObjectFeatures, Shape, enumerate_objects
@@ -39,50 +39,64 @@ def record(count_a, count_b, count_none, episodes=100, a=RC, b=BD, pid="agent"):
     return PreferenceRecord(pid, a, b, count_a, count_b, count_none, episodes)
 
 
-def test_to_pairwise_no_null_mass():
-    a_vs_b, a_vs_none, b_vs_none = to_pairwise(record(73, 27, 0))
-    assert a_vs_b.win_rate_a == pytest.approx(0.73)
-    assert a_vs_b.weight == pytest.approx(1.0)
-    assert a_vs_none.win_rate_a == 1.0
-    assert a_vs_none.weight == pytest.approx(0.73)
-    assert b_vs_none.weight == pytest.approx(0.27)
+def comparisons_of_record(count_a, count_b, count_none):
+    """RecordComparisons' (a, b), (a, no goal), (b, no goal) columns of one
+    record: competitor a, competitor b, win rate of a and weight."""
+    rc = RecordComparisons([record(count_a, count_b, count_none)])
+    a = [_COMPETITORS[c] for c in rc.code_a[0]]
+    b = [_COMPETITORS[c] for c in rc.code_b[0]]
+    return list(zip(a, b, rc.rate[0].tolist(), rc.weight[0].tolist()))
 
 
-def test_to_pairwise_even_split():
-    _, a_vs_none, _ = to_pairwise(record(50, 50, 0))
-    assert a_vs_none.win_rate_a == 1.0
-    assert a_vs_none.weight == pytest.approx(0.5)
+def test_record_comparisons_no_null_mass():
+    a_vs_b, a_vs_none, b_vs_none = comparisons_of_record(73, 27, 0)
+    assert [c[:2] for c in (a_vs_b, a_vs_none, b_vs_none)] == [
+        (RC, BD),
+        (RC, None),
+        (BD, None),
+    ]
+    assert a_vs_b[2] == pytest.approx(0.73)
+    assert a_vs_b[3] == pytest.approx(1.0)
+    assert a_vs_none[2] == 1.0
+    assert a_vs_none[3] == pytest.approx(0.73)
+    assert b_vs_none[3] == pytest.approx(0.27)
 
 
-def test_to_pairwise_zero_mass_comparison():
-    a_vs_b, a_vs_none, b_vs_none = to_pairwise(record(0, 0, 100))
-    assert a_vs_b.weight == 0.0
-    assert a_vs_none.win_rate_a == 0.0
-    assert b_vs_none.weight == pytest.approx(1.0)
+def test_record_comparisons_even_split():
+    _, a_vs_none, _ = comparisons_of_record(50, 50, 0)
+    assert a_vs_none[2] == 1.0
+    assert a_vs_none[3] == pytest.approx(0.5)
+
+
+def test_record_comparisons_zero_mass_comparison():
+    a_vs_b, a_vs_none, b_vs_none = comparisons_of_record(0, 0, 100)
+    assert a_vs_b[2:] == (0.5, 0.0)
+    assert a_vs_none[2] == 0.0
+    assert b_vs_none[3] == pytest.approx(1.0)
 
 
 def test_masked_rates_renormalise():
-    a_vs_b, a_vs_none, b_vs_none = to_pairwise(record(50, 30, 20))
-    assert a_vs_b.win_rate_a == pytest.approx(50 / 80)
-    assert a_vs_none.win_rate_a == pytest.approx(50 / 70)
-    assert b_vs_none.win_rate_a == pytest.approx(30 / 50)
+    a_vs_b, a_vs_none, b_vs_none = comparisons_of_record(50, 30, 20)
+    assert a_vs_b[2] == pytest.approx(50 / 80)
+    assert a_vs_none[2] == pytest.approx(50 / 70)
+    assert b_vs_none[2] == pytest.approx(30 / 50)
 
 
 def test_fit_symmetric_data_gives_equal_scores():
-    comparisons = to_pairwise(record(40, 40, 20))
-    table = fit_elo(comparisons)
+    table = fit_elo([record(40, 40, 20)])
     assert table.scores[RC] == pytest.approx(table.scores[BD], abs=1e-6)
 
 
 def test_fit_single_comparison_recovers_400_gap():
-    comparisons = [PairwiseComparison(RC, BD, 10 / 11, 1.0)]
-    table = fit_elo(comparisons + [PairwiseComparison(RC, None, 0.5, 1.0)])
+    # 50:5 between the objects is 10:1, and 50:45 and 5:45 against no goal
+    # agree with it, so the optimum puts RC exactly 400 points above BD.
+    table = fit_elo([record(50, 5, 45)])
     gap = table.scores[RC] - table.scores[BD]
     assert gap == pytest.approx(400.0, abs=2.0)
 
 
 def test_anchoring_no_goal_at_zero():
-    table = fit_elo(to_pairwise(record(60, 25, 15)))
+    table = fit_elo([record(60, 25, 15)])
     assert table.no_goal_score == 0.0
     # P(object > no-goal) is the link applied to the anchored score itself
     for obj in (RC, BD):
@@ -93,9 +107,9 @@ def test_anchoring_no_goal_at_zero():
 def test_duplicating_comparisons_leaves_fit_unchanged():
     # The likelihood argmax is duplication-invariant; the fixed 1e-8 ridge
     # breaks exactness by ~0.1 Elo in 240, hence the sub-Elo tolerance.
-    comparisons = to_pairwise(record(60, 25, 15))
-    t1 = fit_elo(comparisons)
-    t2 = fit_elo(comparisons + comparisons)
+    records = [record(60, 25, 15)]
+    t1 = fit_elo(records)
+    t2 = fit_elo(records + records)
     for obj in t1.scores:
         assert t1.scores[obj] == pytest.approx(t2.scores[obj], abs=0.5)
 
@@ -201,8 +215,9 @@ def test_holdout_requires_enough_records():
 
 
 def test_fit_requires_positive_weight():
-    with pytest.raises(ValidationError):
-        fit_elo([PairwiseComparison(RC, BD, 0.5, 0.0)])
+    # Every record has positive-weight comparisons, so only no records lack them.
+    with pytest.raises(ValidationError, match="no positive-weight"):
+        fit_elo([])
 
 
 def test_table_csv_round(tmp_path):
@@ -215,6 +230,22 @@ def test_table_csv_round(tmp_path):
     assert len(lines) == 4
 
 
+def masked_comparisons(records):
+    """Each record's (a, b), (a, no goal) and (b, no goal) comparisons, one
+    by one, as (competitor a, competitor b, win rate of a, weight)."""
+    comparisons = []
+    for r in records:
+        p = {
+            r.object_a: r.count_a / r.episodes,
+            r.object_b: r.count_b / r.episodes,
+            None: r.count_none / r.episodes,
+        }
+        for a, b in ((r.object_a, r.object_b), (r.object_a, None), (r.object_b, None)):
+            weight = p[a] + p[b]
+            comparisons.append((a, b, p[a] / weight if weight > 0 else 0.5, weight))
+    return comparisons
+
+
 def serial_fit_elo(
     comparisons,
     step=GRADIENT_STEP,
@@ -223,8 +254,8 @@ def serial_fit_elo(
 ):
     """The one-problem gradient descent that fit_elo_many runs in lockstep,
     one term per comparison: the oracle for the merged, batched solver."""
-    active = [c for c in comparisons if c.weight > 0]
-    competitors = {c.competitor_a for c in active} | {c.competitor_b for c in active}
+    active = [c for c in comparisons if c[3] > 0]
+    competitors = {c[0] for c in active} | {c[1] for c in active}
     objects = sorted(
         competitors - {None}, key=lambda o: (o.colour.value, o.shape.value)
     )
@@ -232,10 +263,10 @@ def serial_fit_elo(
     index[None] = len(objects)
     n = len(objects) + 1
 
-    ia = np.array([index[c.competitor_a] for c in active])
-    ib = np.array([index[c.competitor_b] for c in active])
-    rate = np.array([c.win_rate_a for c in active])
-    weight = np.array([c.weight for c in active])
+    ia = np.array([index[c[0]] for c in active])
+    ib = np.array([index[c[1]] for c in active])
+    rate = np.array([c[2] for c in active])
+    weight = np.array([c[3] for c in active])
 
     scores = np.zeros(n)
     for iteration in range(1, max_iterations + 1):
@@ -262,35 +293,36 @@ def serial_fit_elo(
     )
 
 
-def comparisons_of(records):
-    return [c for rec in records for c in to_pairwise(rec)]
-
-
 def fit_problems(dataset, k=4, rng_seed=0):
-    """Each pipeline's full comparisons and its K training folds, by name."""
+    """Each pipeline's full records and its K training folds, by name."""
     problems = {}
     for pid in sorted(dataset.pipelines):
         records = dataset.records_for(pid)
-        problems[f"pipeline {pid}"] = comparisons_of(records)
+        problems[f"pipeline {pid}"] = records
         for i, (train, _) in enumerate(holdout_folds(records, k, rng_seed)):
-            problems[f"pipeline {pid} (fold {i})"] = comparisons_of(train)
+            problems[f"pipeline {pid} (fold {i})"] = train
     return problems
 
 
+def assert_matches_table(got, want, key):
+    assert got.iterations == want.iterations, key
+    assert got.scores.keys() == want.scores.keys(), key
+    for obj, score in want.scores.items():
+        assert got.scores[obj] == pytest.approx(score, abs=1e-9), (key, obj)
+    assert got.no_goal_score == 0.0
+    assert got.final_step < CONVERGENCE_TOL
+
+
 def assert_matches_serial(problems):
-    """fit_elo_many against the serial oracle, problem by problem."""
+    """fit_elo_many on each record list's merged problem against the serial
+    oracle on its comparisons, problem by problem."""
     tables = fit_elo_many(
-        {key: EloProblem.from_comparisons(c) for key, c in problems.items()}
+        {key: RecordComparisons(records).problem() for key, records in problems.items()}
     )
     assert list(tables) == list(problems)
-    for key, comparisons in problems.items():
-        want, got = serial_fit_elo(comparisons), tables[key]
-        assert got.iterations == want.iterations, key
-        assert got.scores.keys() == want.scores.keys(), key
-        for obj, score in want.scores.items():
-            assert got.scores[obj] == pytest.approx(score, abs=1e-9), (key, obj)
-        assert got.no_goal_score == 0.0
-        assert got.final_step < CONVERGENCE_TOL
+    for key, records in problems.items():
+        want = serial_fit_elo(masked_comparisons(records))
+        assert_matches_table(tables[key], want, key)
     return tables
 
 
@@ -312,17 +344,17 @@ def test_lockstep_matches_serial_on_folds_lacking_competitors():
         or {r.object_a, r.object_b} == {objects[0], objects[10]}
     ]
     folds = holdout_folds(records, k=2)
-    problems = {"full": comparisons_of(records)}
-    problems.update({i: comparisons_of(train) for i, (train, _) in enumerate(folds)})
+    problems = {"full": records}
+    problems.update({i: train for i, (train, _) in enumerate(folds)})
     tables = assert_matches_serial(problems)
     assert sorted(len(t.scores) for t in tables.values()) == [10, 11, 11]
 
 
 def test_lockstep_matches_serial_on_mixed_fast_and_slow_problems():
     problems = {
-        "population": comparisons_of(population_dataset(seed=5, n_pipelines=1).records),
-        "symmetric": to_pairwise(record(40, 40, 20)),
-        "single": [PairwiseComparison(RC, BD, 0.7, 1.0)],
+        "population": population_dataset(seed=5, n_pipelines=1).records,
+        "symmetric": [record(40, 40, 20)],
+        "lopsided": [record(60, 25, 15)],
     }
     tables = assert_matches_serial(problems)
     iterations = [t.iterations for t in tables.values()]
@@ -330,8 +362,12 @@ def test_lockstep_matches_serial_on_mixed_fast_and_slow_problems():
 
 
 def test_single_comparison_problem_alone():
-    single = {"single": [PairwiseComparison(RC, None, 0.25, 2.0)]}
-    table = assert_matches_serial(single)["single"]
+    # RC against no goal only: slot 0 is RC, slot 1 the no-goal competitor.
+    problem = EloProblem(
+        (RC,), np.array([0]), np.array([1]), np.array([2.0]), np.array([0.5])
+    )
+    table = fit_elo_many({"single": problem})["single"]
+    assert_matches_table(table, serial_fit_elo([(RC, None, 0.25, 2.0)]), "single")
     # P(RC beats no-goal) = 0.25 puts RC 400 log10(3) below the anchor; the
     # first-order descent stops about 0.2 points short of it.
     assert table.scores[RC] == pytest.approx(-400 * math.log10(3), abs=0.5)
@@ -339,14 +375,14 @@ def test_single_comparison_problem_alone():
 
 def test_merging_sums_comparisons_per_ordered_pair():
     records = population_dataset(seed=5, n_pipelines=1).records
-    comparisons = comparisons_of(records)
-    problem = EloProblem.from_comparisons(iter(comparisons))
+    comparisons = masked_comparisons(records)
+    problem = RecordComparisons(records).problem()
     assert len(comparisons) == 3 * 276
     # 276 object pairs plus each of the 24 objects against no-goal
     assert len(problem.weight) == 276 + 24
-    assert problem.weight.sum() == pytest.approx(sum(c.weight for c in comparisons))
+    assert problem.weight.sum() == pytest.approx(sum(c[3] for c in comparisons))
     assert problem.weighted_rate.sum() == pytest.approx(
-        sum(c.weight * c.win_rate_a for c in comparisons)
+        sum(c[3] * c[2] for c in comparisons)
     )
 
 
@@ -355,13 +391,11 @@ def test_fit_elo_many_of_no_problems_is_empty():
 
 
 def test_non_convergence_names_the_problem_that_failed():
-    population = comparisons_of(population_dataset(seed=5, n_pipelines=1).records)
-    cap = serial_fit_elo(population).iterations
+    records = population_dataset(seed=5, n_pipelines=1).records
+    cap = serial_fit_elo(masked_comparisons(records)).iterations
     problems = {
-        "pipeline p00": EloProblem.from_comparisons(population),
-        "pipeline p01 (fold 2)": EloProblem.from_comparisons(
-            to_pairwise(record(40, 40, 20))
-        ),
+        "pipeline p00": RecordComparisons(records).problem(),
+        "pipeline p01 (fold 2)": RecordComparisons([record(40, 40, 20)]).problem(),
     }
     with pytest.raises(NumericalError) as info:
         fit_elo_many(problems, max_iterations=cap)
@@ -371,13 +405,13 @@ def test_non_convergence_names_the_problem_that_failed():
     )
     assert "gradient norm" in message
     with pytest.raises(NumericalError, match=r"^Elo fit did not converge in 3 "):
-        fit_elo(to_pairwise(record(90, 5, 5)), max_iterations=3)
+        fit_elo([record(90, 5, 5)], max_iterations=3)
 
 
 def test_holdout_report_is_unchanged_by_lockstep_folds():
     records = list(population_dataset(seed=3, n_pipelines=1).records)
     folds = holdout_folds(records, 4, rng_seed=1)
-    tables = [serial_fit_elo(comparisons_of(train)) for train, _ in folds]
+    tables = [serial_fit_elo(masked_comparisons(train)) for train, _ in folds]
     report = elo_holdout_validation(records, k=4, rng_seed=1)
     want = score_holdout([test for _, test in folds], tables)
     for field in ("kl", "tv", "brier", "directional_accuracy"):

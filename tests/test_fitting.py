@@ -19,7 +19,7 @@ from goalgen.dataset import (
     PreferenceRecord,
     TrainingPipeline,
     TrainingStage,
-    record_to_distribution,
+    observed_rates,
 )
 from goalgen.errors import NumericalError, ValidationError
 from goalgen.features import (
@@ -259,11 +259,8 @@ def test_engine_matches_scalar_reference_for_every_variant():
         )
         expected_loss = np.mean(
             [
-                kl_divergence(
-                    np.array(record_to_distribution(r).as_tuple()),
-                    np.array(p.as_tuple()),
-                )
-                for r, p in zip(records, expected)
+                kl_divergence(q, np.array(p.as_tuple()))
+                for q, p in zip(observed_rates(records), expected)
             ]
         )
         loss = modelling_loss(hp, ds, records, variant)
@@ -424,7 +421,7 @@ def descent_floor(dataset, per_feature):
     linear in the object features."""
     pids = sorted({r.pipeline_id for r in dataset.records})
     aid = np.array([pids.index(r.pipeline_id) for r in dataset.records])
-    p_hat = np.array([record_to_distribution(r).as_tuple() for r in dataset.records])
+    p_hat = observed_rates(dataset.records)
     rec_scale = 1.0 / np.bincount(aid)[aid]
     if per_feature:
         fa = np.stack([encode_features(r.object_a) for r in dataset.records])

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from goalgen.dataset import ChoiceDistribution
 from goalgen.errors import NumericalError, ValidationError
 from goalgen.metrics import (
     DIRECTIONAL_GAP_THRESHOLD,
@@ -16,7 +15,7 @@ from goalgen.metrics import (
 
 
 def dist(a, b, n):
-    return ChoiceDistribution(a, b, n)
+    return (a, b, n)
 
 
 def test_identity_metrics_are_zero():
@@ -93,9 +92,9 @@ def test_directional_invariant_to_monotone_transform():
     # squash predictions toward uniform: signs of the gaps are preserved
     pred_squashed = [
         dist(
-            0.2 + 0.2 * (p.p_a - p.p_b),
+            0.2 + 0.2 * (p[0] - p[1]),
             0.2,
-            0.6 - 0.2 * (p.p_a - p.p_b),
+            0.6 - 0.2 * (p[0] - p[1]),
         )
         for p in pred_raw
     ]
@@ -132,21 +131,21 @@ def test_scalar_helpers_random_properties(rng):
 
 
 def scalar_metrics(predictions, observations, mode):
-    """The per-record loop over ChoiceDistributions: compute_metrics' oracle.
+    """The per-record loop over (a, b, neither) rows: compute_metrics' oracle.
 
     Returns (kl, tv, brier, directional accuracy, n_directional, n_skipped).
     """
 
-    def two_way(dist):
-        mass = dist.p_a + dist.p_b
-        return None if mass <= 0 else np.array([dist.p_a / mass, dist.p_b / mass])
+    def two_way(row):
+        mass = row[0] + row[1]
+        return None if mass <= 0 else np.array([row[0] / mass, row[1] / mass])
 
     kls, tvs, briers = [], [], []
     n_dir = n_correct = n_skipped = 0
-    for pred, obs in zip(predictions, observations):
+    for pred, obs in zip(predictions.tolist(), observations.tolist()):
         obs2 = two_way(obs)
         if mode is MetricMode.THREE_WAY:
-            q, p = np.array(obs.as_tuple()), np.array(pred.as_tuple())
+            q, p = np.array(obs), np.array(pred)
         else:
             if obs2 is None:
                 n_skipped += 1
@@ -161,7 +160,7 @@ def scalar_metrics(predictions, observations, mode):
         briers.append(float(((q - p) ** 2).mean()))
         if obs2 is not None and abs(obs2[0] - obs2[1]) >= DIRECTIONAL_GAP_THRESHOLD:
             n_dir += 1
-            pred_sign = np.sign(pred.p_a - pred.p_b)
+            pred_sign = np.sign(pred[0] - pred[1])
             if pred_sign != 0 and pred_sign == np.sign(obs2[0] - obs2[1]):
                 n_correct += 1
     if not kls:
@@ -186,15 +185,13 @@ def test_vectorised_metrics_match_the_scalar_oracle(rng, mode, episodes):
         pred[rng.random(n) < 0.2, 1] = 0.0  # predictions without b
         pred[rng.random(n) < 0.1] = [0.3, 0.3, 0.4]  # predicted ties
         pred /= pred.sum(axis=1, keepdims=True)
-        pred_d = [ChoiceDistribution(*row) for row in pred.tolist()]
-        obs_d = [ChoiceDistribution(*row) for row in obs.tolist()]
         try:
-            want = scalar_metrics(pred_d, obs_d, mode)
+            want = scalar_metrics(pred, obs, mode)
         except ValidationError:
             with pytest.raises(ValidationError, match="skipped"):
                 compute_metrics(pred, obs, mode)
             continue
-        for given in ((pred, obs), (pred_d, obs_d)):
+        for given in ((pred, obs), (pred.tolist(), obs.tolist())):
             report = compute_metrics(*given, mode)
             assert report.kl == pytest.approx(want[0], rel=0, abs=1e-12)
             assert report.tv == pytest.approx(want[1], rel=0, abs=1e-12)
