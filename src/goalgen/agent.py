@@ -1,22 +1,38 @@
 """Desk-scale linear policy-gradient agent and preference rollout harness.
 
-``_episode`` steps the maze MDP. Each move goes up, down, left or right;
-a wall or the grid's edge leaves the agent in place. Reaching any object
-ends the episode: object 0, the rewarded goal, pays GOAL_REWARD (+1), any
-other object pays STEP_PENALTY (-0.1) like every other move, and an
-episode that reaches no object ends after HORIZON (200) moves. So reaching
-the goal on move t returns 1 - 0.1 * (t - 1). Evaluation pays no reward;
-it only tallies which object an episode reaches.
+Each move goes up, down, left or right; a wall or the grid's edge leaves
+the agent in place. Reaching any object ends the episode: object 0, the
+rewarded goal, pays GOAL_REWARD (+1), any other object pays STEP_PENALTY
+(-0.1) like every other move, and an episode that reaches no object ends
+after HORIZON (200) moves. So reaching the goal on move t returns 1 - 0.1 *
+(t - 1). Evaluation pays no reward; it only tallies which object an
+episode reaches.
 
 The policy scores each action by a dot product between shared weights and
 that action's 20-dim observation and samples from the softmax. The
 observation sums the feature vectors of the objects the move brings
 strictly closer, by BFS distance, into components 0..9, and of those it
-takes strictly farther into 10..19; a blocked move observes nothing.
+takes strictly farther into 10..19; a blocked move observes nothing. So
+an action's score depends only on its move code 3 * c0 + c1 (c0 with one
+object), where c_o is 0, 1 or 2 as the move goes closer to, no nearer or
+farther from object o.
+
 Training is REINFORCE on the total episode return against a
 moving-average baseline, one stage at a time, with a fresh maze per
 episode. It steps one episode at a time, since each episode depends on the
-last update.
+last update. ``_train_episode`` walks flat cells r * GRID_SIZE + c over
+the maze's vacant-cell bitboard and builds no distance field. Neighbouring
+cells differ in the parity of their BFS distance to any cell, so an open
+move goes closer to object o exactly when it enters o's cumulative flood
+layer one step nearer than the agent, and farther otherwise. The layers
+grow only as deep as the agent's distance needs. An episode sums its 3 or
+9 code scores once, from 0.0 in object order, and takes each code's
+gradient indices from a per-stage table in the scalar loop's order. The
+first visit to a cell computes its codes and softmax with math.exp and
+the scalar loop's sums; later visits in the episode reuse them. The
+uniforms, the cumulative sampling and each gradient addition come in the
+same order as in a scalar loop over distance fields, so every trained
+weight is bit-identical to it.
 
 Evaluation steps every agent's episodes together. An evaluation episode is
 seeded only by the run seed, its unordered pair and its index, so agents
@@ -24,15 +40,14 @@ evaluated with one seed meet the same maze and the same uniforms in it.
 Each maze is generated once, and its HORIZON uniforms are drawn in one call,
 which returns the doubles the per-step draws would. The mazes of a pass
 become flat tables over their cells: the object at each cell, and per
-(cell, action) the code 3 * c0 + c1, where c_o is 0, 1 or 2 as the move
-goes closer to, no nearer or farther from object o. An action's score is
-then one of 9 values per (agent, pair), and a 9 x 9 table of
-math.exp(s_i - s_j) per (agent, pair) serves every softmax; np.exp can
-differ from math.exp in the last bit. Per step, every live episode gathers
-its cell's codes, scores and exps, sums the normaliser and the cumulative
-probabilities in the scalar loop's order, samples its action and moves;
-episodes that reach an object drop out. So the tallies are bit-identical to
-stepping each episode on its own with ``_episode``.
+(cell, action) the move code, from the two BFS distance fields. An
+action's score is then one of 9 values per (agent, pair), and a 9 x 9
+table of math.exp(s_i - s_j) per (agent, pair) serves every softmax;
+np.exp can differ from math.exp in the last bit. Per step, every live
+episode gathers its cell's codes, scores and exps, sums the normaliser and
+the cumulative probabilities in the scalar loop's order, samples its
+action and moves; episodes that reach an object drop out. So the tallies
+are bit-identical to stepping each episode on its own in the scalar loop.
 """
 
 from __future__ import annotations
@@ -54,7 +69,9 @@ from .maze import (
     STEP_PENALTY,
     WALL_PROBABILITY,
     distance_field,
+    flood_layers,
     generate_maze,
+    sample_maze,
 )
 
 _MOVE_DELTAS = ((-1, 0), (1, 0), (0, -1), (0, 1))
@@ -86,104 +103,135 @@ class DeskPolicyParameters:
         object.__setattr__(self, "weights", w)
 
 
-def _episode(
-    walls_rows: list,
-    dist_rows: list,
-    obj_feature_idx: list[tuple[int, int]],
-    obj_cells: list[tuple[int, int]],
-    start: tuple[int, int],
-    weights: list[float],
-    rng: np.random.Generator,
-    collect_grad: bool,
-) -> tuple[int, float, list[float] | None]:
-    """Run one episode with the softmax policy; object 0 pays the reward.
+def _increments(feature_idx: list[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Per move code, the weights its observation adds to, in the scalar order.
 
-    Returns (outcome index or -1 for none, total return, summed
-    score-function gradient when collect_grad).
+    A move's code is c0 with one object and 3 * c0 + c1 with two, where
+    c_o is 0, 1 or 2 as the move goes closer to, no nearer or farther from
+    object o. ``feature_idx`` holds each object's (colour, shape) indices.
     """
-    size = len(walls_rows)
-    n_obj = len(obj_cells)
-    # Per-object weight sums for the closer/farther blocks; fixed within
-    # an episode since weights only change between episodes.
-    closer_w = [weights[ci] + weights[si] for ci, si in obj_feature_idx]
-    farther_w = [weights[10 + ci] + weights[10 + si] for ci, si in obj_feature_idx]
+    table = [()]
+    for ci, si in feature_idx:
+        table = [
+            inc + added
+            for inc in table
+            for added in ((ci, si), (), (10 + ci, 10 + si))
+        ]
+    return table
 
-    grad = [0.0] * N_OBSERVATION_FEATURES if collect_grad else None
-    r, c = start
+
+def _move_codes(
+    cell: int, vacant: int, nearer: list[int]
+) -> tuple[tuple[int, int, int, int], list[int]]:
+    """Each move's target cell from ``cell`` (-1 off the grid) and its code.
+
+    ``nearer[o]`` is object o's cumulative flood layer one move nearer than
+    ``cell``, on the GRID_SIZE grid whose vacant cells are ``vacant``.
+    Neighbouring cells differ in the parity of their distance to any cell,
+    so an open move goes closer to object o exactly when it enters
+    ``nearer[o]``, and farther otherwise; a blocked move has every c_o 1.
+    """
+    size = GRID_SIZE
+    col = cell % size
+    targets = (
+        cell - size if cell >= size else -1,
+        cell + size if cell < size * size - size else -1,
+        cell - 1 if col else -1,
+        cell + 1 if col < size - 1 else -1,
+    )
+    codes = []
+    for t in targets:
+        if t >= 0 and vacant >> t & 1:
+            code = 0
+            for near in nearer:
+                code = 3 * code + (0 if near >> t & 1 else 2)
+        else:
+            code = 3 ** len(nearer) // 2
+        codes.append(code)
+    return targets, codes
+
+
+def _train_episode(
+    vacant: int,
+    cells: list[int],
+    increments: list[tuple[int, ...]],
+    weights: list[float],
+    random,
+) -> tuple[float, list[float]]:
+    """Run one training episode; return its total and score-function gradient.
+
+    ``vacant`` and ``cells`` come from ``sample_maze`` on the GRID_SIZE
+    grid: the objects' flat cells, object 0 the rewarded goal, then the
+    agent's. ``increments`` is the ``_increments`` table of the objects.
+    """
+    objects = cells[:-1]
+    cell = cells[-1]
+    blocked = len(increments) // 2  # the code with every c_o 1
+    scores = []
+    for inc in increments:
+        score = 0.0
+        for i in range(0, len(inc), 2):
+            score += weights[inc[i]] + weights[inc[i + 1]]
+        scores.append(score)
+    # Cumulative flood layers from each object, grown only as deep as the
+    # agent's distance needs, and the agent's distance to each object.
+    floods = [flood_layers(1 << o, vacant, GRID_SIZE) for o in objects]
+    layers, dist = [], []
+    for flood in floods:
+        layers.append([])
+        for reached in flood:
+            layers[-1].append(reached)
+            if reached >> cell & 1:
+                break
+        dist.append(len(layers[-1]) - 1)
+    # A cell's moves, codes and softmax are fixed within an episode.
+    seen = {}
+    grad = [0.0] * N_OBSERVATION_FEATURES
     total = 0.0
-    steps = 0
-    random = rng.random
-
-    while True:
-        next_cells = []
-        logits = []
-        for dr, dc in _MOVE_DELTAS:
-            nr, nc = r + dr, c + dc
-            if nr < 0 or nr >= size or nc < 0 or nc >= size or walls_rows[nr][nc]:
-                nr, nc = r, c
-            score = 0.0
-            for o in range(n_obj):
-                d = dist_rows[o]
-                d0, d1 = d[r][c], d[nr][nc]
-                if d1 < d0:
-                    score += closer_w[o]
-                elif d1 > d0:
-                    score += farther_w[o]
-            next_cells.append((nr, nc))
-            logits.append(score)
-
-        m = max(logits)
-        exps = [math.exp(x - m) for x in logits]
-        z = exps[0] + exps[1] + exps[2] + exps[3]
-        probs = [e / z for e in exps]
+    for _ in range(HORIZON):
+        policy = seen.get(cell)
+        if policy is None:
+            for lay, flood, d in zip(layers, floods, dist):
+                while len(lay) < d:
+                    lay.append(next(flood))
+            targets, codes = _move_codes(
+                cell, vacant, [lay[d - 1] for lay, d in zip(layers, dist)]
+            )
+            logits = [scores[k] for k in codes]
+            m = max(logits)
+            exps = [math.exp(x - m) for x in logits]
+            z = exps[0] + exps[1] + exps[2] + exps[3]
+            probs = [e / z for e in exps]
+            # The scalar loop's cumulative sums; a u past acc2, or a nan
+            # row, takes action 3.
+            acc0 = 0.0 + probs[0]
+            acc1 = acc0 + probs[1]
+            acc2 = acc1 + probs[2]
+            policy = seen[cell] = (targets, codes, acc0, acc1, acc2, probs)
+        targets, codes, acc0, acc1, acc2, probs = policy
 
         u = random()
-        acc = 0.0
-        action = 3
+        action = 0 if u < acc0 else 1 if u < acc1 else 2 if u < acc2 else 3
         for a in range(4):
-            acc += probs[a]
-            if u < acc:
-                action = a
-                break
+            coeff = (1.0 if a == action else 0.0) - probs[a]
+            if coeff == 0.0:
+                continue
+            for k in increments[codes[a]]:
+                grad[k] += coeff
 
-        if collect_grad:
-            ar, ac = r, c
-            for a in range(4):
-                coeff = (1.0 if a == action else 0.0) - probs[a]
-                if coeff == 0.0:
-                    continue
-                nr, nc = next_cells[a]
-                for o in range(n_obj):
-                    d = dist_rows[o]
-                    d0, d1 = d[ar][ac], d[nr][nc]
-                    if d1 < d0:
-                        ci, si = obj_feature_idx[o]
-                        grad[ci] += coeff
-                        grad[si] += coeff
-                    elif d1 > d0:
-                        ci, si = obj_feature_idx[o]
-                        grad[10 + ci] += coeff
-                        grad[10 + si] += coeff
-
-        r, c = next_cells[action]
-        steps += 1
-        pos = (r, c)
-        if pos in obj_cells:
-            idx = obj_cells.index(pos)
-            total += GOAL_REWARD if idx == 0 else STEP_PENALTY
-            return idx, total, grad
+        code = codes[action]
+        if code != blocked:
+            cell = targets[action]
+            if cell in objects:
+                reward = GOAL_REWARD if cell == objects[0] else STEP_PENALTY
+                return total + reward, grad
+            if len(objects) == 2:
+                dist[0] += code // 3 - 1
+                dist[1] += code % 3 - 1
+            else:
+                dist[0] += code - 1
         total += STEP_PENALTY
-        if steps >= HORIZON:
-            return -1, total, grad
-
-
-def _maze_tables(grid) -> tuple[list, list, list, list]:
-    walls_rows = grid.walls.tolist()
-    dist_rows = [
-        distance_field(grid.walls, cell).tolist() for cell in grid.object_cells
-    ]
-    feature_idx = [obj.feature_indices() for obj in grid.objects]
-    return walls_rows, dist_rows, feature_idx, grid.object_cells
+    return total, grad
 
 
 def train_desk_agent(
@@ -214,19 +262,10 @@ def train_desk_agent(
         baseline = None
         returns: list[float] = []
         w_list = weights.tolist()
+        increments = _increments([obj.feature_indices() for obj in objects])
         for ep in range(params0.episodes_per_stage):
-            grid = generate_maze(rng, objects, wall_prob)
-            walls_rows, dist_rows, feature_idx, cells = _maze_tables(grid)
-            _, ret, grad = _episode(
-                walls_rows,
-                dist_rows,
-                feature_idx,
-                cells,
-                grid.agent_pos,
-                w_list,
-                rng,
-                collect_grad=True,
-            )
+            _, vacant, cells = sample_maze(rng, len(objects), wall_prob)
+            ret, grad = _train_episode(vacant, cells, increments, w_list, rng.random)
             if baseline is None:
                 baseline = ret
             advantage = ret - baseline

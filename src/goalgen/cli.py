@@ -15,6 +15,7 @@ import dataclasses
 import json
 import math
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -27,15 +28,11 @@ from .errors import NumericalError, ValidationError
 from .features import enumerate_eval_pairs
 from .fitting import FitConfig, ModelVariant
 
+# The outer fit's keys are FitConfig's fields; --seed sets its rng_seed.
+_FIT_KEYS = {f.name for f in dataclasses.fields(FitConfig)} - {"rng_seed"}
+_FIT_TYPES = typing.get_type_hints(FitConfig)
 _CONFIG_SCHEMA: dict[str, type] = {
-    # outer fit
-    "learning_rate": float,
-    "batch_size": int,
-    "epochs": int,
-    "adam_beta1": float,
-    "adam_beta2": float,
-    "n_integration_steps": int,
-    "latent_dim": int,
+    **{k: t for k, t in _FIT_TYPES.items() if k in _FIT_KEYS},
     # desk agent / environment
     "desk_learning_rate": float,
     "episodes_per_stage": int,
@@ -45,6 +42,7 @@ _CONFIG_SCHEMA: dict[str, type] = {
 }
 # The ranges gen-data accepts for its desk keys: a test and its wording.
 _DESK_RANGES = {
+    "desk_learning_rate": (lambda v: v >= 0, "at least 0"),
     "eval_episodes": (lambda v: v >= 1, "at least 1"),
     "episodes_per_stage": (lambda v: v >= 0, "at least 0"),
     "wall_prob": (lambda v: 0 <= v < 1, "in [0, 1)"),
@@ -81,8 +79,7 @@ def load_config(path: str | Path | None) -> dict:
 
 def fit_config_from(config: dict, seed: int) -> FitConfig:
     """The config's FitConfig keys, seeded by ``--seed``."""
-    keys = {f.name for f in dataclasses.fields(FitConfig)} - {"rng_seed"}
-    return FitConfig(rng_seed=seed, **{k: v for k, v in config.items() if k in keys})
+    return FitConfig(rng_seed=seed, **{k: v for k, v in config.items() if k in _FIT_KEYS})
 
 
 class _Parser(argparse.ArgumentParser):

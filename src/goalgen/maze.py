@@ -1,10 +1,11 @@
 """Procedurally generated 8x8 mazes and their BFS distance fields.
 
-Wall cells are sampled independently (p = 0.2 by default) and the map is
-rejection-sampled until every vacant cell is reachable from every other.
-The agent, the goal and an optional distractor then take distinct vacant
-cells. The reward and horizon constants live here; the episodes that use
-them are stepped in ``agent``.
+One sampler, ``sample_maze``, draws every maze; ``generate_maze`` and
+training both call it. Wall cells are sampled independently (p = 0.2 by
+default) and the map is rejection-sampled until every vacant cell is
+reachable from every other. The agent, the goal and an optional
+distractor then take distinct vacant cells. The reward and horizon
+constants live here; the episodes that use them are stepped in ``agent``.
 
 Connectivity and distance fields run breadth-first search on bitboards. The
 vacant cells of a size x size grid form one Python int, with bit
@@ -71,11 +72,11 @@ def _vacant_bits(walls: np.ndarray) -> int:
     return ((1 << walls.size) - 1) & ~wall_bits
 
 
-def _flood(start: int, vacant: int, size: int) -> list[int]:
-    """Breadth-first flood fill over bitboards.
+def flood_layers(start: int, vacant: int, size: int):
+    """Breadth-first flood fill over bitboards, one layer at a time.
 
-    Entry ``d`` of the result holds every vacant cell within ``d`` moves of
-    the cells in ``start``; the last entry is the whole reachable set.
+    Yields, for d = 0, 1, ..., every vacant cell within ``d`` moves of the
+    cells in ``start``, and stops after the whole reachable set.
     """
     # Bits of the first column: 1 + 2**size + 2**(2 * size) + ... A right
     # move never lands on the first column, a left move never on the last.
@@ -83,8 +84,8 @@ def _flood(start: int, vacant: int, size: int) -> list[int]:
     enter_right = vacant & ~first_column
     enter_left = vacant & ~(first_column << (size - 1))
     reached = start
-    layers = [reached]
     while True:
+        yield reached
         grown = (
             reached
             | ((reached << size | reached >> size) & vacant)
@@ -92,9 +93,15 @@ def _flood(start: int, vacant: int, size: int) -> list[int]:
             | (reached >> 1 & enter_left)
         )
         if grown == reached:
-            return layers
-        layers.append(grown)
+            return
         reached = grown
+
+
+def _reach(start: int, vacant: int, size: int) -> int:
+    """Every vacant cell reachable from the cells in ``start``."""
+    for reached in flood_layers(start, vacant, size):
+        pass
+    return reached
 
 
 def _connected(walls: np.ndarray) -> bool:
@@ -102,7 +109,7 @@ def _connected(walls: np.ndarray) -> bool:
     vacant = _vacant_bits(walls)
     if not vacant:
         return False
-    return _flood(vacant & -vacant, vacant, walls.shape[0])[-1] == vacant
+    return _reach(vacant & -vacant, vacant, walls.shape[0]) == vacant
 
 
 def distance_field(walls: np.ndarray, target: tuple[int, int]) -> np.ndarray:
@@ -120,7 +127,8 @@ def distance_field(walls: np.ndarray, target: tuple[int, int]) -> np.ndarray:
     r, c = int(target[0]), int(target[1])
     flat = [-1] * (size * size)
     previous = 0
-    for d, reached in enumerate(_flood(1 << (r * size + c), _vacant_bits(walls), size)):
+    layers = flood_layers(1 << (r * size + c), _vacant_bits(walls), size)
+    for d, reached in enumerate(layers):
         new = reached & ~previous
         previous = reached
         while new:
@@ -128,6 +136,33 @@ def distance_field(walls: np.ndarray, target: tuple[int, int]) -> np.ndarray:
             flat[low.bit_length() - 1] = d
             new ^= low
     return np.array(flat, dtype=np.int32).reshape(size, size)
+
+
+def sample_maze(
+    rng: np.random.Generator,
+    n_objects: int,
+    wall_prob: float = WALL_PROBABILITY,
+    size: int = GRID_SIZE,
+    max_attempts: int = MAX_GENERATION_ATTEMPTS,
+) -> tuple[np.ndarray, int, list[int]]:
+    """Sample a connected maze and distinct vacant cells for objects and agent.
+
+    Returns the walls, the vacant-cell bitboard and the flat cells ``r *
+    size + c`` of the objects in order, then the agent.
+    """
+    needed = n_objects + 1
+    for _ in range(max_attempts):
+        walls = rng.random((size, size)) < wall_prob
+        vacant = _vacant_bits(walls)
+        n_vacant = vacant.bit_count()
+        if n_vacant < needed or _reach(vacant & -vacant, vacant, size) != vacant:
+            continue
+        chosen = rng.choice(n_vacant, size=needed, replace=False)
+        return walls, vacant, np.flatnonzero(~walls)[chosen].tolist()
+    raise NumericalError(
+        f"no connected maze with {needed} vacant cells found in "
+        f"{max_attempts} attempts (wall_prob={wall_prob})"
+    )
 
 
 def generate_maze(
@@ -140,23 +175,13 @@ def generate_maze(
     """Sample a connected maze and place objects and agent in distinct vacant cells."""
     if not 1 <= len(objects) <= 2:
         raise ValidationError(f"expected 1 or 2 objects, got {len(objects)}")
-    needed = len(objects) + 1
-    for _ in range(max_attempts):
-        walls = rng.random((size, size)) < wall_prob
-        if int((~walls).sum()) < needed or not _connected(walls):
-            continue
-        vacant = np.argwhere(~walls)
-        chosen = rng.choice(len(vacant), size=needed, replace=False)
-        cells = [tuple(int(x) for x in vacant[i]) for i in chosen]
-        return MazeGrid(
-            walls=walls,
-            agent_pos=cells[-1],
-            goal_pos=cells[0],
-            goal=objects[0],
-            distractor_pos=cells[1] if len(objects) == 2 else None,
-            distractor=objects[1] if len(objects) == 2 else None,
-        )
-    raise NumericalError(
-        f"no connected maze with {needed} vacant cells found in "
-        f"{max_attempts} attempts (wall_prob={wall_prob})"
+    walls, _, flat = sample_maze(rng, len(objects), wall_prob, size, max_attempts)
+    cells = [divmod(f, size) for f in flat]
+    return MazeGrid(
+        walls=walls,
+        agent_pos=cells[-1],
+        goal_pos=cells[0],
+        goal=objects[0],
+        distractor_pos=cells[1] if len(objects) == 2 else None,
+        distractor=objects[1] if len(objects) == 2 else None,
     )

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from goalgen.agent import _episode, _maze_tables
+from goalgen.agent import _increments, _train_episode
 from goalgen.dataset import (
     Dataset,
     PreferenceRecord,
@@ -18,6 +20,14 @@ from goalgen.features import (
     enumerate_training_goals,
 )
 from goalgen.latent import LpgHyperparameters, predict_preferences, simulate_pipeline
+from goalgen.maze import (
+    GOAL_REWARD,
+    HORIZON,
+    N_OBSERVATION_FEATURES,
+    STEP_PENALTY,
+    _vacant_bits,
+    distance_field,
+)
 
 OBJECTS = enumerate_objects()
 PAIRS = enumerate_eval_pairs()
@@ -114,12 +124,130 @@ def steer_weights(obj, closer: float, farther: float) -> list[float]:
     return weights
 
 
-def run_episode(grid, weights, seed=0, collect_grad=False):
-    """One ``agent._episode`` on ``grid``: (outcome, return, gradient)."""
-    rng = np.random.default_rng(seed)
-    return _episode(
-        *_maze_tables(grid), grid.agent_pos, list(weights), rng, collect_grad
+def scalar_episode(
+    walls_rows: list,
+    dist_rows: list,
+    obj_feature_idx: list[tuple[int, int]],
+    obj_cells: list[tuple[int, int]],
+    start: tuple[int, int],
+    weights: list[float],
+    rng: np.random.Generator,
+) -> tuple[int, float, list[float]]:
+    """The scalar episode loop over distance fields: the oracle of the
+    training episode and of the lockstep evaluation walk.
+
+    Each move goes up, down, left or right; a wall or the edge leaves the
+    agent in place. An action scores the closer (or farther) weight sum of
+    every object its move brings strictly closer (or farther) by BFS
+    distance. Reaching object 0 pays GOAL_REWARD, any other object or move
+    STEP_PENALTY; no object within HORIZON moves ends the episode.
+
+    Returns (outcome index or -1 for none, total return, summed
+    score-function gradient).
+    """
+    size = len(walls_rows)
+    n_obj = len(obj_cells)
+    closer_w = [weights[ci] + weights[si] for ci, si in obj_feature_idx]
+    farther_w = [weights[10 + ci] + weights[10 + si] for ci, si in obj_feature_idx]
+
+    grad = [0.0] * N_OBSERVATION_FEATURES
+    r, c = start
+    total = 0.0
+    steps = 0
+    random = rng.random
+
+    while True:
+        next_cells = []
+        logits = []
+        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+            nr, nc = r + dr, c + dc
+            if nr < 0 or nr >= size or nc < 0 or nc >= size or walls_rows[nr][nc]:
+                nr, nc = r, c
+            score = 0.0
+            for o in range(n_obj):
+                d = dist_rows[o]
+                d0, d1 = d[r][c], d[nr][nc]
+                if d1 < d0:
+                    score += closer_w[o]
+                elif d1 > d0:
+                    score += farther_w[o]
+            next_cells.append((nr, nc))
+            logits.append(score)
+
+        m = max(logits)
+        exps = [math.exp(x - m) for x in logits]
+        z = exps[0] + exps[1] + exps[2] + exps[3]
+        probs = [e / z for e in exps]
+
+        u = random()
+        acc = 0.0
+        action = 3
+        for a in range(4):
+            acc += probs[a]
+            if u < acc:
+                action = a
+                break
+
+        for a in range(4):
+            coeff = (1.0 if a == action else 0.0) - probs[a]
+            if coeff == 0.0:
+                continue
+            nr, nc = next_cells[a]
+            for o in range(n_obj):
+                d = dist_rows[o]
+                d0, d1 = d[r][c], d[nr][nc]
+                if d1 < d0:
+                    ci, si = obj_feature_idx[o]
+                    grad[ci] += coeff
+                    grad[si] += coeff
+                elif d1 > d0:
+                    ci, si = obj_feature_idx[o]
+                    grad[10 + ci] += coeff
+                    grad[10 + si] += coeff
+
+        r, c = next_cells[action]
+        steps += 1
+        pos = (r, c)
+        if pos in obj_cells:
+            idx = obj_cells.index(pos)
+            total += GOAL_REWARD if idx == 0 else STEP_PENALTY
+            return idx, total, grad
+        total += STEP_PENALTY
+        if steps >= HORIZON:
+            return -1, total, grad
+
+
+def maze_tables(grid) -> tuple[list, list, list, list]:
+    """``scalar_episode``'s walls, distance fields, feature indices and cells."""
+    walls_rows = grid.walls.tolist()
+    dist_rows = [
+        distance_field(grid.walls, cell).tolist() for cell in grid.object_cells
+    ]
+    feature_idx = [obj.feature_indices() for obj in grid.objects]
+    return walls_rows, dist_rows, feature_idx, grid.object_cells
+
+
+def run_episode(grid, weights, seed=0):
+    """One ``scalar_episode`` on ``grid``: (outcome, return, gradient).
+
+    It also runs ``agent._train_episode`` on the same maze and uniforms
+    and requires the same return and gradient.
+    """
+    outcome, ret, grad = scalar_episode(
+        *maze_tables(grid), grid.agent_pos, list(weights), np.random.default_rng(seed)
     )
+    size = grid.walls.shape[0]
+    cells = [r * size + c for r, c in [*grid.object_cells, grid.agent_pos]]
+    increments = _increments([obj.feature_indices() for obj in grid.objects])
+    trained = _train_episode(
+        _vacant_bits(grid.walls),
+        cells,
+        increments,
+        list(weights),
+        np.random.default_rng(seed).random,
+    )
+    assert trained == (ret, grad)
+    return outcome, ret, grad
 
 
 @pytest.fixture

@@ -6,13 +6,8 @@ import numpy as np
 import pytest
 
 import goalgen.agent as agent_mod
-from goalgen.agent import (
-    DeskPolicyParameters,
-    _episode,
-    _maze_tables,
-    evaluate_preferences,
-    train_desk_agent,
-)
+from conftest import maze_tables, scalar_episode
+from goalgen.agent import DeskPolicyParameters, evaluate_preferences, train_desk_agent
 from goalgen.dataset import PreferenceRecord, TrainingPipeline, TrainingStage
 from goalgen.errors import NumericalError, ValidationError
 from goalgen.features import (
@@ -22,9 +17,10 @@ from goalgen.features import (
     enumerate_eval_pairs,
     object_index,
 )
-from goalgen.maze import generate_maze
+from goalgen.maze import WALL_PROBABILITY, generate_maze
 
 RC = ObjectFeatures(Colour.RED, Shape.CROSS)
+RD = ObjectFeatures(Colour.RED, Shape.DIAMOND)
 BD = ObjectFeatures(Colour.BLUE, Shape.DIAMOND)
 BR = ObjectFeatures(Colour.BLACK, Shape.RING)
 GC = ObjectFeatures(Colour.GREEN, Shape.CIRCLE)
@@ -178,6 +174,63 @@ def test_seeded_rollouts_match_pinned_digest():
     assert digest.hexdigest() == PINNED_ROLLOUT_DIGEST
 
 
+def scalar_train(pipeline, params0, rng_seed, wall_prob=WALL_PROBABILITY):
+    """The REINFORCE loop over ``scalar_episode``: the training oracle.
+
+    Returns the final weights and the per-stage lists of episode returns.
+    """
+    rng = np.random.default_rng([0x7261696E, rng_seed])
+    w_list = params0.weights.tolist()
+    history = []
+    for stage in pipeline.stages:
+        objects = [stage.goal] if stage.distractor is None else [stage.goal, stage.distractor]
+        baseline = None
+        returns = []
+        for _ in range(params0.episodes_per_stage):
+            grid = generate_maze(rng, objects, wall_prob)
+            _, ret, grad = scalar_episode(*maze_tables(grid), grid.agent_pos, w_list, rng)
+            if baseline is None:
+                baseline = ret
+            scale = params0.learning_rate * (ret - baseline)
+            for k in range(20):
+                w_list[k] += scale * grad[k]
+            baseline = params0.baseline_decay * baseline + (1.0 - params0.baseline_decay) * ret
+            returns.append(ret)
+        history.append(returns)
+    return w_list, history
+
+
+@pytest.mark.parametrize(
+    "weights, learning_rate, wall_prob",
+    [
+        (0.0, 0.05, 0.2),
+        (0.0, 0.0, 0.2),  # the zero policy throughout: some episodes time out
+        (400.0, 0.05, 0.0),
+        (400.0, 0.05, 0.5),
+    ],
+)
+def test_training_matches_the_scalar_oracle(weights, learning_rate, wall_prob):
+    # One-object and distractor stages; RD shares the goal's colour, so one
+    # move can add to the same weight twice.
+    pipeline = TrainingPipeline(
+        "mixed", (TrainingStage(RC), TrainingStage(BD, BR), TrainingStage(GC, RD))
+    )
+    rng = np.random.default_rng(int(weights + 100 * wall_prob))
+    params = DeskPolicyParameters(
+        weights=weights * rng.choice([-1.0, 1.0], 20),
+        learning_rate=learning_rate,
+        episodes_per_stage=60,
+    )
+    trained, history = train_desk_agent(
+        pipeline, params, rng_seed=17, wall_prob=wall_prob, with_history=True
+    )
+    want_weights, want_history = scalar_train(pipeline, params, 17, wall_prob)
+    assert trained.weights.tolist() == want_weights
+    assert history == want_history
+    if learning_rate == 0.0:
+        assert min(min(returns) for returns in history) < -19.99
+
+
 def scalar_preferences(policy, pairs, episodes_per_pair, rng_seed, pipeline_id):
     """The per-pair, per-episode evaluation loop: the lockstep walk's oracle."""
     w_list = policy.weights.tolist()
@@ -191,9 +244,7 @@ def scalar_preferences(policy, pairs, episodes_per_pair, rng_seed, pipeline_id):
         for ep in range(episodes_per_pair):
             rng = np.random.default_rng([0x6576616C, rng_seed, lo, hi, ep])
             grid = generate_maze(rng, [first, second])
-            outcome, _, _ = _episode(
-                *_maze_tables(grid), grid.agent_pos, w_list, rng, collect_grad=False
-            )
+            outcome, _, _ = scalar_episode(*maze_tables(grid), grid.agent_pos, w_list, rng)
             counts[outcome if outcome >= 0 else 2] += 1
         count_a, count_b = (counts[1], counts[0]) if swap else (counts[0], counts[1])
         records.append(

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import sys
@@ -7,10 +8,11 @@ import pytest
 
 from conftest import synthetic_dataset
 from goalgen.agent import DeskPolicyParameters, evaluate_preferences, train_desk_agent
-from goalgen.cli import load_config, main
+from goalgen.cli import fit_config_from, load_config, main
 from goalgen.dataset import load_dataset, load_pipelines, save_dataset
 from goalgen.errors import ValidationError
 from goalgen.features import enumerate_eval_pairs
+from goalgen.fitting import FitConfig
 from goalgen.latent import load_hyperparameters
 
 
@@ -53,6 +55,23 @@ def test_config_schema_validation(tmp_path):
         load_config(path)
     # Finite differences are an oracle in selfcheck, not a fit option.
     path.write_text('{"gradient_mode": "adjoint"}')
+    with pytest.raises(ValidationError, match="unknown config keys"):
+        load_config(path)
+
+
+def test_every_fit_config_field_is_a_config_key(tmp_path):
+    # A value off each default: halved floats stay in range, ints grow by 1.
+    changed = {}
+    for f in dataclasses.fields(FitConfig):
+        value = getattr(FitConfig(), f.name)
+        changed[f.name] = value / 2 if isinstance(value, float) else value + 1
+    del changed["rng_seed"]
+    path = tmp_path / "fit.json"
+    path.write_text(json.dumps(changed))
+    config = fit_config_from(load_config(path), seed=3)
+    assert config == FitConfig(rng_seed=3, **changed)
+    # --seed sets the fit's seed; the config cannot.
+    path.write_text('{"rng_seed": 3}')
     with pytest.raises(ValidationError, match="unknown config keys"):
         load_config(path)
 
@@ -382,6 +401,7 @@ def test_gen_data_rejects_max_pairs_below_one(tmp_path, capsys, max_pairs):
         ("wall_prob", -0.5, "in [0, 1)"),
         ("baseline_decay", 2.0, "in [0, 1]"),
         ("baseline_decay", -0.1, "in [0, 1]"),
+        ("desk_learning_rate", -0.5, "at least 0"),
     ],
 )
 def test_gen_data_rejects_desk_config_out_of_range(tmp_path, capsys, key, value, allowed):
@@ -408,7 +428,8 @@ def test_gen_data_accepts_desk_config_range_ends(tmp_path):
     pfile.write_text(json.dumps({"pipelines": {"demo": [stage]}}))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(
-        {"episodes_per_stage": 0, "eval_episodes": 1, "wall_prob": 0.0, "baseline_decay": 1.0}
+        {"episodes_per_stage": 0, "eval_episodes": 1, "wall_prob": 0.0, "baseline_decay": 1.0,
+         "desk_learning_rate": 0.0}
     ))
     argv = ["gen-data", "--pipelines", str(pfile), "--out", str(tmp_path / "gen"),
             "--config", str(cfg), "--max-pairs", "2"]

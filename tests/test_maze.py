@@ -1,3 +1,4 @@
+import hashlib
 from collections import deque
 
 import numpy as np
@@ -7,7 +8,14 @@ import goalgen.agent as agent_mod
 from conftest import run_episode, steer_weights
 from goalgen.errors import NumericalError, ValidationError
 from goalgen.features import Colour, ObjectFeatures, Shape
-from goalgen.maze import MazeGrid, _connected, distance_field, generate_maze
+from goalgen.maze import (
+    MazeGrid,
+    _connected,
+    distance_field,
+    flood_layers,
+    generate_maze,
+    sample_maze,
+)
 
 RC = ObjectFeatures(Colour.RED, Shape.CROSS)
 BD = ObjectFeatures(Colour.BLUE, Shape.DIAMOND)
@@ -160,9 +168,7 @@ def test_observe_closer_sign():
     # One move under the zero policy: the score-function gradient is
     # 0.75 * obs[RIGHT] - 0.25 * (obs[UP] + obs[DOWN] + obs[LEFT]). RIGHT
     # goes closer to the goal, DOWN farther, UP and LEFT are blocked.
-    outcome, ret, grad = run_episode(
-        corridor_grid(goal_col=1), [0.0] * 20, RIGHT_FIRST_SEED, collect_grad=True
-    )
+    outcome, ret, grad = run_episode(corridor_grid(goal_col=1), [0.0] * 20, RIGHT_FIRST_SEED)
     assert (outcome, ret) == (0, 1.0)
     assert grad == [0.75 * x for x in PHI_RC] + [-0.25 * x for x in PHI_RC]
 
@@ -198,7 +204,7 @@ def test_observe_two_objects_sum():
         distractor_pos=(4, 6),
         distractor=BD,
     )
-    _, _, grad = run_episode(grid, [0.0] * 20, RIGHT_FIRST_SEED, collect_grad=True)
+    _, _, grad = run_episode(grid, [0.0] * 20, RIGHT_FIRST_SEED)
     both = np.add(PHI_RC, PHI_BD)
     assert grad == [*(0.75 * both), *(-0.75 * both)]
 
@@ -237,3 +243,52 @@ def test_generate_maze_any_size():
         grid = generate_maze(np.random.default_rng(size), [RC], wall_prob=0.3, size=size)
         assert grid.walls.shape == (size, size)
         assert oracle_connected(grid.walls)
+
+
+# sha256 of the walls and cells of 500 generate_maze calls, recorded from the
+# maze code before it shared one sampler with training. Any change to the
+# draws, the acceptance test or the placement changes it.
+PINNED_MAZE_DIGEST = "d2e99ead8c1c69b78eb9af66cded680ab99565bb36c4a2bebf87296004da4158"
+
+
+def test_maze_streams_match_pinned_digest():
+    digest = hashlib.sha256()
+    for seed in range(50):
+        rng = np.random.default_rng([0x6D617A65, seed])
+        for i in range(10):
+            objects = [RC, BD] if i % 2 else [RC]
+            grid = generate_maze(rng, objects, wall_prob=(0.0, 0.2, 0.35, 0.5, 0.2)[i % 5])
+            digest.update(grid.walls.tobytes())
+            digest.update(f"{grid.agent_pos}{grid.goal_pos}{grid.distractor_pos};".encode())
+    assert digest.hexdigest() == PINNED_MAZE_DIGEST
+
+
+def test_flood_layer_codes_match_distance_differences():
+    # The training episode's move codes: 3 * c0 + c1 (c0 alone for one
+    # object), c_o = 1 + sign(distance after - distance before).
+    rng = np.random.default_rng(2606)
+    for i in range(2000):
+        n_obj = 1 + i % 2
+        walls, vacant, cells = sample_maze(rng, n_obj, wall_prob=i % 6 / 10)
+        objects = cells[:n_obj]
+        fields = [distance_field(walls, divmod(o, 8)).ravel().tolist() for o in objects]
+        layers = [list(flood_layers(1 << o, vacant, 8)) for o in objects]
+        for cell in np.flatnonzero(~walls).tolist():
+            dist = [field[cell] for field in fields]
+            if 0 in dist:
+                continue  # an object's cell ends the episode
+            nearer = [lay[d - 1] for lay, d in zip(layers, dist)]
+            targets, codes = agent_mod._move_codes(cell, vacant, nearer)
+            for (dr, dc), t, code in zip(((-1, 0), (1, 0), (0, -1), (0, 1)), targets, codes):
+                r, c = divmod(cell, 8)
+                nr, nc = r + dr, c + dc
+                if 0 <= nr < 8 and 0 <= nc < 8:
+                    assert t == nr * 8 + nc
+                    there = nr * 8 + nc if not walls[nr, nc] else cell
+                else:
+                    assert t == -1
+                    there = cell
+                want = 0
+                for field, d in zip(fields, dist):
+                    want = 3 * want + 1 + (field[there] > d) - (field[there] < d)
+                assert code == want
