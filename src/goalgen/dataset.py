@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .features import Colour, ObjectFeatures, Shape, object_index
+from .features import Colour, ObjectFeatures, Shape, enumerate_objects, object_index
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,20 @@ def _object_to_json(obj: ObjectFeatures | None) -> dict | None:
     return {"colour": obj.colour.value, "shape": obj.shape.value}
 
 
+# The 24 objects by their JSON strings: records name the same few objects
+# over and over, so a lookup skips building and validating each one.
+_OBJECTS_BY_NAME = {(o.colour.value, o.shape.value): o for o in enumerate_objects()}
+
+
 def _object_from_json(data: dict, where: str) -> ObjectFeatures:
+    # Only string values are looked up (a list is unhashable). Every miss
+    # takes the validating path, so its error message does not change.
+    if type(data) is dict:
+        colour, shape = data.get("colour"), data.get("shape")
+        if type(colour) is str and type(shape) is str:
+            obj = _OBJECTS_BY_NAME.get((colour, shape))
+            if obj is not None:
+                return obj
     try:
         return ObjectFeatures(Colour(data["colour"]), Shape(data["shape"]))
     except (KeyError, TypeError, ValueError) as exc:

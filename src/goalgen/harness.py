@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .dataset import (
     Dataset,
@@ -299,9 +298,21 @@ def elo_vs_model(
         for row, e, v in zip(rows, elo_arr, val_arr):
             row["elo"], row["model_value"] = float(e), float(v)
 
-    rho = float(spearmanr(elo_arr, val_arr).statistic)
+    rho = _spearman_rho(elo_arr, val_arr)
     r = float(np.corrcoef(elo_arr, val_arr)[0, 1])
     return EloModelComparison(spearman_rho=rho, r_squared=r * r, points=rows)
+
+
+def _spearman_rho(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman's rho: the Pearson correlation of average ranks, where tied
+    values share the mean of their 1-based positions. A constant input has
+    no ranking and gives nan, as ``scipy.stats.spearmanr`` does."""
+    ranks = []
+    for values in (x, y):
+        _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+        ranks.append((np.cumsum(counts) - (counts - 1) / 2.0)[inverse])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.corrcoef(*ranks)[0, 1])
 
 
 def file_digest(path: str | Path) -> str:

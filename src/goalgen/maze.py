@@ -104,12 +104,10 @@ def _reach(start: int, vacant: int, size: int) -> int:
     return reached
 
 
-def _connected(walls: np.ndarray) -> bool:
-    """True when all vacant cells are mutually reachable by 4-neighbour moves."""
-    vacant = _vacant_bits(walls)
-    if not vacant:
-        return False
-    return _reach(vacant & -vacant, vacant, walls.shape[0]) == vacant
+def _connected(vacant: int, size: int) -> bool:
+    """True when the vacant cells of a size x size bitboard are not empty and
+    all mutually reachable by 4-neighbour moves."""
+    return vacant != 0 and _reach(vacant & -vacant, vacant, size) == vacant
 
 
 def distance_field(walls: np.ndarray, target: tuple[int, int]) -> np.ndarray:
@@ -155,7 +153,7 @@ def sample_maze(
         walls = rng.random((size, size)) < wall_prob
         vacant = _vacant_bits(walls)
         n_vacant = vacant.bit_count()
-        if n_vacant < needed or _reach(vacant & -vacant, vacant, size) != vacant:
+        if n_vacant < needed or not _connected(vacant, size):
             continue
         chosen = rng.choice(n_vacant, size=needed, replace=False)
         return walls, vacant, np.flatnonzero(~walls)[chosen].tolist()

@@ -18,6 +18,11 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 
 DIRECTIONAL_GAP_THRESHOLD = 0.10
+# Rates are counts over episodes, so a gap of exactly 10 points (11 vs 9 of
+# 100) can round a few ulps under 0.10. Two distinct gaps from N episodes
+# differ by at least 1 / N**2, so for N below 10**6 this slack lets in no
+# gap smaller than 10 points.
+_GAP_SLACK = 1e-12
 
 
 class MetricMode(str, Enum):
@@ -96,7 +101,7 @@ def compute_metrics(
     # Directional accuracy on the observed two-way gap; predicted ties
     # count as incorrect.
     gap = obs2[:, 0] - obs2[:, 1]
-    directional = two_way & (np.abs(gap) >= DIRECTIONAL_GAP_THRESHOLD)
+    directional = two_way & (np.abs(gap) >= DIRECTIONAL_GAP_THRESHOLD - _GAP_SLACK)
     pred_sign = np.sign(pred[:, 0] - pred[:, 1])
     correct = directional & (pred_sign != 0) & (pred_sign == np.sign(gap))
     n_dir = int(directional.sum())

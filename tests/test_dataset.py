@@ -132,6 +132,55 @@ def test_load_reports_record_index(tmp_path):
         load_dataset(path)
 
 
+def test_round_trip_every_object(tmp_path):
+    objects = enumerate_objects()
+    stages = tuple(TrainingStage(a, b) for a, b in zip(objects[::2], objects[1::2]))
+    records = tuple(
+        PreferenceRecord("all", a, b, 1, 2, 3, 6) for a, b in zip(objects, objects[1:])
+    )
+    ds = Dataset({"all": TrainingPipeline("all", stages)}, records)
+    path = tmp_path / "data.jsonl"
+    save_dataset(ds, path)
+    assert load_dataset(path) == ds
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"colour": 1, "shape": "cross"},
+        {"colour": ["red"], "shape": "cross"},
+        {"colour": "red", "shape": "star"},
+        {"colour": "red"},
+        ["red", "cross"],
+    ],
+    ids=["int-colour", "list-colour", "unknown-shape", "missing-shape", "list"],
+)
+def test_load_rejects_bad_object(tmp_path, obj):
+    path = save_with_object_b(tmp_path, obj)
+    with pytest.raises(ValidationError) as info:
+        load_dataset(path)
+    message = str(info.value)
+    assert message.startswith(f"record 1: bad object {obj!r} (")
+    assert "\n" not in message
+
+
+def test_load_accepts_extra_object_keys(tmp_path):
+    path = save_with_object_b(tmp_path, {"colour": "green", "shape": "plus", "note": 1})
+    assert load_dataset(path) == two_record_dataset()
+
+
+def save_with_object_b(tmp_path, obj):
+    """Save two_record_dataset() with record 1's object b written as ``obj``."""
+    path = tmp_path / "data.jsonl"
+    save_dataset(two_record_dataset(), path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    record["b"] = obj
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def test_load_rejects_missing_header(tmp_path):
     path = tmp_path / "data.jsonl"
     path.write_text('{"not_pipelines": {}}\n')

@@ -427,7 +427,8 @@ def read_csv(text):
 
 
 def test_elo_command_output_matches_recorded_values(tmp_path):
-    # Recorded with the serial one-fit-per-call solver on this dataset.
+    # Recorded with the serial one-fit-per-call solver on this dataset. The
+    # holdout rows count the two exact 10-point gaps each agent has.
     data = tmp_path / "population.jsonl"
     save_dataset(population_dataset(seed=7, n_pipelines=2), data)
     out = tmp_path / "elo"

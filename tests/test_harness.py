@@ -1,4 +1,9 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from goalgen.fitting import (
 from goalgen.harness import (
     EvaluationPlan,
     PipelinePredicate,
+    _spearman_rho,
     elo_vs_model,
     kfold_cv,
     kfold_partition,
@@ -188,6 +194,77 @@ def test_elo_vs_model_normalised_removes_per_agent_shift():
     b = elo_vs_model(ds, shifted_tables, fit, normalised=True)
     assert a.spearman_rho == pytest.approx(b.spearman_rho)
     assert a.r_squared == pytest.approx(b.r_squared)
+
+
+def test_spearman_rho_matches_scipy():
+    from scipy.stats import spearmanr
+
+    rng = np.random.default_rng(5)
+    cases = [
+        (rng.normal(size=40), rng.normal(size=40)),  # distinct values
+        (rng.integers(0, 4, 200), rng.integers(0, 3, 200)),  # heavy ties
+        (rng.integers(0, 2, 7), rng.normal(size=7)),
+        (np.array([1.0, 2.0]), np.array([5.0, 3.0])),  # n = 2
+        (np.array([2.0, 1.0, 2.0, 2.0]), np.array([0.5, 0.5, 0.1, 0.9])),
+    ]
+    for x, y in cases:
+        want = spearmanr(x, y).statistic
+        assert _spearman_rho(x, y) == pytest.approx(want, rel=0, abs=1e-12)
+    # A constant input has no ranking.
+    assert math.isnan(_spearman_rho(np.full(5, 3.0), np.arange(5.0)))
+    assert math.isnan(_spearman_rho(np.arange(5.0), np.zeros(5)))
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports goalgen from this
+    checkout and the test helpers from ``tests``."""
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_importing_goalgen_loads_no_scipy():
+    result = _run_python(
+        "import sys, goalgen, goalgen.cli, goalgen.harness\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_goalgen_runs_without_scipy(tmp_path):
+    # With sys.modules["scipy"] set to None, any import of scipy raises.
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from conftest import synthetic_dataset
+from goalgen import cli
+from goalgen.elo import EloTable
+from goalgen.features import enumerate_objects
+from goalgen.fitting import FitResult, ModelVariant
+from goalgen.harness import elo_vs_model
+
+assert cli.main(["check", "--out", {str(tmp_path / "check")!r}]) == 0
+ds, hp = synthetic_dataset(seed=3, n_pipelines=2, n_records=12)
+rng = np.random.default_rng(0)
+tables = {{
+    pid: EloTable(scores={{o: float(rng.normal()) for o in enumerate_objects()}})
+    for pid in ds.pipelines
+}}
+fit = FitResult(hp, ModelVariant.FULL, 0.0, np.zeros(len(ds.records)))
+print(elo_vs_model(ds, tables, fit).spearman_rho)
+"""
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
+    rho = float(result.stdout.splitlines()[-1])
+    assert -1.0 <= rho <= 1.0
 
 
 def test_elo_vs_model_coverage_checked():

@@ -11,6 +11,7 @@ from goalgen.features import Colour, ObjectFeatures, Shape
 from goalgen.maze import (
     MazeGrid,
     _connected,
+    _vacant_bits,
     distance_field,
     flood_layers,
     generate_maze,
@@ -224,7 +225,7 @@ def test_bitboard_bfs_matches_queue_oracle():
         wall_prob = (i // 12) % 7 / 10  # 0.0 .. 0.6
         walls = rng.random((size, size)) < wall_prob
         connected = oracle_connected(walls)
-        assert _connected(walls) is connected
+        assert _connected(_vacant_bits(walls), size) is connected
         disconnected += not connected
         vacant = np.argwhere(~walls)
         if len(vacant) == 0:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,11 +44,16 @@ def test_directional_threshold_excludes_small_gaps():
     pred = [dist(0.2, 0.7, 0.1)]
     report = compute_metrics(pred, obs, MetricMode.THREE_WAY)
     assert report.n_directional == 0
-    # gap exactly 0.10: included
-    obs = [dist(0.55, 0.45, 0.0)]
-    report = compute_metrics(pred, obs, MetricMode.THREE_WAY)
-    assert report.n_directional == 1
-    assert report.directional_accuracy == 0.0
+    # gap exactly 0.10: included, also where the float gap rounds below 0.10
+    for row in [
+        (0.55, 0.45, 0.0),
+        (0.11, 0.09, 0.80),
+        (0.22, 0.18, 0.60),
+        (0.33, 0.27, 0.40),
+    ]:
+        report = compute_metrics(pred, [dist(*row)], MetricMode.THREE_WAY)
+        assert report.n_directional == 1, row
+        assert report.directional_accuracy == 0.0
 
 
 def test_directional_gap_measured_after_renormalisation():
@@ -130,6 +136,17 @@ def test_scalar_helpers_random_properties(rng):
         assert kl_divergence(p, p) == pytest.approx(0.0)
 
 
+# 1/10 exactly: the float 0.1 is a little more.
+THRESHOLD = Fraction(str(DIRECTIONAL_GAP_THRESHOLD))
+
+
+def exact_gap(row):
+    """The two-way gap |a - b| / (a + b) of a row of counts over at most 100
+    episodes, computed in exact fractions."""
+    a, b = (Fraction(x).limit_denominator(100) for x in row[:2])
+    return abs(a - b) / (a + b)
+
+
 def scalar_metrics(predictions, observations, mode):
     """The per-record loop over (a, b, neither) rows: compute_metrics' oracle.
 
@@ -158,7 +175,7 @@ def scalar_metrics(predictions, observations, mode):
             kls.append(float((q[mask] * (np.log(q[mask]) - np.log(p[mask]))).sum()))
         tvs.append(float(0.5 * np.abs(q - p).sum()))
         briers.append(float(((q - p) ** 2).mean()))
-        if obs2 is not None and abs(obs2[0] - obs2[1]) >= DIRECTIONAL_GAP_THRESHOLD:
+        if obs2 is not None and exact_gap(obs) >= THRESHOLD:
             n_dir += 1
             pred_sign = np.sign(pred[0] - pred[1])
             if pred_sign != 0 and pred_sign == np.sign(obs2[0] - obs2[1]):
