@@ -5,7 +5,7 @@ Subcommands: gen-data (train desk agents, emit preference JSONL), elo
 (K-fold or transfer per a plan file), sweep-dim, project (closed-form
 projection trace), and check (gradient and oracle self-tests). Every run
 writes a manifest with input digests. Exit codes: 0 success, 1 validation
-error, 2 numerical failure.
+or output error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -425,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ValidationError(f"--seed must be at least 0, got {args.seed}")
         config = load_config(args.config)
         return args.handler(args, config)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:  # OSError: an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -133,23 +133,19 @@ class RecordComparisons:
         )
 
 
-def fit_elo_many(
-    problems: Mapping[K, EloProblem],
-    step: float = GRADIENT_STEP,
-    tol: float = CONVERGENCE_TOL,
-    max_iterations: int = MAX_ITERATIONS,
-) -> dict[K, EloTable]:
+def fit_elo_many(problems: Mapping[K, EloProblem]) -> dict[K, EloTable]:
     """Maximum-likelihood scores of independent problems, in lockstep.
 
     Each problem runs its own gradient descent on the weighted NLL, with a
     small ridge penalty that keeps scores finite when a competitor never
-    loses, and stops once its largest score change falls below ``tol``.
-    Every iteration steps all problems still running at once. Problems
-    share no score slots, so each takes the iterates it would take alone;
-    a converged problem is written out and dropped from the live arrays.
-    Raises NumericalError naming the first problem (in mapping order)
-    still running at the cap, by its key; a key of None, as ``fit_elo``
-    uses, names no problem.
+    loses. Steps are ``GRADIENT_STEP`` x the gradient, and a problem stops
+    once its largest score change falls below ``CONVERGENCE_TOL``. Every
+    iteration steps all problems still running at once. Problems share no
+    score slots, so each takes the iterates it would take alone; a
+    converged problem is written out and dropped from the live arrays.
+    Raises NumericalError naming the first problem (in mapping order) still
+    running after ``MAX_ITERATIONS`` iterations, by its key; a key of None,
+    as ``fit_elo`` uses, names no problem.
     """
     if not problems:
         return {}
@@ -157,7 +153,7 @@ def fit_elo_many(
     tables: dict[K, EloTable] = {}
     starts, slot_a, slot_b, weight, weighted_rate = _stack(list(problems.values()))
     scores = np.zeros(starts[-1])
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         gap = scores[slot_a] - scores[slot_b]
         p = 1.0 / (1.0 + np.exp(-ELO_SCALE * gap))
         resid = ELO_SCALE * (weighted_rate - weight * p)
@@ -166,10 +162,10 @@ def fit_elo_many(
             - np.bincount(slot_a, weights=resid, minlength=scores.size)
             + np.bincount(slot_b, weights=resid, minlength=scores.size)
         )
-        delta = step * grad
+        delta = GRADIENT_STEP * grad
         scores -= delta
         largest = np.maximum.reduceat(np.abs(delta), starts[:-1])
-        done = largest < tol
+        done = largest < CONVERGENCE_TOL
         if done.any():
             for j in np.flatnonzero(done):
                 key, segment = live[j], scores[starts[j] : starts[j + 1]]
@@ -191,7 +187,7 @@ def fit_elo_many(
     norm = np.linalg.norm(grad[starts[0] : starts[1]])
     name = "Elo fit" if key is None else f"Elo fit for {key}"
     raise NumericalError(
-        f"{name} did not converge in {max_iterations} iterations "
+        f"{name} did not converge in {MAX_ITERATIONS} iterations "
         f"(gradient norm {norm:.3e})"
     )
 
@@ -208,15 +204,10 @@ def _stack(problems: list[EloProblem]):
     )
 
 
-def fit_elo(
-    records: Sequence[PreferenceRecord],
-    step: float = GRADIENT_STEP,
-    tol: float = CONVERGENCE_TOL,
-    max_iterations: int = MAX_ITERATIONS,
-) -> EloTable:
+def fit_elo(records: Sequence[PreferenceRecord]) -> EloTable:
     """Scores fitted to one set of records; see ``fit_elo_many``."""
     problem = RecordComparisons(records).problem()
-    return fit_elo_many({None: problem}, step, tol, max_iterations)[None]
+    return fit_elo_many({None: problem})[None]
 
 
 def marginalised_elo(table: EloTable, feature: str) -> float:

@@ -7,26 +7,31 @@ fits, the latent-dimension sweep, ``predicted_distributions``,
 ``latent.simulate_pipeline`` stays the scalar reference that the oracles
 compare against.
 
+The inner ascent moves the latent weights only along the directions
+S^T phi of its stages' goals and distractors, so the engine runs it in
+their span: w = w0 1 + S^T phi^T beta, with two coefficients beta per
+stage, and the stages' values are w0 phi . S 1 + G beta with the Gram
+matrix G = phi S S^T phi^T. No array of the ascent has a latent axis.
+
 The engine runs M models at once: a model (S, log tau, w0) has a leading
 model axis, S being (M, n, d_max) and the others (M,). A model with fewer
-latent dimensions gets zero columns in S. Their ascent direction is zero,
-so they add nothing to any value u . w, and their gradient is masked out.
-The model axis folds into the pipeline axis: entry m * P + p is model m
-on pipeline p, with model m's tau. Every pipeline is front-padded to the
-most stages of any with zero-feature stages, which move neither the
-weights nor the adjoint, so one forward and one adjoint loop serve all
-stage counts. The fits of a sweep thus share one engine pass per update,
-in passes of at most ``_LOCKSTEP_ENTRIES`` (model, pipeline, stage)
-entries.
+latent dimensions gets zero columns in S, which change neither S S^T nor
+S 1, and their gradient is masked out. The model axis folds into the
+pipeline axis: entry m * P + p is model m on pipeline p, with model m's
+tau. Every pipeline is front-padded to the most stages of any with
+zero-feature stages, which have no row or column in G and so move no
+value, so one forward and one adjoint loop serve all stage counts. The
+fits of a sweep thus share one engine pass per update, in passes of at
+most ``_LOCKSTEP_ENTRIES`` (model, pipeline, stage) entries.
 
 The fit minimises the mean KL from observed to predicted choice
 distributions with mini-batch Adam. Gradients with respect to the free
 saliency entries, log tau, and w0 flow through the entire unrolled inner
-ascent by reverse accumulation: the forward pass records the latent
-trajectory, and the backward pass propagates an adjoint vector through
-each ascent step using the closed-form Jacobians of the step rule. The
-adjoint is linear and its Jacobians depend only on a pipeline's
-trajectory, so it runs once per pipeline, not once per record.
+ascent by reverse accumulation: the forward pass records the values at
+every step, and the backward pass runs the same steps in reverse,
+carrying the adjoint of beta through the closed-form Jacobians of the
+step rule. The adjoint is linear and its Jacobians depend only on a
+pipeline's trajectory, so it runs once per pipeline, not once per record.
 ``selfcheck.fd_gradient`` checks it against finite differences.
 
 Besides the proposed (full) model there are four alternatives: a diagonal
@@ -307,38 +312,35 @@ def _ascent_steps(t_count: int, n_steps: int, simultaneous: bool):
     return [(slice(t, t + 1), k) for t in range(t_count) for k in range(n_steps)]
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _forward(model, phi, has_dis, tau, rate, n_steps, simultaneous, keep):
-    """Ascend P pipelines of T stages under M models in lockstep, as
-    E = M * P entries.
-
-    ``phi`` holds the (P, T, 2, n) goal and distractor features and
-    ``has_dis`` the (P, T) distractor mask; ``tau`` and ``rate`` are each
-    entry's tau and step rate, (E,). Returns the final weights (E, d), the
-    ascent directions S^T phi as (T, 2, E, d) and, with ``keep``, the
-    values u . w at the start of every step as (T, K, 2, E) and the weights
-    at the start of each stage's trajectory as (T, E, d).
-    """
+def _span(model, phi, has_dis):
+    """The span of P pipelines' (P, T, 2, n) stage features ``phi`` under M
+    models, as E = M * P entries: K phi with K = S S^T, (T, 2, M, P, n),
+    the Gram matrix G = phi K phi^T, (T, 2, T, 2, E), and the start values
+    w0 phi . S 1, (T, 2, E), -inf where the (P, T) ``has_dis`` is False."""
     s_matrix, _, w0 = model
-    n_pipes, t_count = phi.shape[:2]
-    u_cat = np.einsum("ptcn,mnd->tcmpd", phi, s_matrix).reshape(
-        t_count, 2, len(tau), -1
-    )
-    w_now = np.outer(np.repeat(w0, n_pipes), np.ones(u_cat.shape[-1]))
-    v_hist = np.empty((t_count, n_steps, 2, len(tau))) if keep else None
-    w_start = np.empty((t_count,) + w_now.shape) if keep else None
-    # Added to v_d, (T, E).
-    no_distractor = np.tile(np.where(has_dis.T, 0.0, -np.inf), len(w0))
-    u_step = rate[:, None] * u_cat
+    t_count = phi.shape[1]
+    # einsum, not matmul (also below): BLAS adds 0.3-0.5 MB to peak RSS.
+    k_matrix = np.einsum("mnd,mjd->mnj", s_matrix, s_matrix)
+    k_phi = np.einsum("mnj,ptcj->tcmpn", k_matrix, phi)
+    gram = np.einsum("ptcn,sempn->tcsemp", phi, k_phi)
+    base = w0[:, None] * np.einsum("ptcn,mn->tcmp", phi, s_matrix.sum(axis=2))
+    base[:, 1] += np.where(has_dis.T, 0.0, -np.inf)[:, None]
+    return k_phi, gram.reshape(t_count, 2, t_count, 2, -1), base.reshape(t_count, 2, -1)
+
+
+def _forward(gram, base, tau, rate, n_steps, simultaneous, keep):
+    """Ascend the entries of ``_span`` with their (E,) ``tau`` and step
+    ``rate``. Returns the final beta, (T, 2, E), and with ``keep`` the
+    values at the start of every step, (T, K, 2, E)."""
+    t_count = len(base)
+    beta = np.zeros_like(base)
+    v_hist = np.empty((t_count, n_steps) + base.shape[1:]) if keep else None
     for stages, k in _ascent_steps(t_count, n_steps, simultaneous):
-        v = np.einsum("tcpd,pd->tcp", u_cat[stages], w_now)
-        v[:, 1] += no_distractor[stages]
+        v = base[stages] + np.einsum("tcsep,sep->tcp", gram[stages], beta)
         if keep:
-            if k == 0:
-                w_start[stages] = w_now
             v_hist[stages, k] = v
-        w_now = w_now + np.einsum("tcp,tcpd->pd", _step_coefs(v, tau), u_step[stages])
-    return w_now, u_cat, v_hist, w_start
+        beta[stages] += rate * _step_coefs(v, tau)
+    return beta, v_hist
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -349,18 +351,14 @@ def _evaluate_batch(model, prep: _Prepared, rec_sel, n_steps: int, want_grad: bo
     Returns the (M, R) KL of each selected record, its (M, R, 3)
     log-probabilities (a, b, neither) and, with ``want_grad``, the
     gradients as (dS, d log tau, d w0). Each pipeline of the selection is
-    simulated once per model. The adjoint pass pools the records' seeds per
-    entry, runs only the adjoint recurrence step by step, and contracts its
-    history into the gradients afterwards. Callers check for non-finite
-    values, so float warnings are suppressed here.
-
-    No weight or adjoint vector is kept per step. Along a trajectory the
-    weights are its start weights plus the running sum of coefficient x u,
-    and the adjoint is its end value plus the reverse running sum of
-    alpha x u. So the S gradient needs only the (T, K, 2, E) coefficient
-    histories and their running sums, and the histories do not grow with d.
+    ascended once per model, in the span of its directions (``_span``). The
+    adjoint pass pools the records' seeds per entry and runs the steps in
+    reverse, carrying the adjoint of beta back through G. Afterwards its
+    histories contract into the gradients of G, the start values and tau,
+    and K = S S^T and S 1 carry those to S and w0. Callers check for
+    non-finite values, so float warnings are suppressed here.
     """
-    s_matrix, log_tau, _ = model
+    s_matrix, log_tau, w0 = model
     n_models = len(log_tau)
     simultaneous = prep.variant is ModelVariant.SIMULTANEOUS
     pipes, pidx = np.unique(prep.record_pipeline[rec_sel], return_inverse=True)
@@ -371,62 +369,58 @@ def _evaluate_batch(model, prep: _Prepared, rec_sel, n_steps: int, want_grad: bo
     tau = np.repeat(np.exp(log_tau), len(pipes))  # inf for a diverged fit
     # A simultaneous step ascends the mean of the pipeline's stage objectives.
     rate = np.tile(1.0 / counts if simultaneous else np.ones(len(pipes)), n_models)
-    w_now, u_cat, v_hist, w_start = _forward(
-        model, phi, has_dis, tau, rate, n_steps, simultaneous, want_grad
-    )
+    k_phi, gram, base = _span(model, phi, has_dis)
+    beta, v_hist = _forward(gram, base, tau, rate, n_steps, simultaneous, want_grad)
 
     phi_a, phi_b, p_hat = prep.phi_a[rec_sel], prep.phi_b[rec_sel], prep.p_hat[rec_sel]
-    w_final = w_now.reshape(n_models, len(pipes), -1)
-    sw = np.einsum("mnd,mpd->mpn", s_matrix, w_final)[:, pidx]  # S w, (M, R, n)
-    va = np.einsum("rn,mrn->mr", phi_a, sw)
-    vb = np.einsum("rn,mrn->mr", phi_b, sw)
+    s_one = s_matrix.sum(axis=2)  # S 1, (M, n)
+    beta = beta.reshape(t_count, 2, n_models, -1)
+    # S w = w0 S 1 + K phi^T beta, (M, P, n).
+    sw = (w0[:, None] * s_one)[:, None] + np.einsum("tcmp,tcmpn->mpn", beta, k_phi)
+    va = np.einsum("rn,mrn->mr", phi_a, sw[:, pidx])
+    vb = np.einsum("rn,mrn->mr", phi_b, sw[:, pidx])
     losses, logp = _three_way_kl(va, vb, p_hat)
     if not want_grad:
         return losses, logp, None
 
-    # The records' seeds of the S and w gradients, pooled per entry.
+    # The records' seeds of S w, pooled per entry.
     dv = (np.exp(logp) - p_hat) / len(rec_sel)
     seeds = np.zeros((n_models, len(pipes), phi.shape[-1]))
     np.add.at(seeds, (slice(None), pidx), dv[..., :1] * phi_a + dv[..., 1:2] * phi_b)
-    s_grad = np.einsum("mpn,mpd->mnd", seeds, w_final)
-    # The adjoint recurrence is linear in lam and its Jacobians depend
-    # only on an entry's trajectory, so records pool per entry.
-    lam = np.einsum("mpn,mnd->mpd", seeds, s_matrix).reshape(w_now.shape)
+    # The adjoint of beta is linear and its Jacobians depend only on an
+    # entry's trajectory, so records pool per entry.
+    lam = np.einsum("tcmpn,mpn->tcmp", k_phi, seeds).reshape(base.shape)
 
     # Axis c (and e) below is (goal, distractor).
     coef, jac, coef_tau = (rate * x for x in _step_coef_partials(v_hist, tau))
-    # Only the lam recurrence runs per step; its history is contracted
-    # into the S and tau gradients after the loop.
-    lam_end = np.empty_like(w_start)  # lam at the end of each trajectory
-    a_hist = np.empty_like(coef)  # lam . u_c, before each step's update
+    lam_hist = np.empty_like(coef)  # the adjoint of each step's beta, after it
+    alpha_hist = np.empty_like(coef)  # the adjoint of its values
     for stages, k in reversed(_ascent_steps(t_count, n_steps, simultaneous)):
-        if k == n_steps - 1:
-            lam_end[stages] = lam
-        a = np.einsum("tcpd,pd->tcp", u_cat[stages], lam)
-        a_hist[stages, k] = a
-        alpha = np.einsum("tecp,tep->tcp", jac[stages, k], a)
-        lam = lam + np.einsum("tcp,tcpd->pd", alpha, u_cat[stages])
+        lam_hist[stages, k] = lam[stages]
+        alpha = np.einsum("tecp,tep->tcp", jac[stages, k], lam[stages])
+        alpha_hist[stages, k] = alpha
+        lam += np.einsum("tcsep,tcp->sep", gram[stages], alpha)
 
-    tau_grad = np.einsum("tkcp,tkcp->p", coef_tau, a_hist).reshape(n_models, -1)
-    alpha_hist = np.einsum("tkecp,tkep->tkcp", jac, a_hist)
-    # The sum of alpha over the later steps of a trajectory.
-    later = np.cumsum(alpha_hist[:, ::-1], axis=1)[:, ::-1] - alpha_hist
-    # sum_k alpha_k w_k + coef_k lam_k, with w_k and lam_k as running sums
-    # over the stages s that share stage t's trajectory.
-    pairs = np.einsum("tkcp,skep->tcsep", coef, later)
-    pairs = pairs + pairs.transpose(2, 3, 0, 1, 4)
-    if not simultaneous:  # then each stage is a trajectory of its own
-        pairs *= np.eye(t_count)[:, None, :, None, None]
-    u_adj = (
-        np.einsum("tcsep,sepd->tcpd", pairs, u_cat)
-        + alpha_hist.sum(axis=1)[..., None] * w_start[:, None]
-        + coef.sum(axis=1)[..., None] * lam_end[:, None]
-    )
-    s_grad += np.einsum(
-        "ptcn,tcmpd->mnd", phi, u_adj.reshape(t_count, 2, n_models, len(pipes), -1)
-    )
-    w0_grad = lam.reshape(n_models, -1).sum(axis=1)
-    return losses, logp, (s_grad, tau_grad.sum(axis=1) * np.exp(log_tau), w0_grad)
+    tau_grad = np.einsum("tkcp,tkcp->p", coef_tau, lam_hist).reshape(n_models, -1)
+    d_base = alpha_hist.sum(axis=1)
+    # A step's alpha meets the beta before it in G: its own stages' exclusive
+    # running sum of increments, and a sequential stage's earlier stages' ends.
+    d_gram = np.einsum("tkcp,skep->tcsep", alpha_hist, np.cumsum(coef, axis=1) - coef)
+    if not simultaneous:
+        earlier = np.tri(t_count, k=-1)[:, None, :, None, None]
+        d_gram *= np.eye(t_count)[:, None, :, None, None]
+        d_gram += np.einsum("tcp,sep->tcsep", d_base, coef.sum(axis=1)) * earlier
+    # K's gradient, from G and from the seeds against phi^T beta.
+    d_gram = d_gram.reshape(gram.shape[:4] + beta.shape[2:])
+    left = np.einsum("tcsemp,ptcn->sempn", d_gram, phi) + beta[..., None] * seeds
+    d_k = np.einsum("sempn,psej->mnj", left, phi)
+    # w0 S 1 enters S w and the start values; d_one is its gradient.
+    d_base = d_base.reshape(beta.shape)
+    d_one = (seeds + np.einsum("tcmp,ptcn->mpn", d_base, phi)).sum(axis=1)
+    s_grad = np.einsum("mnj,mjd->mnd", d_k + d_k.transpose(0, 2, 1), s_matrix)
+    s_grad += (w0[:, None] * d_one)[..., None]
+    tau_grad = tau_grad.sum(axis=1) * np.exp(log_tau)
+    return losses, logp, (s_grad, tau_grad, (d_one * s_one).sum(axis=1))
 
 
 def _single(hp: LpgHyperparameters):
@@ -568,6 +562,7 @@ def fit_hyperparameters(
     return _fit_lockstep(prep, config, [config.latent_dim])[0]
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def simulate_variant(
     hp: LpgHyperparameters,
     pipeline: TrainingPipeline,
@@ -581,12 +576,12 @@ def simulate_variant(
     rate = np.array([1.0 / len(has_dis) if simultaneous else 1.0])
     n_steps = (config or FitConfig()).n_integration_steps
     tau = np.exp([hp.log_tau])
-    w, _, _, _ = _forward(
-        _single(hp), phi[None], has_dis[None], tau, rate, n_steps, simultaneous, False
-    )
+    _, gram, base = _span(_single(hp), phi[None], has_dis[None])
+    beta, _ = _forward(gram, base, tau, rate, n_steps, simultaneous, False)
+    w = hp.w0 + np.einsum("nd,tcn,tc->d", hp.matrix(), phi, beta[..., 0])
     if not np.all(np.isfinite(w)):
         raise NumericalError(f"non-finite latent weights in pipeline {pipeline.id!r}")
-    return w[0]
+    return w
 
 
 def _predict(hp, dataset, records, variant, config):
@@ -696,9 +691,9 @@ def lower_bound_per_feature(dataset: Dataset) -> float:
     return _lower_bound(dataset, encode_features)[0]
 
 
-# Bounds the fits of a sweep that share one engine pass: each
-# (model, pipeline, stage) entry keeps about a dozen float64 (K, 2)
-# histories while the adjoint runs, about 20 kB at K = 100.
+# Bounds the fits of a sweep that share one engine pass: while the adjoint
+# runs, each (model, pipeline, stage) entry holds about 14 float64 (K, 2)
+# histories, about 22 kB at K = 100, whatever the latent dim.
 _LOCKSTEP_ENTRIES = 1024
 
 

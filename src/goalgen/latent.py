@@ -233,7 +233,6 @@ def simulate_pipeline(
     hp: LpgHyperparameters,
     pipeline: TrainingPipeline,
     n_integration_steps: int = DEFAULT_INTEGRATION_STEPS,
-    step_size: float = 1.0,
 ) -> np.ndarray:
     """Latent weights after ascending each stage objective in order.
 
@@ -245,7 +244,7 @@ def simulate_pipeline(
     w = np.full(hp.latent_dim, hp.w0)
     for stage_idx, stage in enumerate(pipeline.stages):
         for step_idx in range(n_integration_steps):
-            w = w + step_size * stage_objective(hp, w, stage).grad_w
+            w = w + stage_objective(hp, w, stage).grad_w
             if not np.all(np.isfinite(w)):
                 raise NumericalError(
                     f"non-finite latent weights in pipeline {pipeline.id!r} "

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import synthetic_dataset
+from conftest import population_dataset, synthetic_dataset
 from goalgen.agent import DeskPolicyParameters, evaluate_preferences, train_desk_agent
 from goalgen.cli import fit_config_from, load_config, main
 from goalgen.dataset import load_dataset, load_pipelines, save_dataset
@@ -513,6 +513,21 @@ def assert_one_line_error(capsys, *fragments):
     assert err.startswith("error: "), err
     for fragment in fragments:
         assert fragment in err, err
+
+
+@pytest.mark.parametrize("command", ["check", "fit", "elo"])
+def test_out_naming_a_file_exits_1(tmp_path, data_file, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    args = []
+    if command == "fit":
+        args = ["--data", str(data_file), "--config", str(fast_config(tmp_path))]
+    elif command == "elo":  # dense tallies, on which the Elo descent converges
+        save_dataset(population_dataset(seed=7, n_pipelines=2), tmp_path / "pop.jsonl")
+        args = ["--data", str(tmp_path / "pop.jsonl")]
+    assert main([command, *args, "--out", str(taken)]) == 1
+    assert_one_line_error(capsys, str(taken))
+    assert taken.read_text() == "not a directory\n"
 
 
 GOALLESS_STAGE = {"pipelines": {"demo": [{"distractor": None}]}}

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import population_dataset
+from goalgen import elo
 from goalgen.cli import main
 from goalgen.dataset import PreferenceRecord, save_dataset
 from goalgen.elo import (
@@ -390,22 +391,24 @@ def test_fit_elo_many_of_no_problems_is_empty():
     assert fit_elo_many({}) == {}
 
 
-def test_non_convergence_names_the_problem_that_failed():
+def test_non_convergence_names_the_problem_that_failed(monkeypatch):
     records = population_dataset(seed=5, n_pipelines=1).records
     cap = serial_fit_elo(masked_comparisons(records)).iterations
     problems = {
         "pipeline p00": RecordComparisons(records).problem(),
         "pipeline p01 (fold 2)": RecordComparisons([record(40, 40, 20)]).problem(),
     }
+    monkeypatch.setattr(elo, "MAX_ITERATIONS", cap)
     with pytest.raises(NumericalError) as info:
-        fit_elo_many(problems, max_iterations=cap)
+        fit_elo_many(problems)
     message = str(info.value)
     assert message.startswith(
         f"Elo fit for pipeline p01 (fold 2) did not converge in {cap} iterations"
     )
     assert "gradient norm" in message
+    monkeypatch.setattr(elo, "MAX_ITERATIONS", 3)
     with pytest.raises(NumericalError, match=r"^Elo fit did not converge in 3 "):
-        fit_elo([record(90, 5, 5)], max_iterations=3)
+        fit_elo([record(90, 5, 5)])
 
 
 def test_holdout_report_is_unchanged_by_lockstep_folds():

@@ -85,10 +85,17 @@ def small_dataset(rng, n_records=5):
     return Dataset(pipelines, tuple(records))
 
 
+# Every variant at d = 10, and non-square S at d = 1 and 24.
+ADJOINT_CASES = [(variant, 10) for variant in ModelVariant] + [
+    (variant, d)
+    for variant in (ModelVariant.FULL, ModelVariant.MEMORYLESS, ModelVariant.SIMULTANEOUS)
+    for d in (1, 24)
+]
+
+
 def test_adjoint_matches_fd_for_every_variant(rng):
     ds = small_dataset(rng)
-    for variant in ModelVariant:
-        space_dim = 10
+    for variant, space_dim in ADJOINT_CASES:
         hp_seed = np.random.default_rng(99)
         if variant is ModelVariant.QUADRATIC:
             hp = LpgHyperparameters(
@@ -98,7 +105,8 @@ def test_adjoint_matches_fd_for_every_variant(rng):
                 SaliencyVariant.QUADRATIC,
             )
         else:
-            s = np.triu(np.eye(10) + 0.1 * hp_seed.normal(size=(10, space_dim)))
+            noise = 0.1 * hp_seed.normal(size=(10, space_dim))
+            s = np.triu(np.eye(10, space_dim) + noise)
             structural = (
                 SaliencyVariant.DIAGONAL
                 if variant is ModelVariant.DIAGONAL
@@ -112,7 +120,7 @@ def test_adjoint_matches_fd_for_every_variant(rng):
         rel = np.abs(adjoint - fd) / np.maximum(
             np.maximum(np.abs(adjoint), np.abs(fd)), 1e-6
         )
-        assert rel.max() < 1e-3, variant
+        assert rel.max() < 1e-3, (variant, space_dim)
 
 
 POOLED_REFERENCE = Path(__file__).parent / "data" / "pooled_adjoint_reference.json"
