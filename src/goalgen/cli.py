@@ -424,6 +424,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed < 0:
             raise ValidationError(f"--seed must be at least 0, got {args.seed}")
         config = load_config(args.config)
+        # Before any work: no command could make --out a directory.
+        files = [p for p in (args.out, *args.out.parents) if p.exists() and not p.is_dir()]
+        if files:
+            raise ValidationError(f"--out {args.out}: {files[0]} is not a directory")
         return args.handler(args, config)
     except (ValidationError, OSError) as exc:  # OSError: an unwritable output
         print(f"error: {exc}", file=sys.stderr)

@@ -12,6 +12,10 @@ S^T phi of its stages' goals and distractors, so the engine runs it in
 their span: w = w0 1 + S^T phi^T beta, with two coefficients beta per
 stage, and the stages' values are w0 phi . S 1 + G beta with the Gram
 matrix G = phi S S^T phi^T. No array of the ascent has a latent axis.
+It runs in blocks, a stage each or all stages (simultaneous), each
+starting from the earlier blocks' final beta. A step adds
+G_bb (g, -g sigma(v_d)) to a block's values, with lr = ln((1 - pi_g) / pi_g)
+and g = rate (1 + tau lr) pi_g (1 - pi_g); beta sums those coefficients.
 
 The engine runs M models at once: a model (S, log tau, w0) has a leading
 model axis, S being (M, n, d_max) and the others (M,). A model with fewer
@@ -28,10 +32,11 @@ The fit minimises the mean KL from observed to predicted choice
 distributions with mini-batch Adam. Gradients with respect to the free
 saliency entries, log tau, and w0 flow through the entire unrolled inner
 ascent by reverse accumulation: the forward pass records the values at
-every step, and the backward pass runs the same steps in reverse,
-carrying the adjoint of beta through the closed-form Jacobians of the
-step rule. The adjoint is linear and its Jacobians depend only on a
-pipeline's trajectory, so it runs once per pipeline, not once per record.
+every step, and the backward pass runs the blocks in reverse. The step
+rule's Jacobians depend only on the recorded values, so a block's step
+matrices I + G_bb B_k, with B_k the partials of step k, are built at once
+and its loop only multiplies the adjoint of beta by them. The adjoint is
+linear, so it runs once per pipeline, not once per record.
 ``selfcheck.fd_gradient`` checks it against finite differences.
 
 Besides the proposed (full) model there are four alternatives: a diagonal
@@ -250,66 +255,37 @@ def _three_way_kl(va: np.ndarray, vb: np.ndarray, p_hat: np.ndarray):
     return plogp.sum(axis=-1) - (p_hat * logp).sum(axis=-1), logp
 
 
-def _softmax_terms(v):
-    """Split (goal, distractor) values on axis -2 and take the three-way
-    softmax over (v_g, v_d, 0) without overflow: (vg, vd, eg, ed, e0, z)."""
-    vg, vd = v[..., 0, :], v[..., 1, :]
-    m = np.maximum(np.maximum(vg, vd), 0.0)
-    eg, ed, e0 = np.exp(vg - m), np.exp(vd - m), np.exp(-m)
-    return vg, vd, eg, ed, e0, eg + ed + e0
+def _step_terms(v, tau, rate):
+    """At values ``v``, (goal, distractor) on axis -2: lr, sigma(v_d),
+    x = rate pi_g (1 - pi_g) and the goal coefficient g = x (1 + tau lr).
+    A missing distractor has v_d = -inf, so sigma(v_d) = 0; where cosh lr
+    overflows, x = g = 0."""
+    vd = v[..., 1, :]
+    soft = np.logaddexp(0.0, vd)
+    lr = soft - v[..., 0, :]
+    x = rate / (2.0 + 2.0 * np.cosh(lr))
+    return lr, np.exp(vd - soft), x, x * (1.0 + tau * lr)
 
 
-def _step_coefs(v, tau):
-    """Ascent-step coefficients on S^T phi(goal) and S^T phi(distractor).
-
-    ``v`` holds the (goal, distractor) values on axis -2, and so does the
-    result. A stage without a distractor has v_d = -inf, which turns the
-    three-way softmax into the sigmoid of v_g and zeroes the distractor
-    coefficient.
-    """
-    vg, vd, eg, ed, e0, z = _softmax_terms(v)
-    g = (1.0 + tau * (np.logaddexp(0.0, vd) - vg)) * (eg / z)
-    # concatenate, not stack: this runs once per ascent step.
-    return np.concatenate(
-        [(g * ((ed + e0) / z))[..., None, :], (-g * (ed / z))[..., None, :]], axis=-2
-    )
-
-
-def _step_coef_partials(v, tau):
-    """Coefficients plus their partials wrt (vg, vd) and tau, stacked.
-
-    For values ``v`` of shape ``X + (2, P)`` returns ``coef`` and
-    ``coef_tau`` of shape ``X + (2, P)`` (goal, distractor) and ``jac`` of
-    shape ``X + (2, 2, P)`` with ``jac[..., e, c, :]`` the partial of
-    coefficient ``e`` wrt ``v_c``. The Jacobian is symmetric because the
-    coefficients are the objective's first derivatives in (vg, vd).
-    """
-    vg, vd, eg, ed, e0, z = _softmax_terms(v)
-    pig = eg / z
-    pid = ed / z
-    gg = pig * ((ed + e0) / z)  # pi_g (1 - pi_g) without cancellation
-    gd = pig * pid
-    log_ratio = np.logaddexp(0.0, vd) - vg  # ln((1 - pi_g) / pi_g)
-    mm = 1.0 + tau * log_ratio
-
-    dgg = -tau * gg + mm * gg * (1.0 - 2.0 * pig)
-    cross = tau * gd - mm * gd * (1.0 - 2.0 * pig)
-    ratio = ed / (ed + e0)  # pi_d / (1 - pi_g)
-    ddd = -tau * gd * ratio - mm * gd * (1.0 - 2.0 * pid)
-    jac = np.stack(
-        [np.stack([dgg, cross], axis=-2), np.stack([cross, ddd], axis=-2)], axis=-3
-    )
-    coef = np.stack([mm * gg, -mm * gd], axis=-2)
-    return coef, jac, np.stack([log_ratio * gg, -log_ratio * gd], axis=-2)
+def _step_coef_partials(v, tau, rate):
+    """Coefficients (g, -g sigma(v_d)) plus their partials wrt (vg, vd) and
+    tau. ``coef`` and ``coef_tau`` have the shape ``X + (2, E)`` of ``v``,
+    and ``jac[..., e, c, :]``, ``X + (2, 2, E)``, is the partial of
+    coefficient ``e`` wrt ``v_c``; it is symmetric. As d lr / d v_g = -1,
+    d lr / d v_d = sigma(v_d) and d x / d lr = -x tanh(lr / 2),
+    d g / d lr is ``a``."""
+    lr, sig, x, g = _step_terms(v, tau, rate)
+    a = x * tau - g * np.tanh(0.5 * lr)
+    cross = a * sig
+    ddd = -sig * (cross + g * (1.0 - sig))
+    jac = np.stack([-a, cross, cross, ddd], axis=-2).reshape(v.shape[:-2] + (2, 2, -1))
+    coef = np.stack([g, -g * sig], axis=-2)
+    return coef, jac, np.stack([x * lr, -x * lr * sig], axis=-2)
 
 
-def _ascent_steps(t_count: int, n_steps: int, simultaneous: bool):
-    """The unrolled inner ascent of T stages, in order: each step is (the
-    stages it ascends, its index). A simultaneous step ascends the mean of
-    all stage objectives, so its stages share one trajectory."""
-    if simultaneous:
-        return [(slice(None), k) for k in range(n_steps)]
-    return [(slice(t, t + 1), k) for t in range(t_count) for k in range(n_steps)]
+def _blocks(t_count: int, simultaneous: bool) -> list[slice]:
+    """The stages that ascend together (all, or one at a time), in order."""
+    return [slice(0, t_count)] if simultaneous else [slice(t, t + 1) for t in range(t_count)]
 
 
 def _span(model, phi, has_dis):
@@ -328,18 +304,24 @@ def _span(model, phi, has_dis):
     return k_phi, gram.reshape(t_count, 2, t_count, 2, -1), base.reshape(t_count, 2, -1)
 
 
-def _forward(gram, base, tau, rate, n_steps, simultaneous, keep):
+def _forward(gram, base, tau, rate, n_steps, simultaneous):
     """Ascend the entries of ``_span`` with their (E,) ``tau`` and step
-    ``rate``. Returns the final beta, (T, 2, E), and with ``keep`` the
+    ``rate``, block by block. Returns the final beta, (T, 2, E), and the
     values at the start of every step, (T, K, 2, E)."""
-    t_count = len(base)
     beta = np.zeros_like(base)
-    v_hist = np.empty((t_count, n_steps) + base.shape[1:]) if keep else None
-    for stages, k in _ascent_steps(t_count, n_steps, simultaneous):
-        v = base[stages] + np.einsum("tcsep,sep->tcp", gram[stages], beta)
-        if keep:
-            v_hist[stages, k] = v
-        beta[stages] += rate * _step_coefs(v, tau)
+    v_hist = np.empty((len(base), n_steps) + base.shape[1:])
+    for blk in _blocks(len(base), simultaneous):
+        earlier = slice(0, blk.start)
+        v = base[blk] + np.einsum("tcsep,sep->tcp", gram[blk, :, earlier], beta[earlier])
+        # The block's columns of G, per (goal, distractor) coefficient.
+        g_goal, g_dis = gram[blk, :, blk, 0], gram[blk, :, blk, 1]
+        hist = v_hist[blk]
+        for k in range(n_steps):
+            hist[:, k] = v
+            _, sig, _, g = _step_terms(v, tau, rate)
+            v = v + (g * (g_goal - sig * g_dis)).sum(axis=2)
+        _, sig, _, g = _step_terms(hist, tau, rate)
+        beta[blk] = np.stack([g, -g * sig], axis=-2).sum(axis=1)
     return beta, v_hist
 
 
@@ -353,10 +335,11 @@ def _evaluate_batch(model, prep: _Prepared, rec_sel, n_steps: int, want_grad: bo
     gradients as (dS, d log tau, d w0). Each pipeline of the selection is
     ascended once per model, in the span of its directions (``_span``). The
     adjoint pass pools the records' seeds per entry and runs the steps in
-    reverse, carrying the adjoint of beta back through G. Afterwards its
-    histories contract into the gradients of G, the start values and tau,
-    and K = S S^T and S 1 carry those to S and w0. Callers check for
-    non-finite values, so float warnings are suppressed here.
+    reverse, carrying the adjoint of beta back through their step matrices
+    and, between blocks, through G. Afterwards its histories contract
+    into the gradients of G, the start values and tau, and K = S S^T and
+    S 1 carry those to S and w0. Callers check for non-finite values, so
+    float warnings are suppressed here.
     """
     s_matrix, log_tau, w0 = model
     n_models = len(log_tau)
@@ -370,7 +353,7 @@ def _evaluate_batch(model, prep: _Prepared, rec_sel, n_steps: int, want_grad: bo
     # A simultaneous step ascends the mean of the pipeline's stage objectives.
     rate = np.tile(1.0 / counts if simultaneous else np.ones(len(pipes)), n_models)
     k_phi, gram, base = _span(model, phi, has_dis)
-    beta, v_hist = _forward(gram, base, tau, rate, n_steps, simultaneous, want_grad)
+    beta, v_hist = _forward(gram, base, tau, rate, n_steps, simultaneous)
 
     phi_a, phi_b, p_hat = prep.phi_a[rec_sel], prep.phi_b[rec_sel], prep.p_hat[rec_sel]
     s_one = s_matrix.sum(axis=2)  # S 1, (M, n)
@@ -391,15 +374,24 @@ def _evaluate_batch(model, prep: _Prepared, rec_sel, n_steps: int, want_grad: bo
     # entry's trajectory, so records pool per entry.
     lam = np.einsum("tcmpn,mpn->tcmp", k_phi, seeds).reshape(base.shape)
 
-    # Axis c (and e) below is (goal, distractor).
-    coef, jac, coef_tau = (rate * x for x in _step_coef_partials(v_hist, tau))
+    # Axis c (and e, f) below is (goal, distractor).
+    coef, jac, coef_tau = _step_coef_partials(v_hist, tau, rate)
     lam_hist = np.empty_like(coef)  # the adjoint of each step's beta, after it
     alpha_hist = np.empty_like(coef)  # the adjoint of its values
-    for stages, k in reversed(_ascent_steps(t_count, n_steps, simultaneous)):
-        lam_hist[stages, k] = lam[stages]
-        alpha = np.einsum("tecp,tep->tcp", jac[stages, k], lam[stages])
-        alpha_hist[stages, k] = alpha
-        lam += np.einsum("tcsep,tcp->sep", gram[stages], alpha)
+    for blk in reversed(_blocks(t_count, simultaneous)):
+        # Step k takes the adjoint of the block's beta back through the
+        # transpose of its Jacobian I + B_k G_bb, B_k holding jac[k]
+        # block-diagonally: I + G_bb B_k, as G and jac are symmetric.
+        step = np.einsum("setcp,skfep->ktcsfp", gram[blk, :, blk], jac[blk])
+        step += np.eye(2 * t_count).reshape(t_count, 2, t_count, 2, 1)[blk, :, blk]
+        lam_blk, hist = lam[blk], lam_hist[blk]
+        for k in reversed(range(n_steps)):
+            hist[:, k] = lam_blk
+            lam_blk = np.einsum("tcsfp,sfp->tcp", step[k], lam_blk)
+        alpha_hist[blk] = np.einsum("skfep,skfp->skep", jac[blk], hist)
+        earlier = slice(0, blk.start)
+        alpha_sum = alpha_hist[blk].sum(axis=1)
+        lam[earlier] += np.einsum("tcsep,tcp->sep", gram[blk, :, earlier], alpha_sum)
 
     tau_grad = np.einsum("tkcp,tkcp->p", coef_tau, lam_hist).reshape(n_models, -1)
     d_base = alpha_hist.sum(axis=1)
@@ -502,23 +494,22 @@ def _fit_lockstep(prep: _Prepared, config: FitConfig, dims: list[int]):
         rng.shuffle(order)
         for start in range(0, prep.n_records, config.batch_size):
             batch = order[start : start + config.batch_size]
+            when = f" (epoch {epoch}, batch starting at {start})"
             batch_losses, _, grads = _evaluate_batch(
                 model(theta), prep, batch, config.n_integration_steps, True
             )
             loss = batch_losses.mean(axis=1)
             grad = np.where(mask, _dense_gradient(*grads), 0.0)
-            _diverged(
-                np.column_stack([loss, grad]),
-                dims,
-                "loss or gradient",
-                f" (epoch {epoch}, batch starting at {start})",
-            )
+            _diverged(np.column_stack([loss, grad]), dims, "loss or gradient", when)
             step_count += 1
             m = config.adam_beta1 * m + (1.0 - config.adam_beta1) * grad
             v = config.adam_beta2 * v + (1.0 - config.adam_beta2) * grad**2
             m_hat = m / (1.0 - config.adam_beta1**step_count)
             v_hat = v / (1.0 - config.adam_beta2**step_count)
             theta = theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+            # The engine runs on at tau = 0, but LpgHyperparameters rejects it.
+            with np.errstate(over="ignore"):
+                _diverged(np.exp(np.abs(theta[:, -2])), dims, "tau or 1 / tau", when)
             losses.append(loss)
             grad_norms.append(np.linalg.norm(grad, axis=1))
 
@@ -577,7 +568,7 @@ def simulate_variant(
     n_steps = (config or FitConfig()).n_integration_steps
     tau = np.exp([hp.log_tau])
     _, gram, base = _span(_single(hp), phi[None], has_dis[None])
-    beta, _ = _forward(gram, base, tau, rate, n_steps, simultaneous, False)
+    beta, _ = _forward(gram, base, tau, rate, n_steps, simultaneous)
     w = hp.w0 + np.einsum("nd,tcn,tc->d", hp.matrix(), phi, beta[..., 0])
     if not np.all(np.isfinite(w)):
         raise NumericalError(f"non-finite latent weights in pipeline {pipeline.id!r}")
@@ -692,8 +683,9 @@ def lower_bound_per_feature(dataset: Dataset) -> float:
 
 
 # Bounds the fits of a sweep that share one engine pass: while the adjoint
-# runs, each (model, pipeline, stage) entry holds about 14 float64 (K, 2)
-# histories, about 22 kB at K = 100, whatever the latent dim.
+# runs, each (model, pipeline, stage) entry holds about 18 kB at K = 100
+# whatever the latent dim: seven (K, 2) histories, 11.2 kB, and (K, 2, 2)
+# step matrices, 3.2 kB. Simultaneous ones are (K, 2T, 2T): 19.2 kB at T = 6.
 _LOCKSTEP_ENTRIES = 1024
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import population_dataset, synthetic_dataset
+from goalgen import elo, fitting, selfcheck
 from goalgen.agent import DeskPolicyParameters, evaluate_preferences, train_desk_agent
 from goalgen.cli import fit_config_from, load_config, main
 from goalgen.dataset import load_dataset, load_pipelines, save_dataset
@@ -516,7 +517,7 @@ def assert_one_line_error(capsys, *fragments):
 
 
 @pytest.mark.parametrize("command", ["check", "fit", "elo"])
-def test_out_naming_a_file_exits_1(tmp_path, data_file, capsys, command):
+def test_out_naming_a_file_exits_1(tmp_path, data_file, capsys, monkeypatch, command):
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n")
     args = []
@@ -525,8 +526,19 @@ def test_out_naming_a_file_exits_1(tmp_path, data_file, capsys, command):
     elif command == "elo":  # dense tallies, on which the Elo descent converges
         save_dataset(population_dataset(seed=7, n_pipelines=2), tmp_path / "pop.jsonl")
         args = ["--data", str(tmp_path / "pop.jsonl")]
-    assert main([command, *args, "--out", str(taken)]) == 1
-    assert_one_line_error(capsys, str(taken))
+
+    def never(*args, **kwargs):
+        raise AssertionError("the command ran before its --out was checked")
+
+    # The output path is checked before any of the command's work.
+    monkeypatch.setattr(fitting, "fit_hyperparameters", never)
+    monkeypatch.setattr(elo, "fit_elo_many", never)
+    monkeypatch.setattr(selfcheck, "run_self_checks", never)
+    before = sorted(tmp_path.iterdir())
+    for out in (taken, taken / "run"):
+        assert main([command, *args, "--out", str(out)]) == 1
+        assert_one_line_error(capsys, str(out), f"{taken} is not a directory")
+    assert sorted(tmp_path.iterdir()) == before
     assert taken.read_text() == "not a directory\n"
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,7 @@ from goalgen.fitting import (
 from goalgen.latent import (
     LpgHyperparameters,
     SaliencyVariant,
+    goal_value,
     identity_hyperparameters,
     predict_preferences,
     simulate_pipeline,
@@ -93,6 +95,16 @@ ADJOINT_CASES = [(variant, 10) for variant in ModelVariant] + [
 ]
 
 
+def adjoint_fd_error(ds, hp, variant):
+    """Worst relative error of the adjoint gradient against selfcheck's
+    finite differences."""
+    _, adjoint = hyperparameter_gradient(ds, hp, variant)
+    fd = fd_gradient(ds, hp, variant)
+    return (
+        np.abs(adjoint - fd) / np.maximum(np.maximum(np.abs(adjoint), np.abs(fd)), 1e-6)
+    ).max()
+
+
 def test_adjoint_matches_fd_for_every_variant(rng):
     ds = small_dataset(rng)
     for variant, space_dim in ADJOINT_CASES:
@@ -115,12 +127,7 @@ def test_adjoint_matches_fd_for_every_variant(rng):
             if structural is SaliencyVariant.DIAGONAL:
                 s = np.diag(np.diag(s))
             hp = LpgHyperparameters(s, 0.1, -0.1, structural)
-        _, adjoint = hyperparameter_gradient(ds, hp, variant)
-        fd = fd_gradient(ds, hp, variant)
-        rel = np.abs(adjoint - fd) / np.maximum(
-            np.maximum(np.abs(adjoint), np.abs(fd)), 1e-6
-        )
-        assert rel.max() < 1e-3, (variant, space_dim)
+        assert adjoint_fd_error(ds, hp, variant) < 1e-3, (variant, space_dim)
 
 
 POOLED_REFERENCE = Path(__file__).parent / "data" / "pooled_adjoint_reference.json"
@@ -224,6 +231,42 @@ def scalar_weights(hp, pipeline, variant):
     return simulate_pipeline(hp, pipeline)
 
 
+def assert_engine_matches_scalar(ds, records, variant, hp):
+    """simulate_variant, predicted_distributions and modelling_loss against
+    latent's scalar simulator, at 1e-12."""
+    weights = {
+        pid: scalar_weights(hp, pipe, variant) for pid, pipe in ds.pipelines.items()
+    }
+    for pid, pipe in ds.pipelines.items():
+        np.testing.assert_allclose(
+            simulate_variant(hp, pipe, variant),
+            weights[pid],
+            rtol=0,
+            atol=1e-12,
+            err_msg=f"{variant.value} {pid}",
+        )
+    expected = [
+        predict_preferences(hp, weights[r.pipeline_id], r.object_a, r.object_b)
+        for r in records
+    ]
+    got = predicted_distributions(hp, ds, records, variant)
+    np.testing.assert_allclose(
+        [p.as_tuple() for p in got],
+        [p.as_tuple() for p in expected],
+        rtol=0,
+        atol=1e-12,
+        err_msg=variant.value,
+    )
+    expected_loss = np.mean(
+        [
+            kl_divergence(q, np.array(p.as_tuple()))
+            for q, p in zip(observed_rates(records), expected)
+        ]
+    )
+    loss = modelling_loss(hp, ds, records, variant)
+    assert abs(loss - expected_loss) <= 1e-12, variant
+
+
 def test_engine_matches_scalar_reference_for_every_variant():
     ds = pooled_adjoint_dataset()
     first = ds.records[0]
@@ -242,37 +285,78 @@ def test_engine_matches_scalar_reference_for_every_variant():
     assert len(ds.records[::2]) < len(ds.records)
     for variant in ModelVariant:
         hp = pooled_adjoint_hyperparameters(variant)
-        weights = {
-            pid: scalar_weights(hp, pipe, variant) for pid, pipe in ds.pipelines.items()
-        }
-        for pid, pipe in ds.pipelines.items():
-            np.testing.assert_allclose(
-                simulate_variant(hp, pipe, variant),
-                weights[pid],
-                rtol=0,
-                atol=1e-12,
-                err_msg=f"{variant.value} {pid}",
-            )
-        expected = [
-            predict_preferences(hp, weights[r.pipeline_id], r.object_a, r.object_b)
-            for r in records
-        ]
-        got = predicted_distributions(hp, ds, records, variant)
-        np.testing.assert_allclose(
-            [p.as_tuple() for p in got],
-            [p.as_tuple() for p in expected],
-            rtol=0,
-            atol=1e-12,
-            err_msg=variant.value,
-        )
-        expected_loss = np.mean(
-            [
-                kl_divergence(q, np.array(p.as_tuple()))
-                for q, p in zip(observed_rates(records), expected)
-            ]
-        )
-        loss = modelling_loss(hp, ds, records, variant)
-        assert abs(loss - expected_loss) <= 1e-12, variant
+        assert_engine_matches_scalar(ds, records, variant, hp)
+
+
+def mixed_stage_dataset():
+    """Pipelines of 4, 5 and 6 stages with a distractor in every other
+    stage, the desk-train shape, and 4 records each."""
+    rng = np.random.default_rng(12)
+    pipelines, records = {}, []
+    for n_stages in (4, 5, 6):
+        stages = []
+        for t in range(n_stages):
+            goal = GOALS[rng.integers(len(GOALS))]
+            distractor = None
+            while t % 2 and distractor in (None, goal):
+                distractor = OBJECTS[rng.integers(24)]
+            stages.append(TrainingStage(goal, distractor))
+        pid = f"m{n_stages}"
+        pipelines[pid] = TrainingPipeline(pid, tuple(stages))
+        for j in rng.choice(len(PAIRS), size=4, replace=False):
+            counts = rng.multinomial(60, rng.dirichlet([2.0, 2.0, 1.0]))
+            records.append(PreferenceRecord(pid, *PAIRS[j], *map(int, counts), 60))
+    return Dataset(pipelines, tuple(records))
+
+
+def test_engine_matches_scalar_reference_on_mixed_distractor_stages():
+    ds = mixed_stage_dataset()
+    for variant in ModelVariant:
+        hp = pooled_adjoint_hyperparameters(variant)
+        assert_engine_matches_scalar(ds, list(ds.records), variant, hp)
+
+
+@pytest.mark.parametrize(
+    "variant", [ModelVariant.FULL, ModelVariant.SIMULTANEOUS], ids=lambda v: v.value
+)
+def test_adjoint_matches_fd_on_mixed_distractor_stages(variant):
+    hp = pooled_adjoint_hyperparameters(variant)
+    assert adjoint_fd_error(mixed_stage_dataset(), hp, variant) < 1e-3
+
+
+def log_space_loss(hp, weights, records):
+    """Mean KL of the records under latent's values, in log space, so that
+    a prediction that underflows to 0 still gives a finite loss."""
+    losses = []
+    for q, r in zip(observed_rates(records), records):
+        w = weights[r.pipeline_id]
+        logits = np.array([goal_value(hp, w, r.object_a), goal_value(hp, w, r.object_b), 0.0])
+        logp = logits - np.logaddexp.reduce(logits)
+        losses.append(sum(qi * (np.log(qi) - lp) for qi, lp in zip(q, logp) if qi > 0))
+    return np.mean(losses)
+
+
+@pytest.mark.parametrize("w0", [-400.0, 400.0])
+def test_saturated_values_stay_finite_and_quiet(w0):
+    # With identity saliency every value starts at 2 w0 (5 w0 for the
+    # quadratic basis), so |lr| passes 710, where cosh overflows.
+    ds = mixed_stage_dataset()
+    records = list(ds.records)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for variant in ModelVariant:
+            hp = identity_hyperparameters(fitting.structural_variant(variant), w0=w0)
+            weights = {
+                pid: scalar_weights(hp, pipe, variant)
+                for pid, pipe in ds.pipelines.items()
+            }
+            for pid, pipe in ds.pipelines.items():
+                w = simulate_variant(hp, pipe, variant)
+                np.testing.assert_allclose(w, weights[pid], rtol=1e-12, atol=0)
+            loss = modelling_loss(hp, ds, records, variant)
+            assert np.isfinite(loss)
+            assert loss == pytest.approx(log_space_loss(hp, weights, records), rel=1e-12)
+            assert np.all(np.isfinite(hyperparameter_gradient(ds, hp, variant)[1]))
 
 
 def test_mismatched_hyperparameter_variant_is_rejected():
@@ -382,7 +466,9 @@ def test_upper_triangular_pattern_after_fit():
 def test_fit_aborts_on_divergence():
     ds, _ = synthetic_dataset(seed=6, n_pipelines=4, n_records=40)
     config = FitConfig(epochs=40, learning_rate=1e150)
-    with np.errstate(over="ignore", invalid="ignore"):
+    # The fit keeps its own float warnings quiet.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(NumericalError):
             fit_hyperparameters(ds, config=config)
 
