@@ -37,10 +37,12 @@ weight is bit-identical to it.
 Evaluation steps every agent's episodes together. An evaluation episode is
 seeded only by the run seed, its unordered pair and its index, so agents
 evaluated with one seed meet the same maze and the same uniforms in it.
-Each maze is generated once, and its HORIZON uniforms are drawn in one call,
-which returns the doubles the per-step draws would. The mazes of a pass
-become flat tables over their cells: the object at each cell, and per
-(cell, action) the move code, from the two BFS distance fields. An
+The mazes of a pass are built together by ``maze.sample_mazes``, each on
+its own stream with the calls ``generate_maze`` makes, and then its
+HORIZON uniforms in one call, which returns the doubles the per-step draws
+would. One batched flood, ``maze.distance_fields``, gives every maze's two
+BFS distance fields, and the pass becomes flat tables over its cells: the
+object at each cell, and per (cell, action) the move code. An
 action's score is then one of 9 values per (agent, pair), and a 9 x 9
 table of math.exp(s_i - s_j) per (agent, pair) serves every softmax;
 np.exp can differ from math.exp in the last bit. Per step, every live
@@ -68,18 +70,23 @@ from .maze import (
     N_OBSERVATION_FEATURES,
     STEP_PENALTY,
     WALL_PROBABILITY,
-    distance_field,
+    distance_fields,
     flood_layers,
-    generate_maze,
     sample_maze,
+    sample_mazes,
 )
+
+# perfbench/layers.py wraps these two here by name, though nothing here
+# calls them now; ROADMAP item 2 replaces that tracing.
+from .maze import distance_field, generate_maze  # noqa: F401
 
 _MOVE_DELTAS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 # Each move's step in the flat cell index r * GRID_SIZE + c.
 _CELL_STEP = np.array([dr * GRID_SIZE + dc for dr, dc in _MOVE_DELTAS])
 # Most episodes that evaluate_preferences steps together in one pass. A
 # pass keeps about 2 kB of tables per maze, most of it the maze's uniforms,
-# and every agent walks each maze of the pass.
+# and every agent walks each maze of the pass. While a pass samples its
+# mazes, each pending maze also holds its Generator, about 1 kB.
 _LOCKSTEP_EPISODES = 16_384
 
 
@@ -313,8 +320,8 @@ def _softmax_tables(
     return scores.ravel(), exps
 
 
-def _maze_pass(mazes, keys, pairs, rng_seed: int, wall_prob: float):
-    """Generate a pass's evaluation mazes and flatten them into tables.
+def _maze_pass(mazes, keys, rng_seed: int, wall_prob: float):
+    """Build a pass's evaluation mazes together and flatten them into tables.
 
     ``mazes`` lists (pair, episode) per maze; cell m * GRID_SIZE**2 + r *
     GRID_SIZE + c is cell (r, c) of maze m. Returns the start cells, the
@@ -322,20 +329,14 @@ def _maze_pass(mazes, keys, pairs, rng_seed: int, wall_prob: float):
     (mazes, HORIZON) uniforms.
     """
     size, n_mazes = GRID_SIZE, len(mazes)
-    # BFS distances to each object, -1 on walls; at most 63 on 8 x 8.
-    dist = np.empty((n_mazes, 2, size, size), dtype=np.int8)
-    start = np.empty(n_mazes, dtype=np.intp)
-    obj_at = np.full((n_mazes, size, size), -1, dtype=np.int8)
     uniforms = np.empty((n_mazes, HORIZON))
-    for m, (pair, ep) in enumerate(mazes):
-        lo, hi = keys[pair]
-        rng = np.random.default_rng([0x6576616C, rng_seed, lo, hi, ep])
-        grid = generate_maze(rng, list(pairs[pair]), wall_prob)
-        start[m] = (m * size + grid.agent_pos[0]) * size + grid.agent_pos[1]
-        for o, cell in enumerate(grid.object_cells):
-            dist[m, o] = distance_field(grid.walls, cell)
-            obj_at[(m, *cell)] = o
-        rng.random(out=uniforms[m])
+    seeds = ([0x6576616C, rng_seed, *keys[pair], ep] for pair, ep in mazes)
+    vacant, cells = sample_mazes(seeds, 2, wall_prob, uniforms)
+    # BFS distances to each object, -1 on walls; at most 63 on 8 x 8.
+    dist = distance_fields(vacant, cells[:, :2]).reshape(n_mazes, 2, size, size)
+    first = np.arange(n_mazes) * size * size
+    obj_at = np.full(n_mazes * size * size, -1, dtype=np.int8)
+    obj_at[first[:, None] + cells[:, :2]] = [0, 1]
 
     padded = np.pad(dist, ((0, 0), (0, 0), (1, 1), (1, 1)), constant_values=-1)
     codes = np.empty((n_mazes, size, size, 4), dtype=np.uint8)
@@ -345,7 +346,7 @@ def _maze_pass(mazes, keys, pairs, rng_seed: int, wall_prob: float):
         there = np.where(there < 0, dist, there)
         c = 1 + np.sign(there - dist)  # c_o per object
         codes[..., a] = 3 * c[:, 0] + c[:, 1]
-    return start, codes.reshape(-1, 4), obj_at.ravel(), uniforms
+    return first + cells[:, 2], codes.reshape(-1, 4), obj_at, uniforms
 
 
 def _walk(tables, table: np.ndarray, scores, exps, counts: np.ndarray) -> None:
@@ -411,7 +412,7 @@ def _lockstep_counts(
         # Agent g on the chunk's maze m is episode g * len(chunk) + m.
         table = np.arange(n_agents)[:, None] * n_pairs + [p for p, _ in chunk]
         # The pass's tables live only for the walk, not into the next pass.
-        tables = _maze_pass(chunk, keys, pairs, rng_seed, wall_prob)
+        tables = _maze_pass(chunk, keys, rng_seed, wall_prob)
         _walk(tables, table.ravel(), scores, exps, counts)
         del tables
     return counts.reshape(n_agents, n_pairs, 3)

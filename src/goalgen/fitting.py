@@ -34,9 +34,10 @@ saliency entries, log tau, and w0 flow through the entire unrolled inner
 ascent by reverse accumulation: the forward pass records the values at
 every step, and the backward pass runs the blocks in reverse. The step
 rule's Jacobians depend only on the recorded values, so a block's step
-matrices I + G_bb B_k, with B_k the partials of step k, are built at once
-and its loop only multiplies the adjoint of beta by them. The adjoint is
-linear, so it runs once per pipeline, not once per record.
+matrices I + G_bb B_k, with B_k the partials of step k, are built a chunk
+of steps at a time, and its loop only multiplies the adjoint of beta by
+them. The adjoint is linear, so it runs once per pipeline, not once per
+record.
 ``selfcheck.fd_gradient`` checks it against finite differences.
 
 Besides the proposed (full) model there are four alternatives: a diagonal
@@ -325,6 +326,13 @@ def _forward(gram, base, tau, rate, n_steps, simultaneous):
     return beta, v_hist
 
 
+# Most step-matrix entries the adjoint builds at once (0.5 MB). A step of a
+# block of b stages has 4 b^2 entries per (model, pipeline) entry, so a
+# simultaneous block's steps come in chunks, while a one-stage block's 100
+# steps take one chunk up to 163 entries.
+_STEP_MATRIX_ENTRIES = 2**16
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _evaluate_batch(model, prep: _Prepared, rec_sel, n_steps: int, want_grad: bool):
     """Per-record losses and log-probabilities under M models, and
@@ -382,12 +390,17 @@ def _evaluate_batch(model, prep: _Prepared, rec_sel, n_steps: int, want_grad: bo
         # Step k takes the adjoint of the block's beta back through the
         # transpose of its Jacobian I + B_k G_bb, B_k holding jac[k]
         # block-diagonally: I + G_bb B_k, as G and jac are symmetric.
-        step = np.einsum("setcp,skfep->ktcsfp", gram[blk, :, blk], jac[blk])
-        step += np.eye(2 * t_count).reshape(t_count, 2, t_count, 2, 1)[blk, :, blk]
+        g_bb = gram[blk, :, blk]
+        eye = np.eye(2 * t_count).reshape(t_count, 2, t_count, 2, 1)[blk, :, blk]
+        per_chunk = max(1, _STEP_MATRIX_ENTRIES // g_bb.size)
         lam_blk, hist = lam[blk], lam_hist[blk]
-        for k in reversed(range(n_steps)):
-            hist[:, k] = lam_blk
-            lam_blk = np.einsum("tcsfp,sfp->tcp", step[k], lam_blk)
+        for stop in range(n_steps, 0, -per_chunk):
+            first = max(0, stop - per_chunk)
+            step = np.einsum("setcp,skfep->ktcsfp", g_bb, jac[blk, first:stop])
+            step += eye
+            for k in reversed(range(first, stop)):
+                hist[:, k] = lam_blk
+                lam_blk = np.einsum("tcsfp,sfp->tcp", step[k - first], lam_blk)
         alpha_hist[blk] = np.einsum("skfep,skfp->skep", jac[blk], hist)
         earlier = slice(0, blk.start)
         alpha_sum = alpha_hist[blk].sum(axis=1)
@@ -685,7 +698,8 @@ def lower_bound_per_feature(dataset: Dataset) -> float:
 # Bounds the fits of a sweep that share one engine pass: while the adjoint
 # runs, each (model, pipeline, stage) entry holds about 18 kB at K = 100
 # whatever the latent dim: seven (K, 2) histories, 11.2 kB, and (K, 2, 2)
-# step matrices, 3.2 kB. Simultaneous ones are (K, 2T, 2T): 19.2 kB at T = 6.
+# step matrices, 3.2 kB. Simultaneous ones are (2T, 2T) per step, built in
+# chunks of at most _STEP_MATRIX_ENTRIES.
 _LOCKSTEP_ENTRIES = 1024
 
 

@@ -14,6 +14,12 @@ and masks over that int: a shift by ``size`` moves a row down or up, a shift
 by 1 moves a column right or left, and column masks drop the bits that
 would wrap onto the next or previous row. Python ints have no width limit,
 so any grid size works.
+
+Evaluation builds many mazes at once (``sample_mazes``,
+``distance_fields``): each GRID_SIZE x GRID_SIZE board is one numpy uint64,
+and one flood with the same shifts and masks serves every board. Each maze
+keeps its own Generator and makes ``sample_maze``'s calls in order, and
+rejection sampling runs in rounds that redraw only the rejected mazes.
 """
 
 from __future__ import annotations
@@ -72,15 +78,19 @@ def _vacant_bits(walls: np.ndarray) -> int:
     return ((1 << walls.size) - 1) & ~wall_bits
 
 
+def _first_column(size: int) -> int:
+    """Bits of the first column: 1 + 2**size + 2**(2 * size) + ... A right
+    move never lands on the first column, a left move never on the last."""
+    return ((1 << size * size) - 1) // ((1 << size) - 1)
+
+
 def flood_layers(start: int, vacant: int, size: int):
     """Breadth-first flood fill over bitboards, one layer at a time.
 
     Yields, for d = 0, 1, ..., every vacant cell within ``d`` moves of the
     cells in ``start``, and stops after the whole reachable set.
     """
-    # Bits of the first column: 1 + 2**size + 2**(2 * size) + ... A right
-    # move never lands on the first column, a left move never on the last.
-    first_column = ((1 << size * size) - 1) // ((1 << size) - 1)
+    first_column = _first_column(size)
     enter_right = vacant & ~first_column
     enter_left = vacant & ~(first_column << (size - 1))
     reached = start
@@ -161,6 +171,104 @@ def sample_maze(
         f"no connected maze with {needed} vacant cells found in "
         f"{max_attempts} attempts (wall_prob={wall_prob})"
     )
+
+
+def _flood_boards(start: np.ndarray, vacant: np.ndarray):
+    """``flood_layers`` on GRID_SIZE bitboards held in uint64 arrays.
+
+    ``vacant`` broadcasts against ``start``. Yields, for d = 0, 1, ..., each
+    board's vacant cells within ``d`` moves of its cells in ``start``, and
+    stops after the layer at which no board grows.
+    """
+    size = GRID_SIZE
+    first_column = np.uint64(_first_column(size))
+    enter_right = vacant & ~first_column
+    enter_left = vacant & ~(first_column << size - 1)
+    reached = start
+    while True:
+        yield reached
+        grown = (
+            reached
+            | ((reached << size | reached >> size) & vacant)
+            | (reached << 1 & enter_right)
+            | (reached >> 1 & enter_left)
+        )
+        if np.array_equal(grown, reached):
+            return
+        reached = grown
+
+
+def _connected_boards(vacant: np.ndarray) -> np.ndarray:
+    """``_connected`` of every GRID_SIZE bitboard in a uint64 array."""
+    for reached in _flood_boards(vacant & -vacant, vacant):
+        pass
+    return (vacant != 0) & (reached == vacant)
+
+
+def _cells(boards: np.ndarray) -> np.ndarray:
+    """The bits of uint64 GRID_SIZE bitboards, (..., GRID_SIZE**2) uint8 in
+    cell order."""
+    as_bytes = boards.astype("<u8")[..., None].view(np.uint8)
+    return np.unpackbits(as_bytes, axis=-1, bitorder="little")
+
+
+def distance_fields(vacant: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """``distance_field`` for many GRID_SIZE mazes and targets at once.
+
+    ``vacant`` holds the mazes' uint64 vacant-cell bitboards, (mazes,), and
+    ``targets`` their vacant flat target cells r * GRID_SIZE + c, (mazes,
+    k). A cell's distance is the number of cumulative flood layers that
+    miss it. Returns int8 (mazes, k, GRID_SIZE**2) distances in flat cell
+    order; walls and unreachable cells get -1.
+    """
+    start = np.uint64(1) << targets.astype(np.uint64)
+    missed = np.zeros(targets.shape + (GRID_SIZE**2,), dtype=np.int8)
+    for reached in _flood_boards(start, vacant[:, None]):
+        missed += _cells(~reached)
+    missed[_cells(reached) == 0] = -1
+    return missed
+
+
+def sample_mazes(seeds, n_objects: int, wall_prob: float, uniforms: np.ndarray):
+    """``sample_maze`` for many GRID_SIZE mazes at once, each on its own stream.
+
+    Maze m draws from ``np.random.default_rng(seed)``, with the m-th of the
+    ``seeds``, what ``sample_maze`` draws and in the same order, and then
+    fills ``uniforms[m]``; the Generator is dropped after that. Rejection
+    sampling runs in rounds: every pending maze draws its walls, one flood
+    tests them all, and only the rejected mazes draw again.
+
+    Returns the (mazes,) uint64 vacant-cell bitboards and the (mazes,
+    n_objects + 1) flat cells of the objects in order, then the agent.
+    """
+    needed = n_objects + 1
+    pending = {m: np.random.default_rng(seed) for m, seed in enumerate(seeds)}
+    vacant = np.zeros(len(pending), dtype=np.uint64)
+    cells = np.zeros((len(pending), needed), dtype=np.intp)
+    for _ in range(MAX_GENERATION_ATTEMPTS):
+        if not pending:
+            break
+        order = np.fromiter(pending, dtype=np.intp, count=len(pending))
+        walls = np.empty((len(order), GRID_SIZE**2), dtype=bool)
+        draws = np.empty(GRID_SIZE**2)
+        for row, rng in zip(walls, pending.values()):
+            rng.random(out=draws)
+            np.less(draws, wall_prob, out=row)
+        is_vacant = ~walls
+        boards = np.packbits(is_vacant, axis=1, bitorder="little").view("<u8")[:, 0]
+        accepted = (is_vacant.sum(axis=1) >= needed) & _connected_boards(boards)
+        vacant[order[accepted]] = boards[accepted]
+        for m, row in zip(order[accepted].tolist(), is_vacant[accepted]):
+            rng = pending.pop(m)
+            free = np.flatnonzero(row)
+            cells[m] = free[rng.choice(len(free), size=needed, replace=False)]
+            rng.random(out=uniforms[m])
+    if pending:
+        raise NumericalError(
+            f"no connected maze with {needed} vacant cells found in "
+            f"{MAX_GENERATION_ATTEMPTS} attempts (wall_prob={wall_prob})"
+        )
+    return vacant, cells
 
 
 def generate_maze(

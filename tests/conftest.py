@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from goalgen.agent import _increments, _train_episode
+from goalgen.agent import _MOVE_DELTAS, _increments, _train_episode
 from goalgen.dataset import (
     Dataset,
     PreferenceRecord,
@@ -27,6 +27,7 @@ from goalgen.maze import (
     STEP_PENALTY,
     _vacant_bits,
     distance_field,
+    generate_maze,
 )
 
 OBJECTS = enumerate_objects()
@@ -248,6 +249,40 @@ def run_episode(grid, weights, seed=0):
     )
     assert trained == (ret, grad)
     return outcome, ret, grad
+
+
+def scalar_maze_pass(mazes, keys, pairs, rng_seed, wall_prob):
+    """The per-maze build of a pass's evaluation tables: the oracle of
+    ``agent._maze_pass``.
+
+    Each maze comes from ``generate_maze`` on its own Generator, then two
+    ``distance_field`` calls; ``pairs[p]`` are pair p's objects in canonical
+    order. Returns the start cells, move codes, object at each cell and
+    uniforms as ``agent._maze_pass`` does.
+    """
+    size, n_mazes = 8, len(mazes)
+    dist = np.empty((n_mazes, 2, size, size), dtype=np.int8)
+    start = np.empty(n_mazes, dtype=np.intp)
+    obj_at = np.full((n_mazes, size, size), -1, dtype=np.int8)
+    uniforms = np.empty((n_mazes, HORIZON))
+    for m, (pair, ep) in enumerate(mazes):
+        lo, hi = keys[pair]
+        rng = np.random.default_rng([0x6576616C, rng_seed, lo, hi, ep])
+        grid = generate_maze(rng, list(pairs[pair]), wall_prob)
+        start[m] = (m * size + grid.agent_pos[0]) * size + grid.agent_pos[1]
+        for o, cell in enumerate(grid.object_cells):
+            dist[m, o] = distance_field(grid.walls, cell)
+            obj_at[(m, *cell)] = o
+        rng.random(out=uniforms[m])
+
+    padded = np.pad(dist, ((0, 0), (0, 0), (1, 1), (1, 1)), constant_values=-1)
+    codes = np.empty((n_mazes, size, size, 4), dtype=np.uint8)
+    for a, (dr, dc) in enumerate(_MOVE_DELTAS):
+        there = padded[:, :, 1 + dr : 1 + dr + size, 1 + dc : 1 + dc + size]
+        there = np.where(there < 0, dist, there)
+        c = 1 + np.sign(there - dist)
+        codes[..., a] = 3 * c[:, 0] + c[:, 1]
+    return start, codes.reshape(-1, 4), obj_at.ravel(), uniforms
 
 
 @pytest.fixture

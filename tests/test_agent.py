@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import goalgen.agent as agent_mod
-from conftest import maze_tables, scalar_episode
+import goalgen.maze as maze_mod
+from conftest import maze_tables, scalar_episode, scalar_maze_pass
 from goalgen.agent import DeskPolicyParameters, evaluate_preferences, train_desk_agent
 from goalgen.dataset import PreferenceRecord, TrainingPipeline, TrainingStage
 from goalgen.errors import NumericalError, ValidationError
@@ -17,7 +18,7 @@ from goalgen.features import (
     enumerate_eval_pairs,
     object_index,
 )
-from goalgen.maze import WALL_PROBABILITY, generate_maze
+from goalgen.maze import WALL_PROBABILITY, generate_maze, sample_maze
 
 RC = ObjectFeatures(Colour.RED, Shape.CROSS)
 RD = ObjectFeatures(Colour.RED, Shape.DIAMOND)
@@ -351,28 +352,26 @@ def test_repeated_object_rejected_before_any_episode(trained_single, monkeypatch
     def no_maze(*args, **kwargs):
         raise AssertionError("a maze was generated")
 
-    monkeypatch.setattr(agent_mod, "generate_maze", no_maze)
+    monkeypatch.setattr(agent_mod, "sample_mazes", no_maze)
     with pytest.raises(ValidationError, match="twice"):
         evaluate_preferences(trained_single, [(RC, BD), (BD, BD)], 10, 0, "single")
+    # The hook is on the evaluation path: a valid call reaches it.
+    with pytest.raises(AssertionError, match="a maze was generated"):
+        evaluate_preferences(trained_single, [(RC, BD)], 10, 0, "single")
 
 
 def test_default_size_evaluation_memory_is_bounded(three_agents, monkeypatch):
-    # Maze generation and BFS are replayed from a pool of real mazes, which
-    # keeps the run short under tracemalloc; the tables and the walk are
-    # the full 3 agents x 276 pairs x 100 episodes.
-    rng = np.random.default_rng(10)
-    pool = [generate_maze(rng, list(pair)) for pair in enumerate_eval_pairs()[:50]]
-    fields = {
-        (id(g.walls), cell): agent_mod.distance_field(g.walls, cell)
-        for g in pool
-        for cell in g.object_cells
-    }
-    replay = iter(range(10**9))
+    # The full 3 agents x 276 pairs x 100 episodes: every pass's Generators,
+    # tables and walk, in ceil(27,600 / (16,384 // 3)) = 6 passes.
+    passes = []
+    sample_mazes = agent_mod.sample_mazes
 
-    monkeypatch.setattr(
-        agent_mod, "generate_maze", lambda *args: pool[next(replay) % len(pool)]
-    )
-    monkeypatch.setattr(agent_mod, "distance_field", lambda w, c: fields[id(w), c])
+    def counted(seeds, *args):
+        seeds = list(seeds)
+        passes.append(len(seeds))
+        return sample_mazes(seeds, *args)
+
+    monkeypatch.setattr(agent_mod, "sample_mazes", counted)
     pairs = enumerate_eval_pairs()
     tracemalloc.start()
     try:
@@ -380,6 +379,43 @@ def test_default_size_evaluation_memory_is_bounded(three_agents, monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert passes == [16_384 // 3] * 5 + [27_600 - 5 * (16_384 // 3)]
     assert len(records) == 3 * 276
     assert all(r.count_a + r.count_b + r.count_none == 100 for r in records)
     assert peak < 64 * 2**20
+
+
+def canonical_pairs(pairs):
+    """Each pair's object indices and objects in ``evaluate_preferences``'
+    canonical order, lower index first."""
+    keys, canonical = [], []
+    for pair in pairs:
+        order = sorted(pair, key=object_index)
+        keys.append(tuple(map(object_index, order)))
+        canonical.append(tuple(order))
+    return keys, canonical
+
+
+@pytest.mark.parametrize(
+    "n_pairs, episodes, wall_prob", [(1, 1, 0.2), (276, 2, 0.2), (60, 3, 0.45), (30, 2, 0.0)]
+)
+def test_maze_pass_matches_per_maze_oracle(n_pairs, episodes, wall_prob):
+    keys, canonical = canonical_pairs(enumerate_eval_pairs()[:n_pairs])
+    mazes = [(p, ep) for p in range(n_pairs) for ep in range(episodes)]
+    got = agent_mod._maze_pass(mazes, keys, 11, wall_prob)
+    want = scalar_maze_pass(mazes, keys, canonical, 11, wall_prob)
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+def test_running_out_of_attempts_raises_like_sample_maze(monkeypatch):
+    monkeypatch.setattr(maze_mod, "MAX_GENERATION_ATTEMPTS", 3)
+    with pytest.raises(NumericalError) as scalar:
+        sample_maze(np.random.default_rng(0), 2, 0.9, max_attempts=3)
+    assert str(scalar.value) == (
+        "no connected maze with 3 vacant cells found in 3 attempts (wall_prob=0.9)"
+    )
+    with pytest.raises(NumericalError) as batched:
+        evaluate_preferences(DeskPolicyParameters(), [(RC, BD)], 4, wall_prob=0.9)
+    assert str(batched.value) == str(scalar.value)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -288,12 +289,12 @@ def test_engine_matches_scalar_reference_for_every_variant():
         assert_engine_matches_scalar(ds, records, variant, hp)
 
 
-def mixed_stage_dataset():
-    """Pipelines of 4, 5 and 6 stages with a distractor in every other
-    stage, the desk-train shape, and 4 records each."""
+def mixed_stage_dataset(stage_counts=(4, 5, 6), records_each=4):
+    """Pipelines of ``stage_counts`` stages with a distractor in every
+    other stage, the desk-train shape, and ``records_each`` records each."""
     rng = np.random.default_rng(12)
     pipelines, records = {}, []
-    for n_stages in (4, 5, 6):
+    for i, n_stages in enumerate(stage_counts):
         stages = []
         for t in range(n_stages):
             goal = GOALS[rng.integers(len(GOALS))]
@@ -301,9 +302,9 @@ def mixed_stage_dataset():
             while t % 2 and distractor in (None, goal):
                 distractor = OBJECTS[rng.integers(24)]
             stages.append(TrainingStage(goal, distractor))
-        pid = f"m{n_stages}"
+        pid = f"m{i:02d}-{n_stages}"
         pipelines[pid] = TrainingPipeline(pid, tuple(stages))
-        for j in rng.choice(len(PAIRS), size=4, replace=False):
+        for j in rng.choice(len(PAIRS), size=records_each, replace=False):
             counts = rng.multinomial(60, rng.dirichlet([2.0, 2.0, 1.0]))
             records.append(PreferenceRecord(pid, *PAIRS[j], *map(int, counts), 60))
     return Dataset(pipelines, tuple(records))
@@ -322,6 +323,29 @@ def test_engine_matches_scalar_reference_on_mixed_distractor_stages():
 def test_adjoint_matches_fd_on_mixed_distractor_stages(variant):
     hp = pooled_adjoint_hyperparameters(variant)
     assert adjoint_fd_error(mixed_stage_dataset(), hp, variant) < 1e-3
+
+
+def test_simultaneous_fit_memory_is_bounded(monkeypatch):
+    # 40 pipelines of 1-6 stages and 2,000 records. Built for all 100 steps
+    # at once, a simultaneous block's (2T, 2T) step matrices took this fit
+    # to 7.5 MB; the adjoint builds them in chunks of steps.
+    ds = mixed_stage_dataset(stage_counts=[*range(1, 7)] * 6 + [1, 2, 3, 4], records_each=50)
+    tracemalloc.start()
+    try:
+        chunked = fit_hyperparameters(ds, ModelVariant.SIMULTANEOUS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.2 * 2**20
+    # One chunk per block builds every step at once; the chunks change no bit.
+    monkeypatch.setattr(fitting, "_STEP_MATRIX_ENTRIES", 2**40)
+    whole = fit_hyperparameters(ds, ModelVariant.SIMULTANEOUS)
+    got, want = chunked.hyperparameters, whole.hyperparameters
+    assert got.matrix().tolist() == want.matrix().tolist()
+    assert (got.log_tau, got.w0) == (want.log_tau, want.w0)
+    assert chunked.per_example_losses.tolist() == whole.per_example_losses.tolist()
+    for key in ("loss_trajectory", "gradient_norm_trajectory"):
+        assert chunked.diagnostics[key] == whole.diagnostics[key]
 
 
 def log_space_loss(hp, weights, records):

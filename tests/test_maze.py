@@ -9,13 +9,17 @@ from conftest import run_episode, steer_weights
 from goalgen.errors import NumericalError, ValidationError
 from goalgen.features import Colour, ObjectFeatures, Shape
 from goalgen.maze import (
+    HORIZON,
     MazeGrid,
     _connected,
+    _connected_boards,
     _vacant_bits,
     distance_field,
+    distance_fields,
     flood_layers,
     generate_maze,
     sample_maze,
+    sample_mazes,
 )
 
 RC = ObjectFeatures(Colour.RED, Shape.CROSS)
@@ -176,18 +180,19 @@ def test_observe_closer_sign():
 
 def test_observe_farther_sign(monkeypatch):
     # Move codes 3 * c0 + c1, with c_o 0, 1 or 2 as the move goes closer to,
-    # no nearer or farther from object o; both edge moves are blocked.
-    walls = np.zeros((8, 8), dtype=bool)
-    grid = MazeGrid(
-        walls=walls,
-        agent_pos=(0, 0),
-        goal_pos=(0, 3),
-        goal=RC,
-        distractor_pos=(3, 0),
-        distractor=BD,
-    )
-    monkeypatch.setattr(agent_mod, "generate_maze", lambda rng, objects, wall_prob: grid)
-    start, codes, obj_at, _ = agent_mod._maze_pass([(0, 0)], [(0, 1)], [(RC, BD)], 0, 0.2)
+    # no nearer or farther from object o; both edge moves are blocked. The
+    # open maze has the goal at (0, 3), the distractor at (3, 0) and the
+    # agent at (0, 0).
+    calls = []
+
+    def open_maze(seeds, n_objects, wall_prob, uniforms):
+        calls.append(len(list(seeds)))
+        uniforms[:] = 0.5
+        return np.array([2**64 - 1], dtype=np.uint64), np.array([[3, 24, 0]])
+
+    monkeypatch.setattr(agent_mod, "sample_mazes", open_maze)
+    start, codes, obj_at, _ = agent_mod._maze_pass([(0, 0)], [(0, 1)], 0, 0.2)
+    assert calls == [1]
     # UP, DOWN, LEFT, RIGHT
     assert codes[start[0]].tolist() == [4, 3 * 2 + 0, 4, 3 * 0 + 2]
     assert obj_at[[3, 24, 0]].tolist() == [0, 1, -1]
@@ -237,6 +242,45 @@ def test_bitboard_bfs_matches_queue_oracle():
         assert got.shape == want.shape
         assert np.array_equal(got, want)
     assert disconnected > 300  # unreachable pockets were exercised
+
+
+@pytest.mark.parametrize("wall_prob", [0.0, 0.2, 0.45])
+def test_batched_floods_match_scalar_oracle(wall_prob):
+    # Free walls, not sampled mazes, so disconnected mazes and unreachable
+    # cells occur; the first board is all walls.
+    rng = np.random.default_rng(int(100 * wall_prob))
+    walls = rng.random((5000, 8, 8)) < wall_prob
+    walls[0] = True
+    vacant = np.array([_vacant_bits(w) for w in walls], dtype=np.uint64)
+    connected = [_connected(int(v), 8) for v in vacant]
+    assert _connected_boards(vacant).tolist() == connected
+    has_two = (~walls).reshape(5000, 64).sum(axis=1) >= 2
+    targets = np.array(
+        [rng.choice(np.flatnonzero(~w), 2, replace=False) for w in walls[has_two]]
+    )
+    got = distance_fields(vacant[has_two], targets)
+    assert got.dtype == np.int8 and got.shape == (len(targets), 2, 64)
+    for w, cells, fields in zip(walls[has_two], targets, got):
+        for cell, field in zip(cells, fields):
+            want = distance_field(w, divmod(int(cell), 8))
+            assert field.tolist() == want.ravel().tolist()
+    # Cells reading -1 that are no walls: unreachable ones were exercised.
+    unreachable = (got == -1).sum() - 2 * walls[has_two].sum()
+    assert (unreachable > 0) == (wall_prob > 0)
+
+
+# At wall_prob 0.9 some draws leave a single vacant cell, which is
+# connected but too small for an object and the agent.
+@pytest.mark.parametrize("n_objects, wall_prob", [(1, 0.45), (1, 0.9), (2, 0.2), (2, 0.45)])
+def test_sample_mazes_draws_what_sample_maze_draws(n_objects, wall_prob):
+    seeds = [[0x6D617A65, seed] for seed in range(400)]
+    uniforms = np.empty((len(seeds), HORIZON))
+    vacant, cells = sample_mazes(seeds, n_objects, wall_prob, uniforms)
+    for seed, board, flat, drawn in zip(seeds, vacant, cells, uniforms):
+        rng = np.random.default_rng(seed)
+        _, want_vacant, want_cells = sample_maze(rng, n_objects, wall_prob)
+        assert (int(board), flat.tolist()) == (want_vacant, want_cells)
+        assert drawn.tolist() == rng.random(HORIZON).tolist()
 
 
 def test_generate_maze_any_size():
