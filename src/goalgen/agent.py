@@ -182,7 +182,7 @@ def _train_episode(
         scores.append(score)
     # Cumulative flood layers from each object, grown only as deep as the
     # agent's distance needs, and the agent's distance to each object.
-    floods = [flood_layers(1 << o, vacant, GRID_SIZE) for o in objects]
+    floods = [flood_layers(1 << o, vacant) for o in objects]
     layers, dist = [], []
     for flood in floods:
         layers.append([])

@@ -145,9 +145,14 @@ def _parse_dims(text: str) -> list[int]:
         if "-" in text:
             lo, hi = text.split("-")
             return list(range(int(lo), int(hi) + 1))
-        return [int(x) for x in text.split(",")]
+        dims = [int(x) for x in text.split(",")]
     except ValueError as exc:
         raise ValidationError(f"bad --dims value {text!r}") from exc
+    # The manifest keys each fit by its dimension.
+    repeated = next((d for i, d in enumerate(dims) if d in dims[:i]), None)
+    if repeated is not None:
+        raise ValidationError(f"--dims names dimension {repeated} more than once")
+    return dims
 
 
 def _write_manifest(
@@ -359,8 +364,8 @@ def _cmd_eval(args, config: dict) -> int:
 
 
 def _cmd_sweep_dim(args, config: dict) -> int:
-    dataset = load_dataset(args.data)
     dims = _parse_dims(args.dims)
+    dataset = load_dataset(args.data)
     fit_config = fit_config_from(config, args.seed)
     results = fitting.latent_dim_sweep(dataset, dims, fit_config)
     args.out.mkdir(parents=True, exist_ok=True)

@@ -279,8 +279,10 @@ def score_holdout(
     """Two-way metrics of each fold's table on its held-out records.
 
     Predicts each held-out record's renormalised two-way rates through the
-    Elo link and averages the metrics over folds. Records with an object
-    the fold's table never scored are skipped and counted as such.
+    Elo link and averages the metrics over folds; directional accuracy
+    averages over the folds with a directional pair, and is 0 without one.
+    Records with an object the fold's table never scored are skipped and
+    counted as such.
     """
     reports = []
     n_uncovered = 0
@@ -301,12 +303,14 @@ def score_holdout(
             "no held-out record involved two competitors seen during fitting"
         )
 
+    # A fold without a directional pair has no accuracy to average.
+    directional = [r for r in reports if r.n_directional]
     return MetricsReport(
         kl=float(np.mean([r.kl for r in reports])),
         tv=float(np.mean([r.tv for r in reports])),
         brier=float(np.mean([r.brier for r in reports])),
         directional_accuracy=float(
-            np.mean([r.directional_accuracy for r in reports])
+            np.mean([r.directional_accuracy for r in directional] or [0.0])
         ),
         n_directional=int(sum(r.n_directional for r in reports)),
         mode=MetricMode.TWO_WAY,

@@ -1,29 +1,26 @@
 """Procedurally generated 8x8 mazes and their BFS distance fields.
 
-One sampler, ``sample_maze``, draws every maze; ``generate_maze`` and
-training both call it. Wall cells are sampled independently (p = 0.2 by
-default) and the map is rejection-sampled until every vacant cell is
-reachable from every other. The agent, the goal and an optional
-distractor then take distinct vacant cells. The reward and horizon
-constants live here; the episodes that use them are stepped in ``agent``.
+``sample_maze`` draws one maze: wall cells are sampled independently (p =
+0.2 by default) and the map is rejection-sampled until every vacant cell is
+reachable from every other. The agent, the goal and an optional distractor
+then take distinct vacant cells. ``generate_maze`` and training call it; the
+reward and horizon constants live here, and episodes are stepped in
+``agent``. Evaluation builds a pass's mazes together (``sample_mazes``):
+each maze keeps its own Generator and makes ``sample_maze``'s calls in
+order, and rejection sampling runs in rounds that redraw only the rejected
+mazes.
 
-Connectivity and distance fields run breadth-first search on bitboards. The
-vacant cells of a size x size grid form one Python int, with bit
-``r * size + c`` set for vacant cell (r, c). One BFS layer is five shifts
-and masks over that int: a shift by ``size`` moves a row down or up, a shift
-by 1 moves a column right or left, and column masks drop the bits that
-would wrap onto the next or previous row. Python ints have no width limit,
-so any grid size works.
-
-Evaluation builds many mazes at once (``sample_mazes``,
-``distance_fields``): each GRID_SIZE x GRID_SIZE board is one numpy uint64,
-and one flood with the same shifts and masks serves every board. Each maze
-keeps its own Generator and makes ``sample_maze``'s calls in order, and
-rejection sampling runs in rounds that redraw only the rejected mazes.
-"""
+Connectivity and distance fields run breadth-first search on bitboards: bit
+``r * size + c`` is set for vacant cell (r, c). One BFS layer is five shifts
+and masks: a shift by ``size`` moves a row down or up, a shift by 1 moves a
+column right or left, and column masks drop the bits that would wrap onto
+the next or previous row. One flood, ``flood_layers``, serves a single board
+held in a Python int, of any size, and numpy uint64 arrays of
+GRID_SIZE x GRID_SIZE boards."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,15 +81,22 @@ def _first_column(size: int) -> int:
     return ((1 << size * size) - 1) // ((1 << size) - 1)
 
 
-def flood_layers(start: int, vacant: int, size: int):
+def flood_layers(start, vacant, size: int = GRID_SIZE):
     """Breadth-first flood fill over bitboards, one layer at a time.
 
     Yields, for d = 0, 1, ..., every vacant cell within ``d`` moves of the
-    cells in ``start``, and stops after the whole reachable set.
+    cells in ``start``, and stops after the layer at which nothing grows.
+    Boards are Python ints, or uint64 arrays of GRID_SIZE boards where
+    ``vacant`` broadcasts against ``start``; a board that stops growing
+    repeats its last layer until none grows.
     """
     first_column = _first_column(size)
+    if isinstance(vacant, int):
+        same = operator.eq
+    else:
+        first_column, same = np.uint64(first_column), np.array_equal
     enter_right = vacant & ~first_column
-    enter_left = vacant & ~(first_column << (size - 1))
+    enter_left = vacant & ~(first_column << size - 1)
     reached = start
     while True:
         yield reached
@@ -102,22 +106,25 @@ def flood_layers(start: int, vacant: int, size: int):
             | (reached << 1 & enter_right)
             | (reached >> 1 & enter_left)
         )
-        if grown == reached:
+        if same(grown, reached):
             return
         reached = grown
 
 
-def _reach(start: int, vacant: int, size: int) -> int:
-    """Every vacant cell reachable from the cells in ``start``."""
-    for reached in flood_layers(start, vacant, size):
+def _connected(vacant, size: int = GRID_SIZE):
+    """Whether the vacant cells of a bitboard, or of each board in a uint64
+    array, are not empty and all mutually reachable by 4-neighbour moves."""
+    for reached in flood_layers(vacant & -vacant, vacant, size):
         pass
-    return reached
+    return (vacant != 0) & (reached == vacant)
 
 
-def _connected(vacant: int, size: int) -> bool:
-    """True when the vacant cells of a size x size bitboard are not empty and
-    all mutually reachable by 4-neighbour moves."""
-    return vacant != 0 and _reach(vacant & -vacant, vacant, size) == vacant
+def _out_of_attempts(needed: int, wall_prob: float) -> NumericalError:
+    """What both samplers raise when no draw within the bound was accepted."""
+    return NumericalError(
+        f"no connected maze with {needed} vacant cells found in "
+        f"{MAX_GENERATION_ATTEMPTS} attempts (wall_prob={wall_prob})"
+    )
 
 
 def distance_field(walls: np.ndarray, target: tuple[int, int]) -> np.ndarray:
@@ -151,7 +158,6 @@ def sample_maze(
     n_objects: int,
     wall_prob: float = WALL_PROBABILITY,
     size: int = GRID_SIZE,
-    max_attempts: int = MAX_GENERATION_ATTEMPTS,
 ) -> tuple[np.ndarray, int, list[int]]:
     """Sample a connected maze and distinct vacant cells for objects and agent.
 
@@ -159,7 +165,7 @@ def sample_maze(
     size + c`` of the objects in order, then the agent.
     """
     needed = n_objects + 1
-    for _ in range(max_attempts):
+    for _ in range(MAX_GENERATION_ATTEMPTS):
         walls = rng.random((size, size)) < wall_prob
         vacant = _vacant_bits(walls)
         n_vacant = vacant.bit_count()
@@ -167,42 +173,7 @@ def sample_maze(
             continue
         chosen = rng.choice(n_vacant, size=needed, replace=False)
         return walls, vacant, np.flatnonzero(~walls)[chosen].tolist()
-    raise NumericalError(
-        f"no connected maze with {needed} vacant cells found in "
-        f"{max_attempts} attempts (wall_prob={wall_prob})"
-    )
-
-
-def _flood_boards(start: np.ndarray, vacant: np.ndarray):
-    """``flood_layers`` on GRID_SIZE bitboards held in uint64 arrays.
-
-    ``vacant`` broadcasts against ``start``. Yields, for d = 0, 1, ..., each
-    board's vacant cells within ``d`` moves of its cells in ``start``, and
-    stops after the layer at which no board grows.
-    """
-    size = GRID_SIZE
-    first_column = np.uint64(_first_column(size))
-    enter_right = vacant & ~first_column
-    enter_left = vacant & ~(first_column << size - 1)
-    reached = start
-    while True:
-        yield reached
-        grown = (
-            reached
-            | ((reached << size | reached >> size) & vacant)
-            | (reached << 1 & enter_right)
-            | (reached >> 1 & enter_left)
-        )
-        if np.array_equal(grown, reached):
-            return
-        reached = grown
-
-
-def _connected_boards(vacant: np.ndarray) -> np.ndarray:
-    """``_connected`` of every GRID_SIZE bitboard in a uint64 array."""
-    for reached in _flood_boards(vacant & -vacant, vacant):
-        pass
-    return (vacant != 0) & (reached == vacant)
+    raise _out_of_attempts(needed, wall_prob)
 
 
 def _cells(boards: np.ndarray) -> np.ndarray:
@@ -223,7 +194,7 @@ def distance_fields(vacant: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """
     start = np.uint64(1) << targets.astype(np.uint64)
     missed = np.zeros(targets.shape + (GRID_SIZE**2,), dtype=np.int8)
-    for reached in _flood_boards(start, vacant[:, None]):
+    for reached in flood_layers(start, vacant[:, None]):
         missed += _cells(~reached)
     missed[_cells(reached) == 0] = -1
     return missed
@@ -256,7 +227,7 @@ def sample_mazes(seeds, n_objects: int, wall_prob: float, uniforms: np.ndarray):
             np.less(draws, wall_prob, out=row)
         is_vacant = ~walls
         boards = np.packbits(is_vacant, axis=1, bitorder="little").view("<u8")[:, 0]
-        accepted = (is_vacant.sum(axis=1) >= needed) & _connected_boards(boards)
+        accepted = (is_vacant.sum(axis=1) >= needed) & _connected(boards)
         vacant[order[accepted]] = boards[accepted]
         for m, row in zip(order[accepted].tolist(), is_vacant[accepted]):
             rng = pending.pop(m)
@@ -264,10 +235,7 @@ def sample_mazes(seeds, n_objects: int, wall_prob: float, uniforms: np.ndarray):
             cells[m] = free[rng.choice(len(free), size=needed, replace=False)]
             rng.random(out=uniforms[m])
     if pending:
-        raise NumericalError(
-            f"no connected maze with {needed} vacant cells found in "
-            f"{MAX_GENERATION_ATTEMPTS} attempts (wall_prob={wall_prob})"
-        )
+        raise _out_of_attempts(needed, wall_prob)
     return vacant, cells
 
 
@@ -276,12 +244,11 @@ def generate_maze(
     objects: list[ObjectFeatures],
     wall_prob: float = WALL_PROBABILITY,
     size: int = GRID_SIZE,
-    max_attempts: int = MAX_GENERATION_ATTEMPTS,
 ) -> MazeGrid:
     """Sample a connected maze and place objects and agent in distinct vacant cells."""
     if not 1 <= len(objects) <= 2:
         raise ValidationError(f"expected 1 or 2 objects, got {len(objects)}")
-    walls, _, flat = sample_maze(rng, len(objects), wall_prob, size, max_attempts)
+    walls, _, flat = sample_maze(rng, len(objects), wall_prob, size)
     cells = [divmod(f, size) for f in flat]
     return MazeGrid(
         walls=walls,

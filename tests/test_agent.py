@@ -412,7 +412,7 @@ def test_maze_pass_matches_per_maze_oracle(n_pairs, episodes, wall_prob):
 def test_running_out_of_attempts_raises_like_sample_maze(monkeypatch):
     monkeypatch.setattr(maze_mod, "MAX_GENERATION_ATTEMPTS", 3)
     with pytest.raises(NumericalError) as scalar:
-        sample_maze(np.random.default_rng(0), 2, 0.9, max_attempts=3)
+        sample_maze(np.random.default_rng(0), 2, 0.9)
     assert str(scalar.value) == (
         "no connected maze with 3 vacant cells found in 3 attempts (wall_prob=0.9)"
     )

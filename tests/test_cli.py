@@ -650,6 +650,14 @@ def test_sweep_dim_rejects_dims_below_one(tmp_path, data_file, capsys, dims):
     assert not out.exists()
 
 
+def test_sweep_dim_rejects_a_repeated_dim(tmp_path, data_file, capsys):
+    out = tmp_path / "sweep"
+    code = main(["sweep-dim", "--data", str(data_file), "--dims", "4,1,4", "--out", str(out)])
+    assert code == 1
+    assert_one_line_error(capsys, "--dims", "dimension 4", "more than once")
+    assert not out.exists()
+
+
 def test_config_file_is_a_digested_input(tmp_path, data_file):
     cfg = fast_config(tmp_path)
     out = tmp_path / "fitcfg"

@@ -422,6 +422,15 @@ def test_holdout_report_is_unchanged_by_lockstep_folds():
     assert report.n_directional == want.n_directional
 
 
+def test_holdout_accuracy_skips_folds_without_a_directional_pair():
+    table = EloTable({RC: 100.0, BD: -100.0})
+    held_out = [[record(80, 20, 0)], [record(50, 50, 0)]]
+    report = score_holdout(held_out, [table, table])
+    assert (report.directional_accuracy, report.n_directional) == (1.0, 1)
+    report = score_holdout(held_out[1:], [table])
+    assert (report.directional_accuracy, report.n_directional) == (0.0, 0)
+
+
 REFERENCE = Path(__file__).parent / "data" / "elo_cli_reference.json"
 
 

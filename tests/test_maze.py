@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import goalgen.agent as agent_mod
+import goalgen.maze as maze_mod
 from conftest import run_episode, steer_weights
 from goalgen.errors import NumericalError, ValidationError
 from goalgen.features import Colour, ObjectFeatures, Shape
@@ -12,7 +13,6 @@ from goalgen.maze import (
     HORIZON,
     MazeGrid,
     _connected,
-    _connected_boards,
     _vacant_bits,
     distance_field,
     distance_fields,
@@ -107,9 +107,10 @@ def test_placement_distinct_cells():
             assert not grid.walls[cell]
 
 
-def test_generation_budget_exhaustion():
-    with pytest.raises(NumericalError, match="attempts"):
-        generate_maze(np.random.default_rng(0), [RC], wall_prob=0.999, max_attempts=20)
+def test_generation_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(maze_mod, "MAX_GENERATION_ATTEMPTS", 20)
+    with pytest.raises(NumericalError, match="in 20 attempts"):
+        generate_maze(np.random.default_rng(0), [RC], wall_prob=0.999)
 
 
 def test_object_count_validated():
@@ -252,8 +253,7 @@ def test_batched_floods_match_scalar_oracle(wall_prob):
     walls = rng.random((5000, 8, 8)) < wall_prob
     walls[0] = True
     vacant = np.array([_vacant_bits(w) for w in walls], dtype=np.uint64)
-    connected = [_connected(int(v), 8) for v in vacant]
-    assert _connected_boards(vacant).tolist() == connected
+    assert _connected(vacant).tolist() == [oracle_connected(w) for w in walls]
     has_two = (~walls).reshape(5000, 64).sum(axis=1) >= 2
     targets = np.array(
         [rng.choice(np.flatnonzero(~w), 2, replace=False) for w in walls[has_two]]
@@ -267,6 +267,29 @@ def test_batched_floods_match_scalar_oracle(wall_prob):
     # Cells reading -1 that are no walls: unreachable ones were exercised.
     unreachable = (got == -1).sum() - 2 * walls[has_two].sum()
     assert (unreachable > 0) == (wall_prob > 0)
+
+
+def test_flood_of_boards_matches_flood_of_each_board():
+    # Boards of different depths in one array: an all-wall board, a single
+    # vacant cell, an open board, a serpentine and free walls.
+    rng = np.random.default_rng(2607)
+    walls = rng.random((8, 8, 8)) < 0.35
+    walls[0] = True
+    walls[1] = True
+    walls[1, 3, 4] = False
+    walls[2] = False
+    walls[3] = False
+    walls[3, 1::4, :7] = True
+    walls[3, 3::4, 1:] = True
+    vacant = np.array([_vacant_bits(w) for w in walls], dtype=np.uint64)
+    start = vacant & -vacant
+    want = [list(flood_layers(s, v)) for s, v in zip(start.tolist(), vacant.tolist())]
+    got = list(flood_layers(start, vacant))
+    assert len(got) == max(map(len, want)) and len({len(w) for w in want}) > 3
+    for m, layers in enumerate(want):
+        # A board that stopped growing repeats its last layer.
+        padded = layers + layers[-1:] * (len(got) - len(layers))
+        assert [int(layer[m]) for layer in got] == padded
 
 
 # At wall_prob 0.9 some draws leave a single vacant cell, which is
