@@ -8,6 +8,7 @@ ids to stage lists, then one record per line.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -85,7 +86,8 @@ class PreferenceRecord:
                 f"evaluation pair must contain two distinct objects, got {self.object_a.name}"
             )
         counts = (self.count_a, self.count_b, self.count_none)
-        if min(counts) < 0 or self.episodes <= 0:
+        # Rates divide by episodes as a float, which must not overflow.
+        if min(counts) < 0 or not 0 < self.episodes <= sys.float_info.max:
             raise ValidationError(f"invalid counts {counts} / episodes {self.episodes}")
         if sum(counts) != self.episodes:
             raise ValidationError(
@@ -113,6 +115,12 @@ def observed_rates(records: list[PreferenceRecord]) -> np.ndarray:
     counts = [(r.count_a, r.count_b, r.count_none, r.episodes) for r in records]
     counts = np.array(counts, dtype=float).reshape(-1, 4)
     return counts[:, :3] / counts[:, 3:]
+
+
+def object_codes(records: list[PreferenceRecord]) -> np.ndarray:
+    """(R, 2) ``object_index`` codes of the records' objects (a, b)."""
+    codes = [(object_index(r.object_a), object_index(r.object_b)) for r in records]
+    return np.array(codes, dtype=int).reshape(-1, 2)
 
 
 @dataclass(frozen=True)

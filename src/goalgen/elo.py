@@ -17,7 +17,7 @@ from typing import TypeVar
 
 import numpy as np
 
-from .dataset import PreferenceRecord, observed_rates
+from .dataset import PreferenceRecord, object_codes, observed_rates
 from .errors import NumericalError, ValidationError
 from .features import FEATURE_NAMES, ObjectFeatures, enumerate_objects
 from .metrics import MetricMode, MetricsReport, compute_metrics
@@ -31,10 +31,9 @@ CONVERGENCE_TOL = 1e-6
 MAX_ITERATIONS = 100_000
 
 Competitor = ObjectFeatures | None  # None is the no-goal competitor
-# Competitor codes: the objects in canonical order, then the no-goal competitor.
+# Competitor codes: the objects' ``object_index``, then the no-goal competitor.
 _COMPETITORS: list[Competitor] = [*enumerate_objects(), None]
-_CODE = {c: i for i, c in enumerate(_COMPETITORS)}
-_NO_GOAL = _CODE[None]
+_NO_GOAL = len(_COMPETITORS) - 1
 K = TypeVar("K", bound=Hashable)
 
 
@@ -94,8 +93,7 @@ class RecordComparisons:
     def __init__(self, records: Sequence[PreferenceRecord]):
         # Equal records get equal rows, so any index of a record serves.
         self.row = {r: i for i, r in enumerate(records)}
-        codes = [(_CODE[r.object_a], _CODE[r.object_b], _NO_GOAL) for r in records]
-        codes = np.array(codes, dtype=int).reshape(-1, 3)
+        codes = np.column_stack([object_codes(records), np.full(len(records), _NO_GOAL)])
         p = observed_rates(records)
         # Columns (a, b, no goal) pair up as (a, b), (a, no goal), (b, no goal).
         first, second = [0, 0, 1], [1, 2, 2]

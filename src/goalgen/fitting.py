@@ -44,8 +44,9 @@ Besides the proposed (full) model there are four alternatives: a diagonal
 saliency, a quadratic feature expansion with diagonal saliency, a
 memoryless variant that simulates only the final stage, and a simultaneous
 variant that ascends the mean of all stage objectives jointly. Per-agent
-per-goal and per-agent per-feature reference floors, solved exactly by
-one batched Newton solve, a uniform baseline, and a latent-dimension sweep
+per-goal and per-agent per-feature reference floors (an object's value
+sums its agent's values in the object's columns, fitted by one Newton
+solve summed by index), a uniform baseline, and a latent-dimension sweep
 round out the comparison harness.
 """
 
@@ -62,10 +63,11 @@ from .dataset import (
     Dataset,
     PreferenceRecord,
     TrainingPipeline,
+    object_codes,
     observed_rates,
 )
 from .errors import NumericalError, ValidationError
-from .features import N_FEATURES, encode_features, object_index
+from .features import N_FEATURES, encode_features, enumerate_objects
 from .latent import (
     DEFAULT_INTEGRATION_STEPS,
     N_EXPANDED,
@@ -197,23 +199,18 @@ def _stage_features(pipeline: TrainingPipeline, variant: ModelVariant):
     return phi, np.array([s.distractor is not None for s in stages])
 
 
-def _record_arrays(records: list[PreferenceRecord], encode):
-    """Records flattened into arrays, for the engine, the floors and the
-    uniform baseline.
+def _record_arrays(records: list[PreferenceRecord]):
+    """Records flattened into arrays, for the engine and the floors.
 
     Returns the sorted pipeline ids, each record's index into them, the
-    (R, 2, n) ``encode``d features of its objects (a, b) and its observed
-    (R, 3) distribution. Records are taken as given: no pair is reordered
-    and duplicates stay.
+    (R, 2) ``object_codes`` of its objects (a, b) and its observed (R, 3)
+    distribution. Records are taken as given: no pair is reordered and
+    duplicates stay.
     """
     if not records:
         raise ValidationError("no preference records to fit or evaluate")
-    pids = sorted({r.pipeline_id for r in records})
-    pid_index = {pid: i for i, pid in enumerate(pids)}
-    pipeline = np.array([pid_index[r.pipeline_id] for r in records])
-    phi = np.array([[encode(r.object_a), encode(r.object_b)] for r in records])
-    p_hat = observed_rates(records)
-    return pids, pipeline, phi, p_hat
+    pids, pipeline = np.unique([r.pipeline_id for r in records], return_inverse=True)
+    return pids.tolist(), pipeline, object_codes(records), observed_rates(records)
 
 
 class _Prepared:
@@ -228,9 +225,7 @@ class _Prepared:
         variant: ModelVariant,
     ):
         self.variant = ModelVariant(variant)
-        pids, self.record_pipeline, objects, self.p_hat = _record_arrays(
-            records, _encoder(self.variant)
-        )
+        pids, self.record_pipeline, codes, self.p_hat = _record_arrays(records)
         unknown = [pid for pid in pids if pid not in pipelines]
         if unknown:
             raise ValidationError(f"records name unknown pipelines {unknown}")
@@ -240,7 +235,8 @@ class _Prepared:
         padding = [((k, 0), (0, 0), (0, 0)) for k in pad]
         self.stage_phi = np.stack([np.pad(x, w) for (x, _), w in zip(staged, padding)])
         self.has_dis = np.stack([np.pad(m, (k, 0)) for (_, m), k in zip(staged, pad)])
-        self.phi_a, self.phi_b = objects[:, 0], objects[:, 1]
+        table = np.array([_encoder(self.variant)(o) for o in enumerate_objects()])
+        self.phi_a, self.phi_b = table[codes[:, 0]], table[codes[:, 1]]
         self.n_records = len(records)
 
 
@@ -625,74 +621,69 @@ def modelling_loss(
 
 def baseline_uniform(records: list[PreferenceRecord]) -> float:
     """Mean KL from the observations to the uniform three-way predictor."""
-    *_, p_hat = _record_arrays(records, _one_hot)
+    if not records:
+        raise ValidationError("no preference records to fit or evaluate")
+    p_hat = observed_rates(records)
     zeros = np.zeros(len(p_hat))
     return float(_three_way_kl(zeros, zeros, p_hat)[0].mean())
 
 
-_OBJECT_BASIS = np.eye(24)
+# The floors' columns of each object, by object_index: its own column (per
+# goal), or its colour and shape columns (per feature).
+_GOAL_COLUMNS = np.arange(len(enumerate_objects()))[:, None]
+_FEATURE_COLUMNS = np.array([o.feature_indices() for o in enumerate_objects()])
 # Safety bound on the floors' Newton steps; separable tallies take about 20.
 _NEWTON_STEPS = 100
 # Keeps each Hessian solvable along directions that no record observes.
 _RIDGE = 1e-10
 
 
-def _one_hot(obj) -> np.ndarray:
-    """Indicator of an object among the 24: the per-goal floor's encoding."""
-    return _OBJECT_BASIS[object_index(obj)]
-
-
-def _lower_bound(dataset: Dataset, encode) -> tuple[float, int]:
+def _lower_bound(dataset: Dataset, columns: np.ndarray) -> tuple[float, int]:
     """Reference floor: per-agent values fitted directly to the records.
 
-    Each agent's value of an object is linear in ``encode(object)``, and
-    its mean KL to a three-way softmax over (x_a . theta, x_b . theta, 0)
-    is minimised independently of the other agents. One damped Newton
-    solve runs all agents in lockstep: the Hessian is X^T W X with
-    W = diag(p) - p p^T on the (a, b) outcomes, and each agent's step is
-    scaled by 1 / (1 + its Newton decrement). It stops when every gradient
-    entry is below 1e-8. Returns the dataset mean of the per-record losses
-    at the optimum and the number of Newton steps.
+    An agent values an object at the sum of its values in the object's row
+    of ``columns``; its mean KL to a three-way softmax over (value a, value
+    b, 0) is minimised apart from the other agents, by one damped Newton
+    solve for all. The gradient and the Hessian X^T W X, W = diag(p) - p p^T
+    on the (a, b) outcomes, are summed by index into (agent, column) and
+    (agent, column, column) cells. Each step is scaled by 1 / (1 + the
+    agent's Newton decrement), until every gradient entry is below 1e-8.
+    Returns the mean per-record loss at the optimum and the step count.
     """
-    # Grouped by agent, so that each agent's records are one slice.
-    records = sorted(dataset.records, key=lambda r: r.pipeline_id)
-    _, agent, x, p_hat = _record_arrays(records, encode)
-    bounds = np.searchsorted(agent, np.arange(agent[-1] + 2))
-    counts = np.diff(bounds)[:, None]
-    n = x.shape[2]
-    theta = np.zeros((len(counts), n))
+    _, agent, codes, p_hat = _record_arrays(dataset.records)
+    n, counts = columns.max() + 1, np.bincount(agent)[:, None]
+    cells = agent[:, None, None] * n + columns[codes]  # (R, 2, k)
+    # Each record's Hessian cells (c, i, c', j), which take W's (c, c') entry.
+    hess_cells = cells[..., None, None] * n + columns[codes][:, None, None]
+    theta = np.zeros(len(counts) * n)
     for steps in range(_NEWTON_STEPS):
-        v = np.einsum("rcn,rn->rc", x, theta[agent])
+        v = theta[cells].sum(axis=2)
         losses, logp = _three_way_kl(v[:, 0], v[:, 1], p_hat)
         p = np.exp(logp[:, :2])
-        resid = np.einsum("rc,rcn->rn", p - p_hat[:, :2], x)
-        grad = np.add.reduceat(resid, bounds[:-1]) / counts
+        resid = np.broadcast_to((p - p_hat[:, :2])[..., None], cells.shape)
+        grad = np.bincount(cells.ravel(), resid.ravel(), theta.size).reshape(-1, n) / counts
         if not np.all(np.isfinite(grad)):
             raise NumericalError(f"non-finite floor gradient at Newton step {steps}")
         if np.abs(grad).max() < 1e-8:
             return float(losses.mean()), steps
-        wx = x - np.einsum("rc,rcn->rn", p, x)[:, None]
-        wx *= p[..., None]
-        hess = np.stack(
-            [
-                x[i:j].reshape(-1, n).T @ wx[i:j].reshape(-1, n)
-                for i, j in zip(bounds, bounds[1:])
-            ]
-        ) / counts[..., None]
+        w = p[:, :, None] * (np.eye(2) - p[:, None])
+        w = np.broadcast_to(w[:, :, None, :, None], hess_cells.shape)
+        hess = np.bincount(hess_cells.ravel(), w.ravel(), theta.size * n)
+        hess = hess.reshape(-1, n, n) / counts[..., None]
         step = np.linalg.solve(hess + _RIDGE * np.eye(n), grad[..., None])[..., 0]
         decrement = np.sqrt(np.maximum((grad * step).sum(axis=1), 0.0))
-        theta = theta - step / (1.0 + decrement[:, None])
+        theta = theta - (step / (1.0 + decrement[:, None])).ravel()
     raise NumericalError(f"floor Newton solve passed its {_NEWTON_STEPS}-step bound")
 
 
 def lower_bound_per_goal(dataset: Dataset) -> float:
     """Floor with a free value for every (agent, object) pair."""
-    return _lower_bound(dataset, _one_hot)[0]
+    return _lower_bound(dataset, _GOAL_COLUMNS)[0]
 
 
 def lower_bound_per_feature(dataset: Dataset) -> float:
     """Floor with each agent's values linear in the object features."""
-    return _lower_bound(dataset, encode_features)[0]
+    return _lower_bound(dataset, _FEATURE_COLUMNS)[0]
 
 
 # Bounds the fits of a sweep that share one engine pass: while the adjoint

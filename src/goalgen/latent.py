@@ -310,8 +310,8 @@ def _is_finite_number(value: object) -> bool:
 
 def hyperparameters_from_json(data: object) -> LpgHyperparameters:
     """Parse a hyperparameter document. Types are exact: ``d`` is a
-    positive integer, ``saliency`` a flat list of finite numbers, and
-    ``log_tau`` and ``w0`` finite numbers."""
+    positive integer (65 if quadratic), ``saliency`` a flat list of finite
+    numbers, and ``log_tau`` and ``w0`` finite numbers."""
     if not isinstance(data, dict):
         raise ValidationError("hyperparameter document must be a JSON object")
     try:
@@ -321,6 +321,8 @@ def hyperparameters_from_json(data: object) -> LpgHyperparameters:
     d = data.get("d")
     if not (type(d) is int and d > 0):
         raise ValidationError("hyperparameter key 'd' must be a positive integer")
+    if variant is SaliencyVariant.QUADRATIC and d != N_EXPANDED:
+        raise ValidationError(f"a quadratic document's 'd' must be {N_EXPANDED}, got {d}")
     flat = data.get("saliency")
     if not (isinstance(flat, list) and all(map(_is_finite_number, flat))):
         raise ValidationError(

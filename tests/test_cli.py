@@ -750,6 +750,7 @@ BAD_HP_DOCUMENTS = {
     "float-d": (hp_document(d=10.7), "'d'"),
     "bool-log-tau": (hp_document(log_tau=True), "'log_tau'"),
     "string-saliency": (hp_document(saliency=["1"] * 20), "'saliency'"),
+    "quadratic-d": (hp_document(variant="quadratic", d=3, saliency=[1.0] * 65), "'d'"),
 }
 
 
@@ -818,3 +819,16 @@ def test_bad_record_line_exits_1(tmp_path, capsys, record, fragment):
     )
     assert code == 1
     assert_one_line_error(capsys, "record 0", fragment)
+
+
+@pytest.mark.parametrize("command", ["fit", "elo"])
+def test_episodes_too_large_for_a_float_exits_1(tmp_path, capsys, command):
+    # Rates divide by episodes as a float, and 10**400 overflows one.
+    header = {"pipelines": {"demo": [{"goal": {"colour": "red", "shape": "cross"}}]}}
+    record = record_line(counts=[10**400, 0, 0], episodes=10**400)
+    data = tmp_path / "prefs.jsonl"
+    data.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--data", str(data), "--out", str(out)]) == 1
+    assert_one_line_error(capsys, "record 0", "invalid counts")
+    assert not out.exists()

@@ -322,6 +322,15 @@ def test_loader_accepts_square_reference_matrix():
     )
 
 
+def test_quadratic_document_must_state_the_expanded_d():
+    data = {"variant": "quadratic", "d": 3, "saliency": [1.0] * N_EXPANDED}
+    data.update(log_tau=0.0, w0=0.0)
+    with pytest.raises(ValidationError, match=f"'d' must be {N_EXPANDED}, got 3"):
+        hyperparameters_from_json(data)
+    hp = hyperparameters_from_json({**data, "d": N_EXPANDED})
+    assert hyperparameters_to_json(hp)["d"] == hp.latent_dim == N_EXPANDED
+
+
 def test_trapezoidal_saliency_for_small_d(rng):
     hp = random_hp(rng, d=4)
     assert hp.saliency.shape == (10, 4)
