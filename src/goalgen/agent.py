@@ -80,6 +80,9 @@ from .maze import (
 # calls them now; ROADMAP item 2 replaces that tracing.
 from .maze import distance_field, generate_maze  # noqa: F401
 
+# Evaluation episodes per object pair, unless a caller asks for others.
+EPISODES_PER_PAIR = 100
+
 _MOVE_DELTAS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 # Each move's step in the flat cell index r * GRID_SIZE + c.
 _CELL_STEP = np.array([dr * GRID_SIZE + dc for dr, dc in _MOVE_DELTAS])
@@ -421,7 +424,7 @@ def _lockstep_counts(
 def evaluate_preferences(
     policy: DeskPolicyParameters | Mapping[str, DeskPolicyParameters],
     pairs: list[tuple[ObjectFeatures, ObjectFeatures]],
-    episodes_per_pair: int = 100,
+    episodes_per_pair: int = EPISODES_PER_PAIR,
     rng_seed: int = 0,
     pipeline_id: str = "agent",
     wall_prob: float = WALL_PROBABILITY,

@@ -179,13 +179,15 @@ def _cmd_gen_data(args, config: dict) -> int:
     pairs = enumerate_eval_pairs()
     if args.max_pairs is not None:
         pairs = pairs[: args.max_pairs]
+    # Keys the config leaves out take the library's defaults.
+    defaults = agent_mod.DeskPolicyParameters()
     params = agent_mod.DeskPolicyParameters(
-        learning_rate=config.get("desk_learning_rate", 0.05),
-        episodes_per_stage=config.get("episodes_per_stage", 2000),
-        baseline_decay=config.get("baseline_decay", 0.99),
+        learning_rate=config.get("desk_learning_rate", defaults.learning_rate),
+        episodes_per_stage=config.get("episodes_per_stage", defaults.episodes_per_stage),
+        baseline_decay=config.get("baseline_decay", defaults.baseline_decay),
     )
-    wall_prob = config.get("wall_prob", 0.2)
-    eval_episodes = config.get("eval_episodes", 100)
+    wall_prob = config.get("wall_prob", agent_mod.WALL_PROBABILITY)
+    eval_episodes = config.get("eval_episodes", agent_mod.EPISODES_PER_PAIR)
 
     args.out.mkdir(parents=True, exist_ok=True)
     trained = {}
@@ -222,53 +224,38 @@ def _cmd_gen_data(args, config: dict) -> int:
     return 0
 
 
+def _metrics_csv(rep) -> str:
+    """A metrics report's kl, tv, brier, directional accuracy and
+    n_directional, as CSV columns."""
+    return (
+        f"{rep.kl:.6f},{rep.tv:.6f},{rep.brier:.6f},"
+        f"{rep.directional_accuracy:.6f},{rep.n_directional}"
+    )
+
+
 def _cmd_elo(args, config: dict) -> int:
     if args.folds < 2:
         raise ValidationError(f"--folds must be at least 2, got {args.folds}")
     dataset = load_dataset(args.data)
-    pids = sorted({r.pipeline_id for r in dataset.records})
-    # Every pipeline's full fit and its K training folds, fitted in one call.
-    problems = {}
-    held_out = {}
-    for pid in pids:
-        records = dataset.records_for(pid)
-        comparisons = elo_mod.RecordComparisons(records)
-        problems[f"pipeline {pid}"] = comparisons.problem()
-        try:
-            folds = elo_mod.holdout_folds(records, args.folds, args.seed)
-            fold_problems = {
-                f"pipeline {pid} (fold {i})": comparisons.problem(train)
-                for i, (train, _) in enumerate(folds)
-            }
-        except ValidationError:
-            continue  # too few records, or a fold with nothing to fit
-        problems.update(fold_problems)
-        held_out[pid] = [test for _, test in folds]
-    tables = elo_mod.fit_elo_many(problems)
+    rows: dict[str, list[int]] = {}
+    for i, r in enumerate(dataset.records):
+        rows.setdefault(r.pipeline_id, []).append(i)
+    agent_rows = {pid: np.array(rows[pid]) for pid in sorted(rows)}
+    results = elo_mod.elo_by_agent(dataset.records, agent_rows, args.folds, args.seed)
 
     args.out.mkdir(parents=True, exist_ok=True)
     holdout_rows = ["pipeline_id,kl,tv,brier,directional_accuracy,n_directional"]
     diagnostics = {}
-    for pid in pids:
-        table = tables[f"pipeline {pid}"]
+    for pid, (table, report) in results.items():
         diagnostics[pid] = {
             "iterations": table.iterations,
             "final_step": table.final_step,
         }
         elo_mod.elo_table_to_csv(table, args.out / f"elo_{pid}.csv")
         elo_mod.marginalised_to_csv(table, args.out / f"elo_marginalised_{pid}.csv")
-        if pid not in held_out:
-            continue
-        fold_tables = [tables[f"pipeline {pid} (fold {i})"] for i in range(args.folds)]
-        try:
-            report = elo_mod.score_holdout(held_out[pid], fold_tables)
-        except ValidationError:
-            # sparse data: held-out objects never seen during fitting
-            continue
-        holdout_rows.append(
-            f"{pid},{report.kl:.6f},{report.tv:.6f},{report.brier:.6f},"
-            f"{report.directional_accuracy:.6f},{report.n_directional}"
-        )
+        if isinstance(report, ValidationError):
+            continue  # too few records, or held-out objects that no fold scored
+        holdout_rows.append(f"{pid},{_metrics_csv(report)}")
     (args.out / "elo_holdout.csv").write_text("\n".join(holdout_rows) + "\n")
     _write_manifest(
         args,
@@ -276,7 +263,7 @@ def _cmd_elo(args, config: dict) -> int:
         [args.data],
         diagnostics=diagnostics,
     )
-    print(f"wrote Elo tables for {len(pids)} agents to {args.out}")
+    print(f"wrote Elo tables for {len(results)} agents to {args.out}")
     return 0
 
 
@@ -304,16 +291,6 @@ def _cmd_fit(args, config: dict) -> int:
     return 0
 
 
-def _metrics_csv_rows(variant: str, evaluation: str, reports: dict) -> list[str]:
-    rows = []
-    for mode, rep in reports.items():
-        rows.append(
-            f"{variant},{evaluation},{mode},{rep.kl:.6f},{rep.tv:.6f},"
-            f"{rep.brier:.6f},{rep.directional_accuracy:.6f},{rep.n_directional}"
-        )
-    return rows
-
-
 def _cmd_eval(args, config: dict) -> int:
     dataset = load_dataset(args.data)
     plan = harness.EvaluationPlan.from_file(args.plan)
@@ -335,14 +312,13 @@ def _cmd_eval(args, config: dict) -> int:
     else:
         result = harness.transfer_eval(dataset, plan, variant, fit_config)
         header = "variant,evaluation,mode,kl,tv,brier,dir_acc,n_directional"
-        rows = [header] + _metrics_csv_rows(
-            variant.value,
-            "transfer",
-            {
-                "three_way": result.metrics_three_way,
-                "two_way": result.metrics_two_way,
-            },
-        )
+        rows = [header] + [
+            f"{variant.value},transfer,{mode},{_metrics_csv(rep)}"
+            for mode, rep in (
+                ("three_way", result.metrics_three_way),
+                ("two_way", result.metrics_two_way),
+            )
+        ]
         (args.out / "metrics.csv").write_text("\n".join(rows) + "\n")
         report = {
             "train_loss": result.fit.train_loss,

@@ -8,6 +8,7 @@ ids to stage lists, then one record per line.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -68,6 +69,17 @@ class ChoiceDistribution:
         return (self.p_a, self.p_b, self.p_none)
 
 
+def _bounded(n) -> str:
+    """``n`` for a message, or its digit count past 20 digits: ``str`` of a
+    huge int floods the line, and past 4,300 digits Python refuses it."""
+    if type(n) is not int or abs(n) < 10**20:
+        return str(n)
+    digits = int(abs(n).bit_length() * math.log10(2)) + 1
+    if abs(n) < 10 ** (digits - 1):  # the bit length overestimated by one
+        digits -= 1
+    return f"{'-' if n < 0 else ''}<{digits} digits>"
+
+
 @dataclass(frozen=True)
 class PreferenceRecord:
     """Outcome tallies for one pipeline's agent on one evaluation pair."""
@@ -86,12 +98,15 @@ class PreferenceRecord:
                 f"evaluation pair must contain two distinct objects, got {self.object_a.name}"
             )
         counts = (self.count_a, self.count_b, self.count_none)
+        shown = f"({', '.join(map(_bounded, counts))})"
         # Rates divide by episodes as a float, which must not overflow.
         if min(counts) < 0 or not 0 < self.episodes <= sys.float_info.max:
-            raise ValidationError(f"invalid counts {counts} / episodes {self.episodes}")
+            raise ValidationError(
+                f"invalid counts {shown} / episodes {_bounded(self.episodes)}"
+            )
         if sum(counts) != self.episodes:
             raise ValidationError(
-                f"counts {counts} do not sum to episodes {self.episodes} "
+                f"counts {shown} do not sum to episodes {_bounded(self.episodes)} "
                 f"for pair ({self.object_a.name}, {self.object_b.name})"
             )
 
@@ -121,6 +136,17 @@ def object_codes(records: list[PreferenceRecord]) -> np.ndarray:
     """(R, 2) ``object_index`` codes of the records' objects (a, b)."""
     codes = [(object_index(r.object_a), object_index(r.object_b)) for r in records]
     return np.array(codes, dtype=int).reshape(-1, 2)
+
+
+def seeded_folds(n: int, k: int, seed_words: list[int], items: str) -> list[np.ndarray]:
+    """The positions 0..n-1 dealt into k folds: position i of a seeded
+    permutation goes to fold i % k. ``items`` names the n things in errors."""
+    if k < 2:
+        raise ValidationError(f"need at least 2 folds, got {k}")
+    if n < k:
+        raise ValidationError(f"{n} {items} cannot fill {k} folds")
+    order = np.random.default_rng(seed_words).permutation(n)
+    return [order[i::k] for i in range(k)]
 
 
 @dataclass(frozen=True)

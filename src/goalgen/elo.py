@@ -6,18 +6,25 @@ rates; a "no goal" competitor stands in for the episode timing out. Scores
 are fitted by batch maximum likelihood under the base-10 Elo link
 P(a beats b) = 1 / (1 + 10^-(Va-Vb)/400), then shifted so the no-goal
 score is exactly zero.
+
+``RecordComparisons`` holds every record's comparisons once, and a problem
+merges those of some row indices. ``elo_by_agent`` builds each agent's full
+and holdout-fold problems from its rows, fits them all in one lockstep call
+and scores the folds. Folds come from ``dataset.seeded_folds``, as the
+pipeline folds of K-fold cross-validation do.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable, Iterable, Mapping, Sequence
+from collections.abc import Hashable, Mapping, Sequence
 from dataclasses import dataclass
+from pathlib import Path
 from typing import TypeVar
 
 import numpy as np
 
-from .dataset import PreferenceRecord, object_codes, observed_rates
+from .dataset import PreferenceRecord, object_codes, observed_rates, seeded_folds
 from .errors import NumericalError, ValidationError
 from .features import FEATURE_NAMES, ObjectFeatures, enumerate_objects
 from .metrics import MetricMode, MetricsReport, compute_metrics
@@ -87,12 +94,10 @@ class RecordComparisons:
 
     Each comparison is weighted by the probability mass of its two
     outcomes; one whose outcomes never occurred gets weight 0 and rate 0.5.
-    ``problem`` merges the comparisons of some of the records.
+    ``problem`` merges the comparisons of some of the records' rows.
     """
 
     def __init__(self, records: Sequence[PreferenceRecord]):
-        # Equal records get equal rows, so any index of a record serves.
-        self.row = {r: i for i, r in enumerate(records)}
         codes = np.column_stack([object_codes(records), np.full(len(records), _NO_GOAL)])
         p = observed_rates(records)
         # Columns (a, b, no goal) pair up as (a, b), (a, no goal), (b, no goal).
@@ -103,13 +108,14 @@ class RecordComparisons:
         self.rate = np.full_like(pa, 0.5)
         np.divide(pa, self.weight, out=self.rate, where=self.weight > 0)
 
-    def problem(self, records: Iterable[PreferenceRecord] | None = None) -> EloProblem:
-        """The merged problem of the given records (default: all), in order.
+    def problem(self, rows: np.ndarray | None = None) -> EloProblem:
+        """The merged problem of the records at the given row indices
+        (default: all), in that order.
 
         Pairs appear in order of first appearance, and each sum accumulates
-        in record order, as adding comparison by comparison does.
+        in row order, as adding comparison by comparison does.
         """
-        rows = slice(None) if records is None else [self.row[r] for r in records]
+        rows = slice(None) if rows is None else rows
         arrays = (self.code_a, self.code_b, self.weight, self.weight * self.rate)
         code_a, code_b, weight, weighted_rate = (x[rows].ravel() for x in arrays)
         keep = weight > 0
@@ -224,8 +230,6 @@ def marginalised_elo(table: EloTable, feature: str) -> float:
 
 def elo_table_to_csv(table: EloTable, path) -> None:
     """Write scores as (object_colour, object_shape, score) plus a no-goal row."""
-    from pathlib import Path
-
     lines = ["object_colour,object_shape,score"]
     for obj in sorted(table.scores, key=lambda o: (o.colour.value, o.shape.value)):
         lines.append(f"{obj.colour.value},{obj.shape.value},{table.scores[obj]:.6f}")
@@ -239,8 +243,6 @@ def marginalised_to_csv(table: EloTable, path) -> None:
     Features with no scored objects (possible on sparse tables) are
     omitted; full 24-object tables always produce all 10 rows.
     """
-    from pathlib import Path
-
     lines = ["feature,score"]
     for feature in FEATURE_NAMES:
         try:
@@ -251,22 +253,13 @@ def marginalised_to_csv(table: EloTable, path) -> None:
 
 
 def holdout_folds(
-    records: list[PreferenceRecord], k: int = 4, rng_seed: int = 0
-) -> list[tuple[list[PreferenceRecord], list[PreferenceRecord]]]:
-    """The K seeded (training, held-out) splits of one agent's records."""
-    if k < 2:
-        raise ValidationError(f"need at least 2 folds, got {k}")
-    if len(records) < k:
-        raise ValidationError(f"{len(records)} records cannot fill {k} folds")
-
-    rng = np.random.default_rng([0x656C6F, rng_seed])
-    order = rng.permutation(len(records))
-    folds = [order[i::k] for i in range(k)]
+    n: int, k: int = 4, rng_seed: int = 0
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The K seeded (training, held-out) splits of an agent's n record rows,
+    as positions 0..n-1. A training split lists the other folds in order."""
+    folds = seeded_folds(n, k, [0x656C6F, rng_seed], "records")
     return [
-        (
-            [records[i] for f, fold in enumerate(folds) if f != held for i in fold],
-            [records[i] for i in folds[held]],
-        )
+        (np.concatenate([f for i, f in enumerate(folds) if i != held]), folds[held])
         for held in range(k)
     ]
 
@@ -292,9 +285,8 @@ def score_holdout(
         if covered:
             p = np.array([elo_predict(table, r.object_a, r.object_b) for r in covered])
             predictions = np.column_stack([p, 1.0 - p, np.zeros_like(p)])
-            observations = observed_rates(covered)
             reports.append(
-                compute_metrics(predictions, observations, MetricMode.TWO_WAY)
+                compute_metrics(predictions, observed_rates(covered), MetricMode.TWO_WAY)
             )
     if not reports:
         raise ValidationError(
@@ -316,19 +308,69 @@ def score_holdout(
     )
 
 
+def elo_by_agent(
+    records: Sequence[PreferenceRecord],
+    agent_rows: Mapping[str | None, np.ndarray],
+    k: int = 4,
+    rng_seed: int = 0,
+    full: bool = True,
+) -> dict[str | None, tuple[EloTable | None, MetricsReport | ValidationError]]:
+    """Each agent's (table, holdout report) from its row indices into
+    ``records``, with every fit in one ``fit_elo_many`` call.
+
+    Agent by agent, the problems are ``pipeline <agent>``, all its rows (if
+    ``full``; else the table is None), and its folds ``pipeline <agent>
+    (fold <i>)``, or ``fold <i>`` for the agent None. A report is instead
+    the ValidationError that skipped it: rows too few for k folds, a fold
+    with no positive-weight comparison, or no held-out record that its
+    fold's table scores both competitors of.
+    """
+    comparisons = RecordComparisons(records)
+    problems, folds = {}, {}
+    for agent, rows in agent_rows.items():
+        if full:
+            problems[f"pipeline {agent}"] = comparisons.problem(rows)
+        try:
+            splits = holdout_folds(len(rows), k, rng_seed)
+            keys = [
+                f"fold {i}" if agent is None else f"pipeline {agent} (fold {i})"
+                for i in range(k)
+            ]
+            problems.update(
+                {
+                    key: comparisons.problem(rows[train])
+                    for key, (train, _) in zip(keys, splits)
+                }
+            )
+        except ValidationError as exc:
+            folds[agent] = exc
+        else:
+            folds[agent] = keys, [[records[j] for j in rows[test]] for _, test in splits]
+    tables = fit_elo_many(problems)
+
+    results = {}
+    for agent, fold in folds.items():
+        report = fold
+        if not isinstance(fold, ValidationError):
+            keys, held_out = fold
+            try:
+                report = score_holdout(held_out, [tables[key] for key in keys])
+            except ValidationError as exc:
+                report = exc
+        results[agent] = (tables[f"pipeline {agent}"] if full else None, report)
+    return results
+
+
 def elo_holdout_validation(
     records: list[PreferenceRecord],
     k: int = 4,
     rng_seed: int = 0,
 ) -> MetricsReport:
-    """K-fold validation of how well Elo scores predict held-out pairs.
-
-    Fits the K training folds of one agent's records in one lockstep call
-    and scores each on its held-out fold (``score_holdout``).
-    """
-    folds = holdout_folds(records, k, rng_seed)
-    comparisons = RecordComparisons(records)
-    tables = fit_elo_many(
-        {f"fold {i}": comparisons.problem(train) for i, (train, _) in enumerate(folds)}
-    )
-    return score_holdout([test for _, test in folds], list(tables.values()))
+    """K-fold validation of how well Elo scores predict held-out pairs:
+    ``elo_by_agent`` on the records as one agent, with no full fit. Raises
+    the ValidationError that would skip the report."""
+    rows = {None: np.arange(len(records))}
+    _, report = elo_by_agent(records, rows, k, rng_seed, full=False)[None]
+    if isinstance(report, ValidationError):
+        raise report
+    return report

@@ -17,6 +17,7 @@ from .dataset import (
     TrainingPipeline,
     observed_rates,
     read_json,
+    seeded_folds,
 )
 from .elo import EloTable
 from .errors import ValidationError
@@ -143,14 +144,9 @@ def kfold_partition(
     pipeline_ids: list[str], k: int, rng_seed: int
 ) -> dict[str, int]:
     """Seeded partition of pipelines into k folds (fold id per pipeline)."""
-    if k < 2:
-        raise ValidationError(f"need at least 2 folds, got {k}")
-    if len(pipeline_ids) < k:
-        raise ValidationError(f"{len(pipeline_ids)} pipelines cannot fill {k} folds")
-    rng = np.random.default_rng([0x666F6C64, rng_seed])
-    order = rng.permutation(len(pipeline_ids))
     ids = sorted(pipeline_ids)
-    return {ids[j]: i % k for i, j in enumerate(order)}
+    folds = seeded_folds(len(ids), k, [0x666F6C64, rng_seed], "pipelines")
+    return {ids[j]: f for f, fold in enumerate(folds) for j in fold}
 
 
 def kfold_cv(

@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from conftest import random_pipelines, run_episode, sample_records, steer_weights
+from goalgen.agent import EPISODES_PER_PAIR, DeskPolicyParameters
 from goalgen.cli import main
 from goalgen.dataset import (
     Dataset,
@@ -45,7 +46,7 @@ from goalgen.latent import (
     simulate_pipeline,
     stage_objective,
 )
-from goalgen.maze import MazeGrid, distance_field, generate_maze
+from goalgen.maze import WALL_PROBABILITY, MazeGrid, distance_field, generate_maze
 from goalgen.metrics import MetricMode, brier_score, compute_metrics, kl_divergence, total_variation
 from goalgen.selfcheck import inner_gradient_error, outer_gradient_error, projection_error
 
@@ -329,7 +330,18 @@ def test_end_to_end_desk_run(tmp_path):
     data_file = gen_out / "preferences.jsonl"
     dataset = load_dataset(data_file)
     assert len(dataset.records) == 2 * 276
-    assert all(r.episodes == 100 for r in dataset.records)
+    assert all(r.episodes == EPISODES_PER_PAIR for r in dataset.records)
+    # With no config, every desk setting is the library's own default.
+    defaults = DeskPolicyParameters()
+    assert json.loads((gen_out / "manifest.json").read_text())["parameters"] == {
+        "pipelines": str(pipes_file),
+        "max_pairs": None,
+        "desk_learning_rate": defaults.learning_rate,
+        "episodes_per_stage": defaults.episodes_per_stage,
+        "baseline_decay": defaults.baseline_decay,
+        "eval_episodes": EPISODES_PER_PAIR,
+        "wall_prob": WALL_PROBABILITY,
+    }
 
     elo_out = tmp_path / "elo"
     assert main(["elo", "--data", str(data_file), "--out", str(elo_out)]) == 0

@@ -369,9 +369,10 @@ def test_gen_data_command(tmp_path):
     }
     # every DeskPolicyParameters field, so the run can be rebuilt
     params = manifest["parameters"]
-    assert params["desk_learning_rate"] == 0.05
+    defaults = DeskPolicyParameters()
+    assert params["desk_learning_rate"] == defaults.learning_rate
     assert params["episodes_per_stage"] == 120
-    assert params["baseline_decay"] == 0.99
+    assert params["baseline_decay"] == defaults.baseline_decay
     assert params["eval_episodes"] == 5
 
 
@@ -832,3 +833,18 @@ def test_episodes_too_large_for_a_float_exits_1(tmp_path, capsys, command):
     assert main([command, "--data", str(data), "--out", str(out)]) == 1
     assert_one_line_error(capsys, "record 0", "invalid counts")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "elo"])
+def test_huge_episodes_error_is_one_short_line(tmp_path, capsys, command):
+    # A 4,000-digit episodes count used to be printed in full.
+    header = {"pipelines": {"demo": [{"goal": {"colour": "red", "shape": "cross"}}]}}
+    record = record_line(counts=[10**3999, 0, 0], episodes=10**3999)
+    data = tmp_path / "prefs.jsonl"
+    data.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+    assert main([command, "--data", str(data), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: record 0: invalid counts (<4000 digits>, 0, 0) / episodes <4000 digits>"
+    )
+    assert err.count("\n") == 1 and len(err) < 200, err

@@ -56,6 +56,37 @@ def test_count_mismatch_rejected():
         PreferenceRecord("one", RC, BD, 73, 27, 1, 100)
 
 
+@pytest.mark.parametrize(
+    "counts, episodes, shown",
+    [
+        (
+            (10**5000, 0, 0),
+            10**5000,
+            "invalid counts (<5001 digits>, 0, 0) / episodes <5001 digits>",
+        ),
+        ((-(10**30), 0, 0), 1, "invalid counts (-<31 digits>, 0, 0) / episodes 1"),
+        (
+            (10**300, 0, 0),
+            10**300 + 1,
+            "counts (<301 digits>, 0, 0) do not sum to episodes <301 digits> ",
+        ),
+        (
+            (10**20 - 1, 0, 0),
+            10**20,
+            "counts (99999999999999999999, 0, 0) do not sum to episodes <21 digits> ",
+        ),
+    ],
+    ids=["too-large-for-a-float", "negative", "mismatch", "twenty-digits"],
+)
+def test_counts_errors_bound_huge_numbers(counts, episodes, shown):
+    # Past 4,300 digits str() of an int raises ValueError, so the message
+    # gives the number's digit count instead.
+    with pytest.raises(ValidationError) as info:
+        PreferenceRecord("one", RC, BD, *counts, episodes)
+    assert str(info.value).startswith(shown)
+    assert len(str(info.value)) < 200
+
+
 def test_identical_pair_rejected():
     with pytest.raises(ValidationError, match="distinct"):
         PreferenceRecord("one", RC, RC, 50, 50, 0, 100)

@@ -9,7 +9,14 @@ import pytest
 from conftest import population_dataset
 from goalgen import elo
 from goalgen.cli import main
-from goalgen.dataset import PreferenceRecord, save_dataset
+from goalgen.dataset import (
+    Dataset,
+    PreferenceRecord,
+    TrainingPipeline,
+    TrainingStage,
+    save_dataset,
+    seeded_folds,
+)
 from goalgen.elo import (
     CONVERGENCE_TOL,
     ELO_SCALE,
@@ -20,6 +27,7 @@ from goalgen.elo import (
     EloTable,
     RecordComparisons,
     _COMPETITORS,
+    elo_by_agent,
     elo_holdout_validation,
     elo_predict,
     elo_table_to_csv,
@@ -31,6 +39,7 @@ from goalgen.elo import (
 )
 from goalgen.errors import NumericalError, ValidationError
 from goalgen.features import Colour, ObjectFeatures, Shape, enumerate_objects
+from goalgen.harness import kfold_partition
 
 RC = ObjectFeatures(Colour.RED, Shape.CROSS)
 BD = ObjectFeatures(Colour.BLUE, Shape.DIAMOND)
@@ -300,8 +309,8 @@ def fit_problems(dataset, k=4, rng_seed=0):
     for pid in sorted(dataset.pipelines):
         records = dataset.records_for(pid)
         problems[f"pipeline {pid}"] = records
-        for i, (train, _) in enumerate(holdout_folds(records, k, rng_seed)):
-            problems[f"pipeline {pid} (fold {i})"] = train
+        for i, (train, _) in enumerate(holdout_folds(len(records), k, rng_seed)):
+            problems[f"pipeline {pid} (fold {i})"] = [records[j] for j in train]
     return problems
 
 
@@ -344,9 +353,9 @@ def test_lockstep_matches_serial_on_folds_lacking_competitors():
         if {r.object_a, r.object_b} <= set(objects[:10])
         or {r.object_a, r.object_b} == {objects[0], objects[10]}
     ]
-    folds = holdout_folds(records, k=2)
+    folds = holdout_folds(len(records), k=2)
     problems = {"full": records}
-    problems.update({i: train for i, (train, _) in enumerate(folds)})
+    problems.update({i: [records[j] for j in train] for i, (train, _) in enumerate(folds)})
     tables = assert_matches_serial(problems)
     assert sorted(len(t.scores) for t in tables.values()) == [10, 11, 11]
 
@@ -413,7 +422,10 @@ def test_non_convergence_names_the_problem_that_failed(monkeypatch):
 
 def test_holdout_report_is_unchanged_by_lockstep_folds():
     records = list(population_dataset(seed=3, n_pipelines=1).records)
-    folds = holdout_folds(records, 4, rng_seed=1)
+    folds = [
+        ([records[j] for j in train], [records[j] for j in test])
+        for train, test in holdout_folds(len(records), 4, rng_seed=1)
+    ]
     tables = [serial_fit_elo(masked_comparisons(train)) for train, _ in folds]
     report = elo_holdout_validation(records, k=4, rng_seed=1)
     want = score_holdout([test for _, test in folds], tables)
@@ -429,6 +441,144 @@ def test_holdout_accuracy_skips_folds_without_a_directional_pair():
     assert (report.directional_accuracy, report.n_directional) == (1.0, 1)
     report = score_holdout(held_out[1:], [table])
     assert (report.directional_accuracy, report.n_directional) == (0.0, 0)
+
+
+# Held-out positions of each fold, and pipeline fold ids, as computed
+# before the two splitters shared ``seeded_folds``.
+PINNED_HOLDOUT_FOLDS = {
+    (7, 2, 0): [[4, 5, 2, 1], [0, 6, 3]],
+    (10, 4, 3): [[9, 8, 6], [1, 0, 4], [2, 7], [5, 3]],
+    (13, 5, 11): [[12, 5, 9], [10, 11, 8], [6, 4, 3], [2, 0], [1, 7]],
+}
+PINNED_PARTITIONS = {
+    (5, 2, 0): [0, 0, 0, 1, 1],
+    (9, 4, 3): [1, 3, 2, 0, 0, 0, 2, 1, 3],
+    (12, 5, 11): [2, 3, 1, 2, 4, 1, 0, 4, 1, 3, 0, 0],
+}
+
+
+@pytest.mark.parametrize("n, k, seed", list(PINNED_HOLDOUT_FOLDS))
+def test_holdout_folds_are_unchanged(n, k, seed):
+    held = PINNED_HOLDOUT_FOLDS[n, k, seed]
+    folds = holdout_folds(n, k, seed)
+    assert [test.tolist() for _, test in folds] == held
+    for i, (train, _) in enumerate(folds):
+        # the other folds, in fold order: the order the merged sums take
+        assert train.tolist() == [j for f, fold in enumerate(held) if f != i for j in fold]
+    shared = seeded_folds(n, k, [0x656C6F, seed], "records")
+    assert [fold.tolist() for fold in shared] == held
+
+
+@pytest.mark.parametrize("n, k, seed", list(PINNED_PARTITIONS))
+def test_kfold_partition_is_unchanged(n, k, seed):
+    ids = [f"p{i:02d}" for i in range(n)]
+    want = PINNED_PARTITIONS[n, k, seed]
+    assert kfold_partition(ids[::-1], k, seed) == dict(zip(ids, want))
+    shared = seeded_folds(n, k, [0x666F6C64, seed], "pipelines")
+    assert [sorted(fold.tolist()) for fold in shared] == [
+        [i for i, f in enumerate(want) if f == fold] for fold in range(k)
+    ]
+
+
+def test_splitters_keep_their_error_wording():
+    with pytest.raises(ValidationError, match="^need at least 2 folds, got 1$"):
+        holdout_folds(5, 1)
+    with pytest.raises(ValidationError, match="^3 records cannot fill 4 folds$"):
+        holdout_folds(3, 4)
+    with pytest.raises(ValidationError, match="^need at least 2 folds, got 1$"):
+        kfold_partition(["a", "b"], 1, 0)
+    with pytest.raises(ValidationError, match="^2 pipelines cannot fill 3 folds$"):
+        kfold_partition(["a", "b"], 3, 0)
+
+
+def mixed_agents_dataset():
+    """A full 276-pair agent, an agent with fewer records than 4 folds, and
+    one whose four records share no object, so no fold scores its held-out
+    record. The sparse agents' records sit among the full agent's."""
+    objects = enumerate_objects()
+    full = population_dataset(seed=11, n_pipelines=1)
+    few = [
+        record(50, 30, 20, a=objects[0], b=objects[1], pid="few"),
+        record(20, 70, 10, a=objects[0], b=objects[2], pid="few"),
+    ]
+    disjoint = [
+        record(60, 25, 15, a=objects[2 * i], b=objects[2 * i + 1], pid="disjoint")
+        for i in range(4)
+    ]
+    records = list(full.records)
+    for i, r in enumerate(few + disjoint):
+        records.insert(40 * i + 7, r)
+    stage = (TrainingStage(objects[3]),)
+    pipelines = {
+        **full.pipelines,
+        "few": TrainingPipeline("few", stage),
+        "disjoint": TrainingPipeline("disjoint", stage),
+    }
+    return Dataset(pipelines, tuple(records))
+
+
+def rows_by_pipeline(records):
+    rows = {}
+    for i, r in enumerate(records):
+        rows.setdefault(r.pipeline_id, []).append(i)
+    return {pid: np.array(rows[pid]) for pid in sorted(rows)}
+
+
+def test_elo_by_agent_matches_each_agent_alone():
+    records = mixed_agents_dataset().records
+    agent_rows = rows_by_pipeline(records)
+    results = elo_by_agent(records, agent_rows, k=4, rng_seed=2)
+    assert list(results) == ["disjoint", "few", "p000"]
+    for pid, (table, report) in results.items():
+        alone = [records[i] for i in agent_rows[pid]]
+        assert table == fit_elo(alone), pid
+        try:
+            want = elo_holdout_validation(alone, k=4, rng_seed=2)
+        except ValidationError as exc:
+            want = exc
+        if isinstance(want, ValidationError):
+            assert isinstance(report, ValidationError) and str(report) == str(want)
+        else:
+            assert report == want, pid
+    skipped = {pid: str(r) for pid, (_, r) in results.items() if isinstance(r, Exception)}
+    assert skipped == {
+        "disjoint": "no held-out record involved two competitors seen during fitting",
+        "few": "2 records cannot fill 4 folds",
+    }
+
+
+def test_elo_by_agent_fits_every_problem_in_one_call(monkeypatch):
+    calls = []
+
+    def recording(problems):
+        calls.append(list(problems))
+        return fit_elo_many(problems)
+
+    monkeypatch.setattr(elo, "fit_elo_many", recording)
+    records = mixed_agents_dataset().records
+    elo_by_agent(records, rows_by_pipeline(records), k=4, rng_seed=2)
+    folds = [f" (fold {i})" for i in range(4)]
+    assert calls == [
+        ["pipeline disjoint", *(f"pipeline disjoint{f}" for f in folds)]
+        + ["pipeline few", "pipeline p000", *(f"pipeline p000{f}" for f in folds)]
+    ]
+    # The holdout alone fits no problem of all the records.
+    calls.clear()
+    elo_holdout_validation([r for r in records if r.pipeline_id == "p000"], k=4)
+    assert calls == [[f"fold {i}" for i in range(4)]]
+
+
+def test_elo_command_skips_holdout_rows_as_before(tmp_path):
+    data = tmp_path / "mixed.jsonl"
+    save_dataset(mixed_agents_dataset(), data)
+    out = tmp_path / "elo"
+    assert main(["elo", "--data", str(data), "--out", str(out), "--seed", "2"]) == 0
+    for pid in ("disjoint", "few", "p000"):
+        assert (out / f"elo_{pid}.csv").exists()
+    rows = read_csv((out / "elo_holdout.csv").read_text())
+    assert [row[0] for row in rows] == ["pipeline_id", "p000"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["diagnostics"]) == ["disjoint", "few", "p000"]
 
 
 REFERENCE = Path(__file__).parent / "data" / "elo_cli_reference.json"
