@@ -2,10 +2,10 @@
 
 Subcommands: gen-data (train desk agents, emit preference JSONL), elo
 (fit + marginalise + holdout report), fit (variant fit to JSON), eval
-(K-fold or transfer per a plan file), sweep-dim, project (closed-form
-projection trace), and check (gradient and oracle self-tests). Every run
-writes a manifest with input digests. Exit codes: 0 success, 1 validation
-or output error, 2 numerical failure.
+(K-fold or transfer per a plan file, fits in lockstep), sweep-dim,
+project (closed-form projection trace), and check (gradient and oracle
+self-tests). Every run writes a manifest with input digests. Exit codes:
+0 success, 1 validation or output error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -291,6 +291,12 @@ def _cmd_fit(args, config: dict) -> int:
     return 0
 
 
+def _fit_diagnostics(result: fitting.FitResult) -> dict:
+    """What a fit of ``eval`` or ``sweep-dim`` reports in the manifest."""
+    keys = ("n_updates", "final_gradient_norm")
+    return {**{k: result.diagnostics[k] for k in keys}, "train_loss": result.train_loss}
+
+
 def _cmd_eval(args, config: dict) -> int:
     dataset = load_dataset(args.data)
     plan = harness.EvaluationPlan.from_file(args.plan)
@@ -300,6 +306,7 @@ def _cmd_eval(args, config: dict) -> int:
 
     if plan.k is not None:
         result = harness.kfold_cv(dataset, variant, plan.k, fit_config)
+        fits = {f"fold {i}": fit for i, fit in enumerate(result.fits)}
         rows = ["fold,loss"] + [
             f"{i},{loss:.6f}" for i, loss in enumerate(result.fold_losses)
         ]
@@ -311,6 +318,7 @@ def _cmd_eval(args, config: dict) -> int:
         )
     else:
         result = harness.transfer_eval(dataset, plan, variant, fit_config)
+        fits = {"transfer": result.fit}
         header = "variant,evaluation,mode,kl,tv,brier,dir_acc,n_directional"
         rows = [header] + [
             f"{variant.value},transfer,{mode},{_metrics_csv(rep)}"
@@ -335,6 +343,7 @@ def _cmd_eval(args, config: dict) -> int:
         args,
         {"data": str(args.data), "plan": str(args.plan), "variant": variant.value},
         [args.data, args.plan],
+        {name: _fit_diagnostics(fit) for name, fit in fits.items()},
     )
     return 0
 
@@ -347,11 +356,7 @@ def _cmd_sweep_dim(args, config: dict) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     rows = ["d,loss"] + [f"{d},{r.train_loss:.6f}" for d, r in zip(dims, results)]
     (args.out / "sweep.csv").write_text("\n".join(rows) + "\n")
-    keys = ("n_updates", "final_gradient_norm")
-    diagnostics = {
-        str(d): {**{k: r.diagnostics[k] for k in keys}, "train_loss": r.train_loss}
-        for d, r in zip(dims, results)
-    }
+    diagnostics = {str(d): _fit_diagnostics(r) for d, r in zip(dims, results)}
     _write_manifest(
         args, {"data": str(args.data), "dims": args.dims}, [args.data], diagnostics
     )

@@ -181,16 +181,6 @@ class Dataset:
     def records_for(self, pipeline_id: str) -> list[PreferenceRecord]:
         return [r for r in self.records if r.pipeline_id == pipeline_id]
 
-    def subset(self, pipeline_ids: set[str]) -> "Dataset":
-        """Restriction to the given pipelines and their records."""
-        missing = pipeline_ids - set(self.pipelines)
-        if missing:
-            raise ValidationError(f"unknown pipeline ids: {sorted(missing)}")
-        return Dataset(
-            pipelines={k: v for k, v in self.pipelines.items() if k in pipeline_ids},
-            records=tuple(r for r in self.records if r.pipeline_id in pipeline_ids),
-        )
-
 
 def _object_to_json(obj: ObjectFeatures | None) -> dict | None:
     if obj is None:

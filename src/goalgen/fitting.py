@@ -2,10 +2,10 @@
 
 One batch engine (``_evaluate_batch``) simulates the training pipelines,
 predicts the three-way choice distributions and scores the records. The
-fits, the latent-dimension sweep, ``predicted_distributions``,
-``modelling_loss`` and ``simulate_variant`` all run on it;
-``latent.simulate_pipeline`` stays the scalar reference that the oracles
-compare against.
+fits, the latent-dimension sweep, the held-out fits of K-fold and
+transfer evaluation, ``predicted_distributions``, ``modelling_loss`` and
+``simulate_variant`` all run on it; ``latent.simulate_pipeline`` stays
+the scalar reference that the oracles compare against.
 
 The inner ascent moves the latent weights only along the directions
 S^T phi of its stages' goals and distractors, so the engine runs it in
@@ -24,9 +24,14 @@ S 1, and their gradient is masked out. The model axis folds into the
 pipeline axis: entry m * P + p is model m on pipeline p, with model m's
 tau. Every pipeline is front-padded to the most stages of any with
 zero-feature stages, which have no row or column in G and so move no
-value, so one forward and one adjoint loop serve all stage counts. The
-fits of a sweep thus share one engine pass per update, in passes of at
-most ``_LOCKSTEP_ENTRIES`` (model, pipeline, stage) entries.
+value, so one forward and one adjoint loop serve all stage counts.
+
+Every set of fits (``_fit_models``) runs in lockstep, one engine pass per
+update. A model carries its own rows of one prepared record set: all of
+them in a fit or sweep, a fold's or a filter's in a held-out fit. Each
+takes the batches its fit alone would take; a pass evaluates the union of
+the live models' batches, weighing each model's loss by its own rows.
+Each held-out fit then scores its own held-out rows in one engine pass.
 
 The fit minimises the mean KL from observed to predicted choice
 distributions with mini-batch Adam. Gradients with respect to the free
@@ -330,13 +335,14 @@ _STEP_MATRIX_ENTRIES = 2**16
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _evaluate_batch(model, prep: _Prepared, rec_sel, n_steps: int, want_grad: bool):
+def _evaluate_batch(model, prep: _Prepared, rec_sel, n_steps: int, member=None):
     """Per-record losses and log-probabilities under M models, and
     optionally the gradients of their mean losses.
 
     Returns the (M, R) KL of each selected record, its (M, R, 3)
-    log-probabilities (a, b, neither) and, with ``want_grad``, the
-    gradients as (dS, d log tau, d w0). Each pipeline of the selection is
+    log-probabilities (a, b, neither) and, given the (M, R) boolean
+    ``member``, the gradients as (dS, d log tau, d w0) of each model's mean
+    loss over its member records. Each pipeline of the selection is
     ascended once per model, in the span of its directions (``_span``). The
     adjoint pass pools the records' seeds per entry and runs the steps in
     reverse, carrying the adjoint of beta back through their step matrices
@@ -367,11 +373,11 @@ def _evaluate_batch(model, prep: _Prepared, rec_sel, n_steps: int, want_grad: bo
     va = np.einsum("rn,mrn->mr", phi_a, sw[:, pidx])
     vb = np.einsum("rn,mrn->mr", phi_b, sw[:, pidx])
     losses, logp = _three_way_kl(va, vb, p_hat)
-    if not want_grad:
+    if member is None:
         return losses, logp, None
 
-    # The records' seeds of S w, pooled per entry.
-    dv = (np.exp(logp) - p_hat) / len(rec_sel)
+    # The member records' seeds of S w, pooled per entry.
+    dv = np.where(member[..., None], np.exp(logp) - p_hat, 0.0) / member.sum(1)[:, None, None]
     seeds = np.zeros((n_models, len(pipes), phi.shape[-1]))
     np.add.at(seeds, (slice(None), pidx), dv[..., :1] * phi_a + dv[..., 1:2] * phi_b)
     # The adjoint of beta is linear and its Jacobians depend only on an
@@ -429,21 +435,40 @@ def _single(hp: LpgHyperparameters):
     return hp.matrix()[None], np.array([hp.log_tau]), np.array([hp.w0])
 
 
-def _evaluate_all(hp, pipelines, records, variant, config, want_grad: bool):
-    """One engine pass of ``hp`` over every record given."""
-    prep = _Prepared(pipelines, records, _checked_variant(hp, variant))
-    n_steps = (config or FitConfig()).n_integration_steps
-    sel = np.arange(prep.n_records)
-    return _evaluate_batch(_single(hp), prep, sel, n_steps, want_grad)
+def _selection(row_sets: list[np.ndarray], n_records: int):
+    """The union of M models' rows of ``n_records``, in order of first
+    appearance, and its (M, R) membership: True where a row is the model's."""
+    rows = np.concatenate(row_sets)
+    # Each record's first place in rows. No sort: a new numpy sort kernel
+    # adds 0.1-0.2 MB of code to peak RSS.
+    first = np.full(n_records, len(rows))
+    np.minimum.at(first, rows, np.arange(len(rows)))
+    member = np.zeros((len(row_sets), n_records), dtype=bool)
+    member[np.repeat(np.arange(len(row_sets)), [len(r) for r in row_sets]), rows] = True
+    union = rows[first[rows] == np.arange(len(rows))]
+    return union, member[:, union]
 
 
-def _diverged(values: np.ndarray, dims: list[int], what: str, when: str = "") -> None:
+def _score(prep: _Prepared, hp: LpgHyperparameters, rows: np.ndarray, n_steps: int):
+    """``hp``'s per-record losses and log-probabilities on ``rows`` of
+    ``prep``, from one engine pass."""
+    losses, logp, _ = _evaluate_batch(_single(hp), prep, rows, n_steps)
+    if not np.all(np.isfinite(logp)):
+        raise NumericalError("non-finite latent weights or predictions")
+    return losses[0], logp[0]
+
+
+def _diverged(values: np.ndarray, dims: list[int], what: str, batches=None) -> None:
     """Raise NumericalError naming the first fit with a non-finite value;
-    row i of ``values`` belongs to the fit of latent dim ``dims[i]``."""
+    row i of ``values`` belongs to the fit of latent dim ``dims[i]``, which
+    is at the (epoch, start, rows) batch ``batches[i]`` if given."""
     bad = ~np.isfinite(values.reshape(len(dims), -1)).all(axis=1)
     if bad.any():
-        d = dims[bad.argmax()]
-        raise NumericalError(f"non-finite {what} in the latent-dim {d} fit{when}")
+        i = bad.argmax()
+        when = ""
+        if batches is not None:
+            when = " (epoch {}, batch starting at {})".format(*batches[i][:2])
+        raise NumericalError(f"non-finite {what} in the latent-dim {dims[i]} fit{when}")
 
 
 def _dense_gradient(s_grad, tau_grad, w0_grad) -> np.ndarray:
@@ -463,9 +488,10 @@ def hyperparameter_gradient(
     ``selfcheck.fd_gradient``. Gradient ordering is (free saliency entries
     row-major, log tau, w0).
     """
-    losses, _, grads = _evaluate_all(
-        hp, dataset.pipelines, dataset.records, variant, config, want_grad=True
-    )
+    prep = _Prepared(dataset.pipelines, dataset.records, _checked_variant(hp, variant))
+    n_steps = (config or FitConfig()).n_integration_steps
+    rows, member = np.arange(prep.n_records), np.ones((1, prep.n_records), dtype=bool)
+    losses, _, grads = _evaluate_batch(_single(hp), prep, rows, n_steps, member)
     space = _ParamSpace(variant, hp.latent_dim)
     loss, grad = float(losses.mean()), _dense_gradient(*grads)[0][space.dense_mask()]
     if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
@@ -473,17 +499,27 @@ def hyperparameter_gradient(
     return loss, grad
 
 
-def _fit_lockstep(prep: _Prepared, config: FitConfig, dims: list[int]):
-    """Fit one model per latent dim in ``dims`` (``config.latent_dim`` is
-    not used) by mini-batch Adam on the mean KL, with one engine pass per
-    update for all of them.
+def _batches(rows: np.ndarray, config: FitConfig) -> list[tuple[int, int, np.ndarray]]:
+    """The (epoch, start, rows) mini-batches of a fit on ``rows``, in order."""
+    rng = np.random.default_rng([0x666974, config.rng_seed])
+    order, size, batches = rows.copy(), config.batch_size, []
+    for epoch in range(config.epochs):
+        rng.shuffle(order)  # in place, so each batch is copied
+        starts = range(0, len(order), size)
+        batches += [(epoch, i, order[i : i + size].copy()) for i in starts]
+    return batches
 
-    Every fit shuffles the same records from the same seed, so they share
-    each mini-batch. Each fit's parameters are one dense row
-    (``_ParamSpace``) with its own Adam state and trajectories. The entries
-    its row fixes get a zero gradient, which makes a zero Adam step.
+
+def _fit_lockstep(prep: _Prepared, config: FitConfig, models: list):
+    """Fit one model per (latent dim, rows of ``prep``) entry of ``models``
+    (``config.latent_dim`` is not used) by mini-batch Adam on the mean KL
+    over its rows, with one engine pass per update for all of them.
+
+    Each model takes its ``_batches`` and stops when they run out. Its
+    parameters are one dense row (``_ParamSpace``) with its own Adam state;
+    the entries its row fixes get a zero gradient, so a zero Adam step.
     """
-    variant = prep.variant
+    variant, dims = prep.variant, [d for d, _ in models]
     spaces = [_ParamSpace(variant, d) for d in dims]
     n, d_max = spaces[0].n, max(space.d for space in spaces)
     mask = np.stack([space.dense_mask(d_max) for space in spaces])
@@ -493,61 +529,76 @@ def _fit_lockstep(prep: _Prepared, config: FitConfig, dims: list[int]):
         return theta[:, :-2].reshape(-1, n, d_max), theta[:, -2], theta[:, -1]
 
     m, v = np.zeros_like(theta), np.zeros_like(theta)
-    step_count = 0
-    losses, grad_norms = [], []  # one array per update, one entry per fit
-    rng = np.random.default_rng([0x666974, config.rng_seed])
-    order = np.arange(prep.n_records)
+    schedules = [_batches(rows, config) for _, rows in models]
+    n_updates = np.array([len(batches) for batches in schedules])
+    # Per update and fit: its batch loss and gradient norm.
+    history = np.zeros((2, n_updates.max(initial=0), len(models)))
     started = time.perf_counter()
 
-    for epoch in range(config.epochs):
-        rng.shuffle(order)
-        for start in range(0, prep.n_records, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            when = f" (epoch {epoch}, batch starting at {start})"
-            batch_losses, _, grads = _evaluate_batch(
-                model(theta), prep, batch, config.n_integration_steps, True
-            )
-            loss = batch_losses.mean(axis=1)
-            grad = np.where(mask, _dense_gradient(*grads), 0.0)
-            _diverged(np.column_stack([loss, grad]), dims, "loss or gradient", when)
-            step_count += 1
-            m = config.adam_beta1 * m + (1.0 - config.adam_beta1) * grad
-            v = config.adam_beta2 * v + (1.0 - config.adam_beta2) * grad**2
-            m_hat = m / (1.0 - config.adam_beta1**step_count)
-            v_hat = v / (1.0 - config.adam_beta2**step_count)
-            theta = theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
-            # The engine runs on at tau = 0, but LpgHyperparameters rejects it.
-            with np.errstate(over="ignore"):
-                _diverged(np.exp(np.abs(theta[:, -2])), dims, "tau or 1 / tau", when)
-            losses.append(loss)
-            grad_norms.append(np.linalg.norm(grad, axis=1))
-
-    all_records = np.arange(prep.n_records)
-    per_example, _, _ = _evaluate_batch(
-        model(theta), prep, all_records, config.n_integration_steps, False
-    )
-    _diverged(per_example, dims, "training loss")
-    wall_time = time.perf_counter() - started
-    # One list per fit.
-    losses, grad_norms = (
-        np.reshape(x, (step_count, len(dims))).T.tolist() for x in (losses, grad_norms)
-    )
-    return [
-        FitResult(
-            space.hyperparameters(theta[i]),
-            variant,
-            float(per_example[i].mean()),
-            per_example[i],
-            diagnostics={
-                "n_updates": step_count,
-                "final_gradient_norm": grad_norms[i][-1] if step_count else 0.0,
-                "loss_trajectory": losses[i],
-                "gradient_norm_trajectory": grad_norms[i],
-                "wall_time_s": wall_time,
-                "epochs": config.epochs,
-            },
+    for step in range(len(history[0])):
+        live = np.flatnonzero(n_updates > step)
+        live_dims, batches = [dims[i] for i in live], [schedules[i][step] for i in live]
+        union, member = _selection([rows for _, _, rows in batches], prep.n_records)
+        batch_losses, _, grads = _evaluate_batch(
+            model(theta[live]), prep, union, config.n_integration_steps, member
         )
-        for i, space in enumerate(spaces)
+        loss = np.where(member, batch_losses, 0.0).sum(axis=1) / member.sum(axis=1)
+        grad = np.where(mask[live], _dense_gradient(*grads), 0.0)
+        _diverged(np.column_stack([loss, grad]), live_dims, "loss or gradient", batches)
+        m[live] = config.adam_beta1 * m[live] + (1.0 - config.adam_beta1) * grad
+        v[live] = config.adam_beta2 * v[live] + (1.0 - config.adam_beta2) * grad**2
+        m_hat = m[live] / (1.0 - config.adam_beta1 ** (step + 1))
+        v_hat = v[live] / (1.0 - config.adam_beta2 ** (step + 1))
+        theta[live] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+        # The engine runs on at tau = 0, but LpgHyperparameters rejects it.
+        with np.errstate(over="ignore"):
+            _diverged(np.exp(np.abs(theta[live, -2])), live_dims, "tau or 1 / tau", batches)
+        history[:, step, live] = loss, np.linalg.norm(grad, axis=1)
+
+    union, member = _selection([rows for _, rows in models], prep.n_records)
+    losses, _, _ = _evaluate_batch(model(theta), prep, union, config.n_integration_steps)
+    _diverged(np.where(member, losses, 0.0), dims, "training loss")
+    at = np.empty(prep.n_records, dtype=int)  # each row's place in the union
+    at[union] = np.arange(len(union))
+    wall_time = time.perf_counter() - started
+    fits = []
+    for i, (space, (_, rows)) in enumerate(zip(spaces, models)):
+        per_example = losses[i, at[rows]]
+        trajectory, norms = history[:, : n_updates[i], i].tolist()
+        diagnostics = {
+            "n_updates": len(trajectory),
+            "final_gradient_norm": norms[-1] if norms else 0.0,
+            "loss_trajectory": trajectory,
+            "gradient_norm_trajectory": norms,
+            "wall_time_s": wall_time,
+            "epochs": config.epochs,
+        }
+        hp = space.hyperparameters(theta[i])
+        train_loss = float(per_example.mean())
+        fits.append(FitResult(hp, variant, train_loss, per_example, diagnostics))
+    return fits
+
+
+# Bounds the fits of one engine pass: while the adjoint runs, each (model,
+# pipeline, stage) entry holds about 18 kB at K = 100 whatever the latent
+# dim: seven (K, 2) histories, 11.2 kB, and (K, 2, 2) step matrices, 3.2 kB.
+# Simultaneous ones are (2T, 2T) per step, built in chunks.
+_LOCKSTEP_ENTRIES = 1024
+
+
+def _fit_models(prep: _Prepared, config: FitConfig, models: list):
+    """``_fit_lockstep`` on as many ``models`` at a time as keep a pass
+    within ``_LOCKSTEP_ENTRIES`` entries. A model ascends the pipelines of
+    every live model's batch: a batch's worth if they share rows, else up
+    to all."""
+    n_pipes, t_max = prep.stage_phi.shape[:2]
+    shared = all(np.array_equal(rows, models[0][1]) for _, rows in models)
+    width = min(config.batch_size, n_pipes) if shared else n_pipes
+    per_pass = max(1, _LOCKSTEP_ENTRIES // (width * t_max))
+    return [
+        fit
+        for i in range(0, len(models), per_pass)
+        for fit in _fit_lockstep(prep, config, models[i : i + per_pass])
     ]
 
 
@@ -559,7 +610,28 @@ def fit_hyperparameters(
     """Fit saliency, log tau, and w0 by mini-batch Adam on the mean KL."""
     config = config or FitConfig()
     prep = _Prepared(dataset.pipelines, dataset.records, variant)
-    return _fit_lockstep(prep, config, [config.latent_dim])[0]
+    [fit] = _fit_models(prep, config, [(config.latent_dim, np.arange(prep.n_records))])
+    return fit
+
+
+def heldout_fits(
+    dataset: Dataset,
+    splits: list[tuple[np.ndarray, np.ndarray]],
+    variant: ModelVariant = ModelVariant.FULL,
+    config: FitConfig | None = None,
+) -> list[tuple[FitResult, np.ndarray, np.ndarray]]:
+    """Per (training rows, held-out rows) split of ``dataset.records``: a fit
+    on its training rows, and the held-out rows' losses and (R, 3)
+    predictions. The fits run in lockstep; each fit scores its own held-out
+    rows, so no pass holds more than one split's."""
+    config = config or FitConfig()
+    prep = _Prepared(dataset.pipelines, dataset.records, variant)
+    fits = _fit_models(prep, config, [(config.latent_dim, train) for train, _ in splits])
+    results = []
+    for fit, (_, held) in zip(fits, splits):
+        losses, logp = _score(prep, fit.hyperparameters, held, config.n_integration_steps)
+        results.append((fit, losses, np.exp(logp)))
+    return results
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -584,15 +656,12 @@ def simulate_variant(
     return w
 
 
-def _predict(hp, dataset, records, variant, config):
-    """Per-record losses and log-probabilities from one engine pass."""
+def _score_records(hp, dataset, records, variant, config):
+    """``hp``'s losses and log-probabilities on ``records`` (default: all)."""
     records = list(dataset.records) if records is None else records
-    losses, logp, _ = _evaluate_all(
-        hp, dataset.pipelines, records, variant, config, want_grad=False
-    )
-    if not np.all(np.isfinite(logp)):
-        raise NumericalError("non-finite latent weights or predictions")
-    return losses[0], logp[0]
+    prep = _Prepared(dataset.pipelines, records, _checked_variant(hp, variant))
+    n_steps = (config or FitConfig()).n_integration_steps
+    return _score(prep, hp, np.arange(prep.n_records), n_steps)
 
 
 def predicted_distributions(
@@ -603,7 +672,7 @@ def predicted_distributions(
     config: FitConfig | None = None,
 ) -> list[ChoiceDistribution]:
     """Model predictions for each record (default: the dataset's)."""
-    _, logp = _predict(hp, dataset, records, variant, config)
+    _, logp = _score_records(hp, dataset, records, variant, config)
     return [ChoiceDistribution(*p) for p in np.exp(logp).tolist()]
 
 
@@ -615,7 +684,7 @@ def modelling_loss(
     config: FitConfig | None = None,
 ) -> float:
     """Mean KL from observed to predicted three-way distributions."""
-    losses, _ = _predict(hp, dataset, records, variant, config)
+    losses, _ = _score_records(hp, dataset, records, variant, config)
     return float(losses.mean())
 
 
@@ -686,26 +755,13 @@ def lower_bound_per_feature(dataset: Dataset) -> float:
     return _lower_bound(dataset, _FEATURE_COLUMNS)[0]
 
 
-# Bounds the fits of a sweep that share one engine pass: while the adjoint
-# runs, each (model, pipeline, stage) entry holds about 18 kB at K = 100
-# whatever the latent dim: seven (K, 2) histories, 11.2 kB, and (K, 2, 2)
-# step matrices, 3.2 kB. Simultaneous ones are (2T, 2T) per step, built in
-# chunks of at most _STEP_MATRIX_ENTRIES.
-_LOCKSTEP_ENTRIES = 1024
-
-
 def latent_dim_sweep(
     dataset: Dataset,
     dims: list[int] | None = None,
     config: FitConfig | None = None,
 ) -> list[FitResult]:
     """Fit the full variant at each latent dimension; one result per entry
-    of ``dims``, in order.
-
-    The fits run in lockstep, as many at a time as keep one engine pass
-    within ``_LOCKSTEP_ENTRIES`` (model, pipeline, stage) entries, so the
-    sweep's memory does not grow with the number of dims.
-    """
+    of ``dims``, in order. The fits run in lockstep (``_fit_models``)."""
     dims = list(dims) if dims is not None else list(range(1, 33))
     if not dims:
         raise ValidationError("no dimensions to sweep")
@@ -713,10 +769,5 @@ def latent_dim_sweep(
         raise ValidationError(f"latent dims must be at least 1, got {min(dims)}")
     config = config or FitConfig()
     prep = _Prepared(dataset.pipelines, dataset.records, ModelVariant.FULL)
-    n_pipes, t_max = prep.stage_phi.shape[:2]
-    per_pass = max(1, _LOCKSTEP_ENTRIES // (min(config.batch_size, n_pipes) * t_max))
-    return [
-        fit
-        for i in range(0, len(dims), per_pass)
-        for fit in _fit_lockstep(prep, config, dims[i : i + per_pass])
-    ]
+    rows = np.arange(prep.n_records)
+    return _fit_models(prep, config, [(d, rows) for d in dims])

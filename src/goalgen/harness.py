@@ -22,14 +22,14 @@ from .dataset import (
 from .elo import EloTable
 from .errors import ValidationError
 from .features import enumerate_objects
-# transfer_eval no longer calls predicted_distributions, but the name stays
-# importable from here: perfbench's traced run wraps it at this module.
+# Nothing here calls fit_hyperparameters, modelling_loss or
+# predicted_distributions, but perfbench's traced run wraps them here.
 from .fitting import (  # noqa: F401
     FitConfig,
     FitResult,
     ModelVariant,
-    _predict,
     fit_hyperparameters,
+    heldout_fits,
     modelling_loss,
     predicted_distributions,
     simulate_variant,
@@ -119,8 +119,10 @@ class EvaluationPlan:
             eval=PipelinePredicate.from_json(eval_) if eval_ is not None else None,
             k=_optional_int(data, "k"),
         )
-        if plan.k is None and (plan.train is None or plan.eval is None):
-            raise ValidationError("plan needs either k or both train and eval filters")
+        # K-fold ignores the filters, so a plan is one or the other.
+        has_filters = (plan.train is not None, plan.eval is not None)
+        if has_filters != (plan.k is None,) * 2:
+            raise ValidationError("plan needs k alone or both train and eval filters")
         return plan
 
     @classmethod
@@ -138,6 +140,7 @@ class KFoldResult:
     mean_loss: float
     se: float
     fold_assignment: dict[str, int]
+    fits: list[FitResult]
 
 
 def kfold_partition(
@@ -155,24 +158,18 @@ def kfold_cv(
     k: int = 4,
     config: FitConfig | None = None,
 ) -> KFoldResult:
-    """Fit on k-1 pipeline folds, score the held-out fold's records."""
+    """Fit on k-1 pipeline folds, score the held-out fold's records; the k
+    fits run in lockstep (``fitting.heldout_fits``)."""
     config = config or FitConfig()
     pids = sorted({r.pipeline_id for r in dataset.records})
     assignment = kfold_partition(pids, k, config.rng_seed)
-    losses = []
-    for fold in range(k):
-        train_ids = {pid for pid, f in assignment.items() if f != fold}
-        eval_ids = {pid for pid, f in assignment.items() if f == fold}
-        result = fit_hyperparameters(dataset.subset(train_ids), variant, config)
-        eval_records = [r for r in dataset.records if r.pipeline_id in eval_ids]
-        losses.append(
-            modelling_loss(
-                result.hyperparameters, dataset, eval_records, variant, config
-            )
-        )
+    fold = np.array([assignment[r.pipeline_id] for r in dataset.records])
+    splits = [(np.flatnonzero(fold != f), np.flatnonzero(fold == f)) for f in range(k)]
+    results = heldout_fits(dataset, splits, variant, config)
+    losses = [float(held.mean()) for _, held, _ in results]
     mean = float(np.mean(losses))
     se = float(np.std(losses, ddof=1) / np.sqrt(k)) if k > 1 else 0.0
-    return KFoldResult(losses, mean, se, assignment)
+    return KFoldResult(losses, mean, se, assignment, [fit for fit, _, _ in results])
 
 
 @dataclass
@@ -194,7 +191,6 @@ def transfer_eval(
     """Fit on the plan's train pipelines, evaluate on the disjoint eval set."""
     if plan.train is None or plan.eval is None:
         raise ValidationError("transfer plan needs both train and eval filters")
-    config = config or FitConfig()
     active = {r.pipeline_id for r in dataset.records}
     train_ids = {
         pid
@@ -216,13 +212,12 @@ def transfer_eval(
             f"train and eval filters overlap on {sorted(overlap)[:5]}"
         )
 
-    result = fit_hyperparameters(dataset.subset(train_ids), variant, config)
-    eval_records = [r for r in dataset.records if r.pipeline_id in eval_ids]
-    losses, logp = _predict(
-        result.hyperparameters, dataset, eval_records, variant, config
+    train, held = (
+        np.flatnonzero([r.pipeline_id in ids for r in dataset.records])
+        for ids in (train_ids, eval_ids)
     )
-    predictions = np.exp(logp)
-    observations = observed_rates(eval_records)
+    [(result, losses, predictions)] = heldout_fits(dataset, [(train, held)], variant, config)
+    observations = observed_rates(dataset.records)[held]
     return TransferResult(
         fit=result,
         eval_loss=float(losses.mean()),

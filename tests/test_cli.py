@@ -162,6 +162,61 @@ def test_eval_kfold_plan(tmp_path, data_file):
     assert lines[-1].startswith("se,")
 
 
+@pytest.mark.parametrize(
+    "plan, fits",
+    [
+        ({"k": 2}, ["fold 0", "fold 1"]),
+        ({"train": {"stage_count": 1}, "eval": {"stage_count": 2}}, ["transfer"]),
+    ],
+    ids=["kfold", "transfer"],
+)
+def test_eval_manifest_reports_each_fit(tmp_path, data_file, plan, fits):
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps(plan))
+    out = tmp_path / "eval"
+    code = main(
+        [
+            "eval",
+            "--data", str(data_file),
+            "--plan", str(plan_file),
+            "--out", str(out),
+            "--config", str(fast_config(tmp_path)),
+        ]
+    )
+    assert code == 0
+    diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    assert sorted(diagnostics) == fits
+    for fit in diagnostics.values():
+        assert sorted(fit) == ["final_gradient_norm", "n_updates", "train_loss"]
+        assert fit["n_updates"] == 1  # fewer than 64 training records
+        assert fit["final_gradient_norm"] > 0.0
+        assert fit["train_loss"] > 0.0
+    if fits == ["transfer"]:
+        report = json.loads((out / "transfer_report.json").read_text())
+        assert diagnostics["transfer"]["train_loss"] == report["train_loss"]
+
+
+@pytest.mark.parametrize("filters", [{"train": {}}, {"eval": {}}, {"train": {}, "eval": {}}])
+def test_eval_rejects_k_with_filters(tmp_path, data_file, capsys, filters):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"k": 2, **filters}))
+    out = tmp_path / "eval"
+    code = main(
+        [
+            "eval",
+            "--data", str(data_file),
+            "--plan", str(plan),
+            "--out", str(out),
+            "--config", str(fast_config(tmp_path)),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "k alone or both train and eval" in err[0]
+    assert not out.exists()
+
+
 def test_elo_command(tmp_path):
     # dense per-agent coverage, as produced by the rollout harness
     from goalgen.dataset import Dataset, PreferenceRecord, TrainingPipeline, TrainingStage

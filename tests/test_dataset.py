@@ -229,15 +229,6 @@ def test_load_rejects_malformed_line(tmp_path):
         load_dataset(path)
 
 
-def test_subset_restricts_pipelines_and_records():
-    ds = two_record_dataset()
-    sub = ds.subset({"one"})
-    assert set(sub.pipelines) == {"one"}
-    assert all(r.pipeline_id == "one" for r in sub.records)
-    with pytest.raises(ValidationError):
-        ds.subset({"one", "missing"})
-
-
 def test_full_scale_dataset_loads(tmp_path):
     # 298 pipelines x 276 pairs, the full production shape
     objects = enumerate_objects()

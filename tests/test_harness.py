@@ -89,6 +89,21 @@ def test_plan_parsing_and_validation():
         EvaluationPlan.from_json({"train": {"stage_count": 1}})
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"k": 2, "train": {"stage_count": 1}, "eval": {"stage_count": 2}},
+        {"k": 2, "train": {"stage_count": 1}},
+        {"k": 2, "eval": {}},
+        {"eval": {"stage_count": 2}},
+        {},
+    ],
+)
+def test_plan_is_either_k_or_both_filters(data):
+    with pytest.raises(ValidationError, match="k alone or both train and eval filters"):
+        EvaluationPlan.from_json(data)
+
+
 def test_predicate_matching():
     single = TrainingPipeline("s", (TrainingStage(OBJECTS[0]),))
     double = TrainingPipeline(

@@ -161,6 +161,20 @@ def test_divergence_names_the_latent_dim_of_the_fit():
         latent_dim_sweep(lockstep_dataset(), [4, 1], config)
 
 
+def test_non_finite_training_loss_names_the_latent_dim(monkeypatch):
+    engine = fitting._evaluate_batch
+
+    def final_loss_nan(model, prep, rows, n_steps, member=None):
+        losses, logp, grads = engine(model, prep, rows, n_steps, member)
+        if member is None:  # the training-loss pass after the last update
+            losses[1, 0] = np.nan
+        return losses, logp, grads
+
+    monkeypatch.setattr(fitting, "_evaluate_batch", final_loss_nan)
+    with pytest.raises(NumericalError, match=r"^non-finite training loss in the latent-dim 1 fit$"):
+        latent_dim_sweep(lockstep_dataset(), [4, 1], CONFIG)
+
+
 if __name__ == "__main__":
     REFERENCE.write_text(json.dumps(serial_values(), indent=1) + "\n")
     print(f"wrote {REFERENCE}")
