@@ -400,18 +400,18 @@ def _lockstep_counts(
     """(agents, pairs, 3) tallies of the first object, the second and neither.
 
     Pair p's objects are pairs[p] in canonical order, and keys[p] their
-    object indices. Every agent walks the same episodes; a pass takes the
-    next mazes such that at most _LOCKSTEP_EPISODES episodes walk together.
+    object indices. Maze i is episode i % episodes of pair i // episodes.
+    Every agent walks the same episodes; a pass takes the next mazes such
+    that at most _LOCKSTEP_EPISODES episodes walk together.
     """
     n_agents, n_pairs = len(weights), len(pairs)
     counts = np.zeros(n_agents * n_pairs * 3, dtype=np.int64)
     if not n_agents:
         return counts.reshape(n_agents, n_pairs, 3)
     scores, exps = _softmax_tables(weights, pairs)
-    mazes = [(p, ep) for p in range(n_pairs) for ep in range(episodes)]
-    per_pass = max(1, _LOCKSTEP_EPISODES // n_agents)
-    for first in range(0, len(mazes), per_pass):
-        chunk = mazes[first : first + per_pass]
+    n_mazes, per_pass = n_pairs * episodes, max(1, _LOCKSTEP_EPISODES // n_agents)
+    for first in range(0, n_mazes, per_pass):
+        chunk = [divmod(i, episodes) for i in range(first, min(first + per_pass, n_mazes))]
         # Agent g on the chunk's maze m is episode g * len(chunk) + m.
         table = np.arange(n_agents)[:, None] * n_pairs + [p for p, _ in chunk]
         # The pass's tables live only for the walk, not into the next pass.

@@ -237,11 +237,9 @@ def _cmd_elo(args, config: dict) -> int:
     if args.folds < 2:
         raise ValidationError(f"--folds must be at least 2, got {args.folds}")
     dataset = load_dataset(args.data)
-    rows: dict[str, list[int]] = {}
-    for i, r in enumerate(dataset.records):
-        rows.setdefault(r.pipeline_id, []).append(i)
-    agent_rows = {pid: np.array(rows[pid]) for pid in sorted(rows)}
-    results = elo_mod.elo_by_agent(dataset.records, agent_rows, args.folds, args.seed)
+    pids, pipeline = dataset.columns[:2]
+    agent_rows = {pid: np.flatnonzero(pipeline == i) for i, pid in enumerate(pids)}
+    results = elo_mod.elo_by_agent(dataset, agent_rows, args.folds, args.seed)
 
     args.out.mkdir(parents=True, exist_ok=True)
     holdout_rows = ["pipeline_id,kl,tv,brier,directional_accuracy,n_directional"]
@@ -280,7 +278,7 @@ def _cmd_fit(args, config: dict) -> int:
         "variant": variant.value,
         "train_loss": result.train_loss,
         "n_examples": int(len(result.per_example_losses)),
-        "baseline_uniform": fitting.baseline_uniform(list(dataset.records)),
+        "baseline_uniform": fitting.baseline_uniform(dataset.columns.rates),
         "diagnostics": result.diagnostics,
     }
     (args.out / "fit_report.json").write_text(json.dumps(report, indent=2) + "\n")

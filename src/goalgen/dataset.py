@@ -1,7 +1,9 @@
 """Training pipelines, preference records, and dataset persistence.
 
 Counts are the source of truth; three-way distributions are derived on
-demand. Datasets are stored as JSON Lines: a header line mapping pipeline
+demand. A ``Dataset`` turns its records into arrays once, its ``columns``
+(``record_columns``), and checks them there; commands select its rows by
+index. Datasets are stored as JSON Lines: a header line mapping pipeline
 ids to stage lists, then one record per line.
 """
 
@@ -10,8 +12,10 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,17 +102,17 @@ class PreferenceRecord:
                 f"evaluation pair must contain two distinct objects, got {self.object_a.name}"
             )
         counts = (self.count_a, self.count_b, self.count_none)
-        shown = f"({', '.join(map(_bounded, counts))})"
         # Rates divide by episodes as a float, which must not overflow.
         if min(counts) < 0 or not 0 < self.episodes <= sys.float_info.max:
-            raise ValidationError(
-                f"invalid counts {shown} / episodes {_bounded(self.episodes)}"
-            )
-        if sum(counts) != self.episodes:
-            raise ValidationError(
-                f"counts {shown} do not sum to episodes {_bounded(self.episodes)} "
-                f"for pair ({self.object_a.name}, {self.object_b.name})"
-            )
+            problem = "invalid counts {} / episodes {}"
+        elif sum(counts) != self.episodes:
+            problem = "counts {} do not sum to episodes {} for pair ({}, {})"
+        else:
+            return
+        # Formatted only here: a valid record builds no message.
+        numbers = f"({', '.join(map(_bounded, counts))})", _bounded(self.episodes)
+        names = self.object_a.name, self.object_b.name
+        raise ValidationError(problem.format(*numbers, *names))
 
     def canonical(self) -> "PreferenceRecord":
         """Same record with the pair in canonical object order."""
@@ -132,12 +136,6 @@ def observed_rates(records: list[PreferenceRecord]) -> np.ndarray:
     return counts[:, :3] / counts[:, 3:]
 
 
-def object_codes(records: list[PreferenceRecord]) -> np.ndarray:
-    """(R, 2) ``object_index`` codes of the records' objects (a, b)."""
-    codes = [(object_index(r.object_a), object_index(r.object_b)) for r in records]
-    return np.array(codes, dtype=int).reshape(-1, 2)
-
-
 def seeded_folds(n: int, k: int, seed_words: list[int], items: str) -> list[np.ndarray]:
     """The positions 0..n-1 dealt into k folds: position i of a seeded
     permutation goes to fold i % k. ``items`` names the n things in errors."""
@@ -149,34 +147,65 @@ def seeded_folds(n: int, k: int, seed_words: list[int], items: str) -> list[np.n
     return [order[i::k] for i in range(k)]
 
 
+class RecordColumns(NamedTuple):
+    pipeline_ids: list[str]  # sorted ids of the pipelines that have records
+    pipeline: np.ndarray  # each record's index into pipeline_ids
+    codes: np.ndarray  # (R, 2) object_index codes of its objects (a, b)
+    rates: np.ndarray  # (R, 3) observed_rates
+
+
+def record_columns(records: Dataset | Sequence[PreferenceRecord]) -> RecordColumns:
+    """A dataset's columns, or those of records taken as given: no pair is
+    reordered and duplicates stay. The one conversion of records to arrays."""
+    if isinstance(records, Dataset):
+        return records.columns
+    pids = sorted({r.pipeline_id for r in records})
+    index = {pid: i for i, pid in enumerate(pids)}
+    pipeline = np.array([index[r.pipeline_id] for r in records], dtype=int)
+    codes = [(object_index(r.object_a), object_index(r.object_b)) for r in records]
+    codes = np.array(codes, dtype=int).reshape(-1, 2)
+    return RecordColumns(pids, pipeline, codes, observed_rates(records))
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Pipelines plus their preference records.
+    """Pipelines plus their preference records and the records' columns.
 
     Records are canonicalised on construction (pair stored in canonical
-    object order, counts swapped to match) and checked for dangling
-    pipeline ids and duplicate (pipeline, pair) entries.
+    object order, counts swapped to match) and checked for dangling ids
+    and duplicate (pipeline, pair) entries on their ``columns``' keys.
     """
 
     pipelines: dict[str, TrainingPipeline]
     records: tuple[PreferenceRecord, ...] = field(default_factory=tuple)
+    columns: RecordColumns = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        canonical = tuple(r.canonical() for r in self.records)
-        object.__setattr__(self, "records", canonical)
-        seen: set[tuple[str, ObjectFeatures, ObjectFeatures]] = set()
-        for i, rec in enumerate(canonical):
-            if rec.pipeline_id not in self.pipelines:
-                raise ValidationError(
-                    f"record {i}: unknown pipeline id {rec.pipeline_id!r}"
-                )
-            key = (rec.pipeline_id, rec.object_a, rec.object_b)
-            if key in seen:
-                raise ValidationError(
-                    f"record {i}: duplicate pair ({rec.object_a.name}, "
-                    f"{rec.object_b.name}) for pipeline {rec.pipeline_id!r}"
-                )
-            seen.add(key)
+        given = tuple(self.records)  # any iterable, read more than once below
+        pids, pipeline, codes, rates = columns = record_columns(given)
+        swap = codes[:, 0] > codes[:, 1]
+        codes[swap], rates[swap, :2] = codes[swap, ::-1], rates[swap, 1::-1]
+        records = tuple(r.canonical() if s else r for r, s in zip(given, swap.tolist()))
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "columns", columns)
+        for array in columns[1:]:
+            array.flags.writeable = False
+        # A record fails if its pipeline is unknown or its (pipeline, a, b)
+        # key came earlier. No sort, and no numpy kernel gen-data lacks.
+        n, first = len(enumerate_objects()), {}
+        key = (pipeline * n + codes[:, 0]) * n + codes[:, 1]
+        repeat = [first.setdefault(k, i) != i for i, k in enumerate(key.tolist())]
+        unknown = np.array([pid not in self.pipelines for pid in pids], dtype=bool)
+        failed = unknown[pipeline] | np.array(repeat, dtype=bool)
+        if failed.any():
+            i = int(failed.argmax())
+            rec = records[i]
+            if unknown[pipeline[i]]:
+                problem = f"unknown pipeline id {rec.pipeline_id!r}"
+            else:
+                pair = f"({rec.object_a.name}, {rec.object_b.name})"
+                problem = f"duplicate pair {pair} for pipeline {rec.pipeline_id!r}"
+            raise ValidationError(f"record {i}: {problem}")
 
     def records_for(self, pipeline_id: str) -> list[PreferenceRecord]:
         return [r for r in self.records if r.pipeline_id == pipeline_id]

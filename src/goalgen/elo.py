@@ -7,11 +7,11 @@ are fitted by batch maximum likelihood under the base-10 Elo link
 P(a beats b) = 1 / (1 + 10^-(Va-Vb)/400), then shifted so the no-goal
 score is exactly zero.
 
-``RecordComparisons`` holds every record's comparisons once, and a problem
-merges those of some row indices. ``elo_by_agent`` builds each agent's full
-and holdout-fold problems from its rows, fits them all in one lockstep call
-and scores the folds. Folds come from ``dataset.seeded_folds``, as the
-pipeline folds of K-fold cross-validation do.
+``RecordComparisons`` holds every record's comparisons once, from a
+dataset's columns, and a problem merges those of some row indices.
+``elo_by_agent`` builds each agent's full and holdout-fold problems from its
+rows, fits them all in one lockstep call and scores each fold's held-out
+rows. Folds come from ``dataset.seeded_folds``, as K-fold's do.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import TypeVar
 
 import numpy as np
 
-from .dataset import PreferenceRecord, object_codes, observed_rates, seeded_folds
+from .dataset import Dataset, PreferenceRecord, record_columns, seeded_folds
 from .errors import NumericalError, ValidationError
 from .features import FEATURE_NAMES, ObjectFeatures, enumerate_objects
 from .metrics import MetricMode, MetricsReport, compute_metrics
@@ -39,7 +39,7 @@ MAX_ITERATIONS = 100_000
 
 Competitor = ObjectFeatures | None  # None is the no-goal competitor
 # Competitor codes: the objects' ``object_index``, then the no-goal competitor.
-_COMPETITORS: list[Competitor] = [*enumerate_objects(), None]
+_COMPETITORS = np.array([*enumerate_objects(), None], dtype=object)
 _NO_GOAL = len(_COMPETITORS) - 1
 K = TypeVar("K", bound=Hashable)
 
@@ -90,20 +90,21 @@ class EloProblem:
 
 class RecordComparisons:
     """Every record's three masked-and-renormalised comparisons, (a, b),
-    (a, no goal) and (b, no goal), as (R, 3) arrays built once.
+    (a, no goal) and (b, no goal), as (R, 3) arrays built once from the
+    ``codes`` and ``rates`` of ``record_columns``, which it keeps.
 
     Each comparison is weighted by the probability mass of its two
     outcomes; one whose outcomes never occurred gets weight 0 and rate 0.5.
     ``problem`` merges the comparisons of some of the records' rows.
     """
 
-    def __init__(self, records: Sequence[PreferenceRecord]):
-        codes = np.column_stack([object_codes(records), np.full(len(records), _NO_GOAL)])
-        p = observed_rates(records)
+    def __init__(self, records: Dataset | Sequence[PreferenceRecord]):
+        _, _, self.codes, self.rates = record_columns(records)
+        codes = np.column_stack([self.codes, np.full(len(self.codes), _NO_GOAL)])
         # Columns (a, b, no goal) pair up as (a, b), (a, no goal), (b, no goal).
         first, second = [0, 0, 1], [1, 2, 2]
         self.code_a, self.code_b = codes[:, first], codes[:, second]
-        pa, pb = p[:, first], p[:, second]
+        pa, pb = self.rates[:, first], self.rates[:, second]
         self.weight = pa + pb
         self.rate = np.full_like(pa, 0.5)
         np.divide(pa, self.weight, out=self.rate, where=self.weight > 0)
@@ -265,9 +266,9 @@ def holdout_folds(
 
 
 def score_holdout(
-    held_out: list[list[PreferenceRecord]], tables: list[EloTable]
+    comparisons: RecordComparisons, held_out: list[np.ndarray], tables: list[EloTable]
 ) -> MetricsReport:
-    """Two-way metrics of each fold's table on its held-out records.
+    """Two-way metrics of each fold's table on its held-out rows.
 
     Predicts each held-out record's renormalised two-way rates through the
     Elo link and averages the metrics over folds; directional accuracy
@@ -277,17 +278,16 @@ def score_holdout(
     """
     reports = []
     n_uncovered = 0
-    for test, table in zip(held_out, tables):
-        covered = [
-            r for r in test if r.object_a in table.scores and r.object_b in table.scores
-        ]
-        n_uncovered += len(test) - len(covered)
-        if covered:
-            p = np.array([elo_predict(table, r.object_a, r.object_b) for r in covered])
+    for rows, table in zip(held_out, tables):
+        scored = np.array([obj in table.scores for obj in _COMPETITORS[:-1]])
+        covered = rows[scored[comparisons.codes[rows]].all(axis=1)]
+        n_uncovered += len(rows) - len(covered)
+        if len(covered):
+            pairs = _COMPETITORS[comparisons.codes[covered]].tolist()
+            p = np.array([elo_predict(table, a, b) for a, b in pairs])
             predictions = np.column_stack([p, 1.0 - p, np.zeros_like(p)])
-            reports.append(
-                compute_metrics(predictions, observed_rates(covered), MetricMode.TWO_WAY)
-            )
+            observed = comparisons.rates[covered]
+            reports.append(compute_metrics(predictions, observed, MetricMode.TWO_WAY))
     if not reports:
         raise ValidationError(
             "no held-out record involved two competitors seen during fitting"
@@ -309,7 +309,7 @@ def score_holdout(
 
 
 def elo_by_agent(
-    records: Sequence[PreferenceRecord],
+    records: Dataset | Sequence[PreferenceRecord],
     agent_rows: Mapping[str | None, np.ndarray],
     k: int = 4,
     rng_seed: int = 0,
@@ -345,7 +345,7 @@ def elo_by_agent(
         except ValidationError as exc:
             folds[agent] = exc
         else:
-            folds[agent] = keys, [[records[j] for j in rows[test]] for _, test in splits]
+            folds[agent] = keys, [rows[test] for _, test in splits]
     tables = fit_elo_many(problems)
 
     results = {}
@@ -353,8 +353,9 @@ def elo_by_agent(
         report = fold
         if not isinstance(fold, ValidationError):
             keys, held_out = fold
+            fold_tables = [tables[key] for key in keys]
             try:
-                report = score_holdout(held_out, [tables[key] for key in keys])
+                report = score_holdout(comparisons, held_out, fold_tables)
             except ValidationError as exc:
                 report = exc
         results[agent] = (tables[f"pipeline {agent}"] if full else None, report)

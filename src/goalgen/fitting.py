@@ -68,8 +68,7 @@ from .dataset import (
     Dataset,
     PreferenceRecord,
     TrainingPipeline,
-    object_codes,
-    observed_rates,
+    record_columns,
 )
 from .errors import NumericalError, ValidationError
 from .features import N_FEATURES, encode_features, enumerate_objects
@@ -204,33 +203,22 @@ def _stage_features(pipeline: TrainingPipeline, variant: ModelVariant):
     return phi, np.array([s.distractor is not None for s in stages])
 
 
-def _record_arrays(records: list[PreferenceRecord]):
-    """Records flattened into arrays, for the engine and the floors.
-
-    Returns the sorted pipeline ids, each record's index into them, the
-    (R, 2) ``object_codes`` of its objects (a, b) and its observed (R, 3)
-    distribution. Records are taken as given: no pair is reordered and
-    duplicates stay.
-    """
-    if not records:
+def _nonempty(rates: np.ndarray) -> np.ndarray:
+    if not len(rates):
         raise ValidationError("no preference records to fit or evaluate")
-    pids, pipeline = np.unique([r.pipeline_id for r in records], return_inverse=True)
-    return pids.tolist(), pipeline, object_codes(records), observed_rates(records)
+    return rates
 
 
 class _Prepared:
-    """Records and their pipelines flattened into arrays for the engine,
-    with the (P, T, 2, n) stage features and (P, T) distractor mask padded
-    in front to the most stages of any pipeline."""
+    """A dataset's columns, or those of ``records`` as given, and their
+    pipelines' (P, T, 2, n) stage features and (P, T) distractor mask,
+    padded in front to the most stages of any pipeline, for the engine."""
 
-    def __init__(
-        self,
-        pipelines: dict[str, TrainingPipeline],
-        records: list[PreferenceRecord],
-        variant: ModelVariant,
-    ):
-        self.variant = ModelVariant(variant)
-        pids, self.record_pipeline, codes, self.p_hat = _record_arrays(records)
+    def __init__(self, dataset: Dataset, variant: ModelVariant, records=None):
+        self.variant, pipelines = ModelVariant(variant), dataset.pipelines
+        columns = record_columns(dataset if records is None else records)
+        pids, self.record_pipeline, codes, self.p_hat = columns
+        self.n_records = len(_nonempty(self.p_hat))
         unknown = [pid for pid in pids if pid not in pipelines]
         if unknown:
             raise ValidationError(f"records name unknown pipelines {unknown}")
@@ -242,7 +230,6 @@ class _Prepared:
         self.has_dis = np.stack([np.pad(m, (k, 0)) for (_, m), k in zip(staged, pad)])
         table = np.array([_encoder(self.variant)(o) for o in enumerate_objects()])
         self.phi_a, self.phi_b = table[codes[:, 0]], table[codes[:, 1]]
-        self.n_records = len(records)
 
 
 def _three_way_kl(va: np.ndarray, vb: np.ndarray, p_hat: np.ndarray):
@@ -488,7 +475,7 @@ def hyperparameter_gradient(
     ``selfcheck.fd_gradient``. Gradient ordering is (free saliency entries
     row-major, log tau, w0).
     """
-    prep = _Prepared(dataset.pipelines, dataset.records, _checked_variant(hp, variant))
+    prep = _Prepared(dataset, _checked_variant(hp, variant))
     n_steps = (config or FitConfig()).n_integration_steps
     rows, member = np.arange(prep.n_records), np.ones((1, prep.n_records), dtype=bool)
     losses, _, grads = _evaluate_batch(_single(hp), prep, rows, n_steps, member)
@@ -609,7 +596,7 @@ def fit_hyperparameters(
 ) -> FitResult:
     """Fit saliency, log tau, and w0 by mini-batch Adam on the mean KL."""
     config = config or FitConfig()
-    prep = _Prepared(dataset.pipelines, dataset.records, variant)
+    prep = _Prepared(dataset, variant)
     [fit] = _fit_models(prep, config, [(config.latent_dim, np.arange(prep.n_records))])
     return fit
 
@@ -625,7 +612,7 @@ def heldout_fits(
     predictions. The fits run in lockstep; each fit scores its own held-out
     rows, so no pass holds more than one split's."""
     config = config or FitConfig()
-    prep = _Prepared(dataset.pipelines, dataset.records, variant)
+    prep = _Prepared(dataset, variant)
     fits = _fit_models(prep, config, [(config.latent_dim, train) for train, _ in splits])
     results = []
     for fit, (_, held) in zip(fits, splits):
@@ -658,8 +645,7 @@ def simulate_variant(
 
 def _score_records(hp, dataset, records, variant, config):
     """``hp``'s losses and log-probabilities on ``records`` (default: all)."""
-    records = list(dataset.records) if records is None else records
-    prep = _Prepared(dataset.pipelines, records, _checked_variant(hp, variant))
+    prep = _Prepared(dataset, _checked_variant(hp, variant), records)
     n_steps = (config or FitConfig()).n_integration_steps
     return _score(prep, hp, np.arange(prep.n_records), n_steps)
 
@@ -688,12 +674,9 @@ def modelling_loss(
     return float(losses.mean())
 
 
-def baseline_uniform(records: list[PreferenceRecord]) -> float:
-    """Mean KL from the observations to the uniform three-way predictor."""
-    if not records:
-        raise ValidationError("no preference records to fit or evaluate")
-    p_hat = observed_rates(records)
-    zeros = np.zeros(len(p_hat))
+def baseline_uniform(p_hat: np.ndarray) -> float:
+    """Mean KL from (R, 3) observed rates to the uniform three-way predictor."""
+    zeros = np.zeros(len(_nonempty(p_hat)))
     return float(_three_way_kl(zeros, zeros, p_hat)[0].mean())
 
 
@@ -719,7 +702,8 @@ def _lower_bound(dataset: Dataset, columns: np.ndarray) -> tuple[float, int]:
     agent's Newton decrement), until every gradient entry is below 1e-8.
     Returns the mean per-record loss at the optimum and the step count.
     """
-    _, agent, codes, p_hat = _record_arrays(dataset.records)
+    _, agent, codes, p_hat = dataset.columns
+    _nonempty(p_hat)
     n, counts = columns.max() + 1, np.bincount(agent)[:, None]
     cells = agent[:, None, None] * n + columns[codes]  # (R, 2, k)
     # Each record's Hessian cells (c, i, c', j), which take W's (c, c') entry.
@@ -768,6 +752,6 @@ def latent_dim_sweep(
     if min(dims) < 1:
         raise ValidationError(f"latent dims must be at least 1, got {min(dims)}")
     config = config or FitConfig()
-    prep = _Prepared(dataset.pipelines, dataset.records, ModelVariant.FULL)
+    prep = _Prepared(dataset, ModelVariant.FULL)
     rows = np.arange(prep.n_records)
     return _fit_models(prep, config, [(d, rows) for d in dims])

@@ -1,6 +1,7 @@
 """Evaluation harnesses: K-fold cross-validation over pipelines, transfer
 evaluation between pipeline families, the Elo-versus-model comparison, and
-run manifests for reproducibility.
+run manifests for reproducibility. K-fold and transfer take their row
+selections and observed rates from the dataset's ``columns``.
 """
 
 from __future__ import annotations
@@ -12,13 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import (
-    Dataset,
-    TrainingPipeline,
-    observed_rates,
-    read_json,
-    seeded_folds,
-)
+from .dataset import Dataset, TrainingPipeline, read_json, seeded_folds
 from .elo import EloTable
 from .errors import ValidationError
 from .features import enumerate_objects
@@ -161,9 +156,9 @@ def kfold_cv(
     """Fit on k-1 pipeline folds, score the held-out fold's records; the k
     fits run in lockstep (``fitting.heldout_fits``)."""
     config = config or FitConfig()
-    pids = sorted({r.pipeline_id for r in dataset.records})
+    pids, pipeline = dataset.columns[:2]
     assignment = kfold_partition(pids, k, config.rng_seed)
-    fold = np.array([assignment[r.pipeline_id] for r in dataset.records])
+    fold = np.array([assignment[pid] for pid in pids], dtype=int)[pipeline]
     splits = [(np.flatnonzero(fold != f), np.flatnonzero(fold == f)) for f in range(k)]
     results = heldout_fits(dataset, splits, variant, config)
     losses = [float(held.mean()) for _, held, _ in results]
@@ -191,17 +186,11 @@ def transfer_eval(
     """Fit on the plan's train pipelines, evaluate on the disjoint eval set."""
     if plan.train is None or plan.eval is None:
         raise ValidationError("transfer plan needs both train and eval filters")
-    active = {r.pipeline_id for r in dataset.records}
-    train_ids = {
-        pid
-        for pid, pipe in dataset.pipelines.items()
-        if pid in active and plan.train.matches(pipe)
-    }
-    eval_ids = {
-        pid
-        for pid, pipe in dataset.pipelines.items()
-        if pid in active and plan.eval.matches(pipe)
-    }
+    pids, pipeline, _, rates = dataset.columns
+    train_ids, eval_ids = (
+        {pid for pid in pids if predicate.matches(dataset.pipelines[pid])}
+        for predicate in (plan.train, plan.eval)
+    )
     if not train_ids:
         raise ValidationError("train filter matched no pipelines with records")
     if not eval_ids:
@@ -213,11 +202,11 @@ def transfer_eval(
         )
 
     train, held = (
-        np.flatnonzero([r.pipeline_id in ids for r in dataset.records])
+        np.flatnonzero(np.array([pid in ids for pid in pids])[pipeline])
         for ids in (train_ids, eval_ids)
     )
     [(result, losses, predictions)] = heldout_fits(dataset, [(train, held)], variant, config)
-    observations = observed_rates(dataset.records)[held]
+    observations = rates[held]
     return TransferResult(
         fit=result,
         eval_loss=float(losses.mean()),
@@ -281,11 +270,9 @@ def elo_vs_model(
     elo_arr = np.array([r["elo"] for r in rows])
     val_arr = np.array([r["model_value"] for r in rows])
     if normalised:
-        pids = [r["pipeline_id"] for r in rows]
-        for pid in sorted(set(pids)):
-            sel = np.array([p == pid for p in pids])
-            elo_arr[sel] -= elo_arr[sel].mean()
-            val_arr[sel] -= val_arr[sel].mean()
+        # Each table's rows are len(objects) consecutive ones.
+        for arr in (elo_arr, val_arr):
+            arr -= arr.reshape(-1, len(objects)).mean(axis=1).repeat(len(objects))
         for row, e, v in zip(rows, elo_arr, val_arr):
             row["elo"], row["model_value"] = float(e), float(v)
 

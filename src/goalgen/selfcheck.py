@@ -15,13 +15,19 @@ import numpy as np
 from .dataset import Dataset, PreferenceRecord, TrainingPipeline, TrainingStage
 from .features import enumerate_objects
 from .fitting import (
+    FitConfig,
     ModelVariant,
     _ParamSpace,
     hyperparameter_gradient,
     modelling_loss,
+    simulate_variant,
+    structural_variant,
 )
 from .latent import (
+    DEFAULT_INTEGRATION_STEPS,
+    N_EXPANDED,
     LpgHyperparameters,
+    SaliencyVariant,
     equilibrium_projection,
     identity_hyperparameters,
     simulate_pipeline,
@@ -94,6 +100,62 @@ def projection_error(rng: np.random.Generator, n_draws: int) -> float:
         for g in goals:
             w_proj = equilibrium_projection(hp, w_proj, g)
         worst = max(worst, float(np.abs(w_sim - w_proj).max()))
+    return worst
+
+
+def _structured(hp: LpgHyperparameters, variant: ModelVariant) -> LpgHyperparameters:
+    """Full ``hp`` in ``variant``'s saliency structure: the diagonal variant
+    keeps S's diagonal, and the quadratic repeats half of it over its 65
+    entries. An object has 5 expanded features against 2, so the whole
+    diagonal makes the fitted-scale ascent chaotic (see engine_error)."""
+    structure, diagonal = structural_variant(variant), np.diag(hp.saliency)
+    s = {
+        SaliencyVariant.FULL: hp.saliency,
+        SaliencyVariant.DIAGONAL: np.diag(diagonal),
+        SaliencyVariant.QUADRATIC: np.resize(diagonal / 2.0, N_EXPANDED),
+    }[structure]
+    return LpgHyperparameters(s, hp.log_tau, hp.w0, structure)
+
+
+# Steps per stage of the engine oracle's random-scale draws (see engine_error).
+_RANDOM_SCALE_STEPS = 5
+
+
+def engine_error(rng: np.random.Generator, n_draws: int) -> float:
+    """Worst weight-component gap between the fit's batch engine
+    (``simulate_variant``) and the scalar ``simulate_pipeline``.
+
+    Each draw is a random pipeline of 1-3 stages, each stage with a
+    distractor or not, under random hyperparameters, at random scale on
+    even draws and fitted scale on odd ones. It runs the full, diagonal and
+    quadratic variants, and the memoryless variant against the scalar
+    simulation of the last stage alone. At random scale the unit-step
+    ascent can be chaotic: a last-bit difference grows to O(1) within 100
+    steps. So those draws ascend ``_RANDOM_SCALE_STEPS`` steps per stage.
+    """
+    objects = enumerate_objects()
+    worst = 0.0
+    for draw in range(n_draws):
+        stages = []
+        for _ in range(1 + draw % 3):
+            goal, distractor = (objects[i] for i in rng.choice(24, 2, replace=False))
+            stages.append(TrainingStage(goal, distractor if rng.random() < 0.5 else None))
+        pipeline = TrainingPipeline(f"engine{draw}", tuple(stages))
+        last = TrainingPipeline(pipeline.id, pipeline.stages[-1:])
+        fitted = draw % 2 == 1
+        hp = _random_hyperparameters(rng, fitted_scale=fitted)
+        n_steps = DEFAULT_INTEGRATION_STEPS if fitted else _RANDOM_SCALE_STEPS
+        for variant, reference in (
+            (ModelVariant.FULL, pipeline),
+            (ModelVariant.DIAGONAL, pipeline),
+            (ModelVariant.QUADRATIC, pipeline),
+            (ModelVariant.MEMORYLESS, last),
+        ):
+            variant_hp = _structured(hp, variant)
+            config = FitConfig(n_integration_steps=n_steps)
+            w = simulate_variant(variant_hp, pipeline, variant, config)
+            gap = np.abs(w - simulate_pipeline(variant_hp, reference, n_steps)).max()
+            worst = max(worst, float(gap))
     return worst
 
 
@@ -177,6 +239,12 @@ def check_equilibrium(tol: float = 1e-3) -> bool:
     return abs(value - 1.0) < tol and abs(pi - target) < tol
 
 
+def check_engine(seed: int = 0, n_draws: int = 24, tol: float = 1e-8) -> bool:
+    """The fit's batch engine simulates pipelines as the scalar reference does."""
+    rng = np.random.default_rng([0x656E67, seed])
+    return engine_error(rng, n_draws) < tol
+
+
 def check_outer_gradient(seed: int = 0, tol: float = 1e-3) -> bool:
     """Adjoint hyperparameter gradients vs central finite differences."""
     rng = np.random.default_rng([0x6F757465, seed])
@@ -202,6 +270,7 @@ def run_self_checks(seed: int = 0) -> bool:
         ("simulation vs closed-form projection", lambda: check_projection(seed)),
         ("single-stage equilibrium identity", check_equilibrium),
         ("outer adjoint vs finite differences", lambda: check_outer_gradient(seed)),
+        ("batch engine vs scalar simulation", lambda: check_engine(seed)),
         ("metric identities", check_metrics),
     ]
     all_ok = True

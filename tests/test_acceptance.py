@@ -48,7 +48,12 @@ from goalgen.latent import (
 )
 from goalgen.maze import WALL_PROBABILITY, MazeGrid, distance_field, generate_maze
 from goalgen.metrics import MetricMode, brier_score, compute_metrics, kl_divergence, total_variation
-from goalgen.selfcheck import inner_gradient_error, outer_gradient_error, projection_error
+from goalgen.selfcheck import (
+    engine_error,
+    inner_gradient_error,
+    outer_gradient_error,
+    projection_error,
+)
 
 OBJECTS = enumerate_objects()
 
@@ -131,6 +136,16 @@ def test_outer_gradient_oracle():
     _report("outer gradient oracle", ok, f"max rel err {worst:.2e}, {elapsed:.1f}s")
     assert worst < 1e-3
     assert elapsed < 30.0
+
+
+def test_engine_oracle():
+    started = time.perf_counter()
+    worst = engine_error(np.random.default_rng(1006), 24)
+    elapsed = time.perf_counter() - started
+    ok = worst < 1e-8 and elapsed < 10.0
+    _report("engine oracle", ok, f"max component err {worst:.2e}, {elapsed:.1f}s")
+    assert worst < 1e-8
+    assert elapsed < 10.0
 
 
 def test_synthetic_recovery():

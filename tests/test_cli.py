@@ -524,7 +524,7 @@ def test_check_command_passes(tmp_path, capsys):
     code = main(["check", "--out", str(tmp_path / "chk")])
     out = capsys.readouterr().out
     assert code == 0
-    assert out.count("[PASS]") == 5
+    assert out.count("[PASS]") == 6  # five oracles and the metric identities
     assert (tmp_path / "chk" / "manifest.json").exists()
 
 

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from goalgen.cli import main
 from goalgen.dataset import (
     ChoiceDistribution,
     Dataset,
@@ -10,6 +12,7 @@ from goalgen.dataset import (
     TrainingStage,
     load_dataset,
     observed_rates,
+    record_columns,
     save_dataset,
 )
 from goalgen.errors import ValidationError
@@ -122,6 +125,89 @@ def test_dataset_rejects_duplicate_pair_up_to_swap():
                 PreferenceRecord("one", BD, RC, 0, 1, 0, 1),
             ),
         )
+
+
+def _object_json(obj):
+    return {"colour": obj.colour.value, "shape": obj.shape.value}
+
+
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        (
+            [("one", RC, BD), ("one", BD, GP), ("one", BD, RC), ("ghost", RC, GP)],
+            "record 2: duplicate pair (blue diamond, red cross) for pipeline 'one'",
+        ),
+        (
+            [("one", RC, BD), ("ghost", RC, GP), ("one", BD, RC)],
+            "record 1: unknown pipeline id 'ghost'",
+        ),
+    ],
+    ids=["duplicate-before-unknown", "unknown-before-duplicate"],
+)
+def test_dataset_reports_the_first_offending_record(tmp_path, capsys, records, message):
+    pipes = {"one": TrainingPipeline("one", (TrainingStage(RC),))}
+    with pytest.raises(ValidationError) as info:
+        Dataset(pipes, tuple(PreferenceRecord(*r, 1, 0, 0, 1) for r in records))
+    assert str(info.value) == message
+    # The same records through a file and `goalgen fit`: one error line.
+    lines = [{"pipelines": {"one": [{"goal": _object_json(RC)}]}}]
+    for pid, a, b in records:
+        lines.append(
+            {
+                "pipeline_id": pid,
+                "a": _object_json(a),
+                "b": _object_json(b),
+                "counts": [1, 0, 0],
+                "episodes": 1,
+            }
+        )
+    path = tmp_path / "data.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    assert main(["fit", "--data", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def loop_check(pipelines, records):
+    """The per-record loop that the integer-key checks replaced: the first
+    failing record's message, or None."""
+    seen = set()
+    for i, rec in enumerate(r.canonical() for r in records):
+        if rec.pipeline_id not in pipelines:
+            return f"record {i}: unknown pipeline id {rec.pipeline_id!r}"
+        key = (rec.pipeline_id, rec.object_a, rec.object_b)
+        if key in seen:
+            return (
+                f"record {i}: duplicate pair ({rec.object_a.name}, "
+                f"{rec.object_b.name}) for pipeline {rec.pipeline_id!r}"
+            )
+        seen.add(key)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_dataset_checks_and_columns_match_the_record_loop(seed):
+    rng = np.random.default_rng(seed)
+    objects = enumerate_objects()[:8]  # few pairs, so some repeat
+    pipes = {pid: TrainingPipeline(pid, (TrainingStage(RC),)) for pid in "abc"}
+    records = []
+    for _ in range(rng.integers(1, 16)):
+        pid = "abc"[rng.integers(3)] if rng.random() < 0.97 else "ghost"
+        a, b = rng.choice(len(objects), 2, replace=False)
+        counts = rng.multinomial(9, [0.5, 0.3, 0.2]).tolist()
+        records.append(PreferenceRecord(pid, objects[a], objects[b], *counts, 9))
+    want = loop_check(pipes, records)
+    if want is not None:
+        with pytest.raises(ValidationError) as info:
+            Dataset(pipes, tuple(records))
+        assert str(info.value) == want
+        return
+    ds = Dataset(pipes, tuple(records))
+    canonical = [r.canonical() for r in records]
+    assert ds.records == tuple(canonical)
+    # The swapped columns equal the columns of the canonical records.
+    for got, expected in zip(ds.columns, record_columns(canonical)):
+        np.testing.assert_array_equal(got, expected)
 
 
 def test_dataset_canonicalises_pair_order():

@@ -422,13 +422,12 @@ def test_non_convergence_names_the_problem_that_failed(monkeypatch):
 
 def test_holdout_report_is_unchanged_by_lockstep_folds():
     records = list(population_dataset(seed=3, n_pipelines=1).records)
-    folds = [
-        ([records[j] for j in train], [records[j] for j in test])
-        for train, test in holdout_folds(len(records), 4, rng_seed=1)
-    ]
+    splits = holdout_folds(len(records), 4, rng_seed=1)
+    folds = [([records[j] for j in train], test) for train, test in splits]
     tables = [serial_fit_elo(masked_comparisons(train)) for train, _ in folds]
     report = elo_holdout_validation(records, k=4, rng_seed=1)
-    want = score_holdout([test for _, test in folds], tables)
+    comparisons = RecordComparisons(records)
+    want = score_holdout(comparisons, [test for _, test in folds], tables)
     for field in ("kl", "tv", "brier", "directional_accuracy"):
         assert getattr(report, field) == pytest.approx(getattr(want, field), abs=1e-12)
     assert report.n_directional == want.n_directional
@@ -436,10 +435,11 @@ def test_holdout_report_is_unchanged_by_lockstep_folds():
 
 def test_holdout_accuracy_skips_folds_without_a_directional_pair():
     table = EloTable({RC: 100.0, BD: -100.0})
-    held_out = [[record(80, 20, 0)], [record(50, 50, 0)]]
-    report = score_holdout(held_out, [table, table])
+    comparisons = RecordComparisons([record(80, 20, 0), record(50, 50, 0)])
+    held_out = [np.array([0]), np.array([1])]
+    report = score_holdout(comparisons, held_out, [table, table])
     assert (report.directional_accuracy, report.n_directional) == (1.0, 1)
-    report = score_holdout(held_out[1:], [table])
+    report = score_holdout(comparisons, held_out[1:], [table])
     assert (report.directional_accuracy, report.n_directional) == (0.0, 0)
 
 

@@ -516,16 +516,18 @@ def test_modelling_loss_zero_on_exact_match():
 def test_baseline_uniform_values():
     pipes = {"p": TrainingPipeline("p", (TrainingStage(RC),))}
     uniform_rec = PreferenceRecord("p", RC, BD, 1, 1, 1, 3)
-    assert baseline_uniform([uniform_rec]) == pytest.approx(0.0, abs=1e-12)
-    deterministic = PreferenceRecord("p", RC, BD, 100, 0, 0, 100)
-    assert baseline_uniform([deterministic]) == pytest.approx(math.log(3))
+    uniform = observed_rates([uniform_rec])
+    assert baseline_uniform(uniform) == pytest.approx(0.0, abs=1e-12)
+    deterministic = observed_rates([PreferenceRecord("p", RC, BD, 100, 0, 0, 100)])
+    assert baseline_uniform(deterministic) == pytest.approx(math.log(3))
     with pytest.raises(ValidationError, match="no preference records"):
-        baseline_uniform([])
+        baseline_uniform(observed_rates([]))
 
 
 def test_uniform_loss_is_log3_for_deterministic_records():
     rec = PreferenceRecord("p", RC, BD, 100, 0, 0, 100)
-    assert baseline_uniform([rec, rec.canonical()][:1]) == pytest.approx(math.log(3))
+    rates = observed_rates([rec, rec.canonical()][:1])
+    assert baseline_uniform(rates) == pytest.approx(math.log(3))
 
 
 def test_lower_bound_single_record_agent():
@@ -533,6 +535,19 @@ def test_lower_bound_single_record_agent():
     rec = PreferenceRecord("p", RC, BD, 50, 30, 20, 100)
     ds = Dataset(pipes, (rec,))
     assert lower_bound_per_goal(ds) < 1e-6
+
+
+def test_pipeline_ids_that_differ_by_a_trailing_nul_are_two_agents():
+    # A numpy string array drops trailing NULs, which merged these two
+    # agents into one, so the floor fitted their opposite tallies jointly.
+    pipes = {pid: TrainingPipeline(pid, (TrainingStage(RC),)) for pid in ("a", "a\x00")}
+    records = (
+        PreferenceRecord("a", RC, BD, 10, 0, 0, 10),
+        PreferenceRecord("a\x00", RC, BD, 0, 10, 0, 10),
+    )
+    ds = Dataset(pipes, records)
+    assert lower_bound_per_goal(ds) < 1e-6
+    assert ds.columns.pipeline_ids == ["a", "a\x00"]
 
 
 def descent_floor(dataset, per_feature):

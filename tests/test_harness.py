@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_dataset
-from goalgen.dataset import TrainingPipeline, TrainingStage
+from goalgen.dataset import TrainingPipeline, TrainingStage, observed_rates
 from goalgen.elo import EloTable
 from goalgen.errors import ValidationError
 from goalgen.features import enumerate_objects
@@ -128,7 +128,7 @@ def test_transfer_single_to_two_stage():
         for r in ds.records
         if len(ds.pipelines[r.pipeline_id].stages) == 2
     ]
-    assert result.eval_loss < baseline_uniform(eval_records)
+    assert result.eval_loss < baseline_uniform(observed_rates(eval_records))
     assert result.metrics_three_way.kl == pytest.approx(result.eval_loss)
     assert result.n_train_pipelines + result.n_eval_pipelines == len(ds.pipelines)
 
@@ -209,6 +209,27 @@ def test_elo_vs_model_normalised_removes_per_agent_shift():
     b = elo_vs_model(ds, shifted_tables, fit, normalised=True)
     assert a.spearman_rho == pytest.approx(b.spearman_rho)
     assert a.r_squared == pytest.approx(b.r_squared)
+
+
+def test_elo_vs_model_normalises_like_the_per_pipeline_loop():
+    ds, _ = synthetic_dataset(seed=14, n_pipelines=4, n_records=24)
+    fit = _fit_result_for(ds)
+    rng = np.random.default_rng(3)
+    tables = {
+        pid: EloTable(scores={obj: float(rng.normal(0, 50)) for obj in OBJECTS})
+        for pid in ds.pipelines
+    }
+    raw = elo_vs_model(ds, tables, fit).points
+    # The loop that demeaned each pipeline's points by a boolean mask.
+    pids = [p["pipeline_id"] for p in raw]
+    want = {key: np.array([p[key] for p in raw]) for key in ("elo", "model_value")}
+    for pid in sorted(set(pids)):
+        sel = np.array([p == pid for p in pids])
+        for values in want.values():
+            values[sel] -= values[sel].mean()
+    got = elo_vs_model(ds, tables, fit, normalised=True).points
+    for key, values in want.items():
+        assert [p[key] for p in got] == values.tolist()
 
 
 def test_spearman_rho_matches_scipy():
