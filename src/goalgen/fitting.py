@@ -20,18 +20,17 @@ and g = rate (1 + tau lr) pi_g (1 - pi_g); beta sums those coefficients.
 The engine runs M models at once: a model (S, log tau, w0) has a leading
 model axis, S being (M, n, d_max) and the others (M,). A model with fewer
 latent dimensions gets zero columns in S, which change neither S S^T nor
-S 1, and their gradient is masked out. The model axis folds into the
-pipeline axis: entry m * P + p is model m on pipeline p, with model m's
-tau. Every pipeline is front-padded to the most stages of any with
-zero-feature stages, which have no row or column in G and so move no
-value, so one forward and one adjoint loop serve all stage counts.
+S 1, and their gradient is masked out. Each model brings its own rows of
+one prepared record set, and an entry is one model on one pipeline that
+its rows use, with the model's tau; rows reach the engine as object codes.
+Every pipeline is front-padded to the most stages of any with zero-feature
+stages, which have no row or column in G and so move no value, so one
+forward and one adjoint loop serve all stage counts.
 
 Every set of fits (``_fit_models``) runs in lockstep, one engine pass per
-update. A model carries its own rows of one prepared record set: all of
-them in a fit or sweep, a fold's or a filter's in a held-out fit. Each
-takes the batches its fit alone would take; a pass evaluates the union of
-the live models' batches, weighing each model's loss by its own rows.
-Each held-out fit then scores its own held-out rows in one engine pass.
+update, each model on the batches its fit alone would take: all rows in a
+fit or sweep, a fold's or a filter's in a held-out fit. Each held-out fit
+then scores its own held-out rows in one engine pass.
 
 The fit minimises the mean KL from observed to predicted choice
 distributions with mini-batch Adam. Gradients with respect to the free
@@ -134,6 +133,14 @@ class FitResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _empty(shape: tuple, dtype=float) -> np.ndarray:
+    """``np.empty``, raising MemoryError for a size numpy cannot address."""
+    try:
+        return np.empty(shape, dtype)
+    except ValueError as exc:
+        raise MemoryError(f"Unable to allocate an array of shape {shape}: {exc}") from None
+
+
 class _ParamSpace:
     """A variant's parameters as one dense row: its saliency S, padded with
     zero columns to some ``d_max``, row-major, then log tau and w0. ``mask``
@@ -146,10 +153,9 @@ class _ParamSpace:
             self.mask = np.eye(self.n, dtype=bool)
         else:
             self.n, self.d = N_FEATURES, latent_dim
-            if self.structural is SaliencyVariant.DIAGONAL:
-                self.mask = np.eye(self.n, self.d, dtype=bool)
-            else:
-                self.mask = np.triu(np.ones((self.n, self.d), dtype=bool))
+            ones = np.ones_like(_empty((self.n, self.d), bool))
+            diagonal = self.structural is SaliencyVariant.DIAGONAL
+            self.mask = np.eye(self.n, self.d, dtype=bool) if diagonal else np.triu(ones)
 
     def dense_mask(self, d_max: int | None = None) -> np.ndarray:
         """The free entries of a row padded to ``d_max`` columns (default:
@@ -210,15 +216,17 @@ def _nonempty(rates: np.ndarray) -> np.ndarray:
 
 
 class _Prepared:
-    """A dataset's columns, or those of ``records`` as given, and their
-    pipelines' (P, T, 2, n) stage features and (P, T) distractor mask,
-    padded in front to the most stages of any pipeline, for the engine."""
+    """A dataset's columns, or those of ``records`` as given, with each
+    record's ``_plogp``, the variant's (24, n) object ``table`` by
+    object_index, and the pipelines' (P, T, 2, n) stage features and (P, T)
+    distractor mask, front-padded to the most stages of any, for the engine."""
 
     def __init__(self, dataset: Dataset, variant: ModelVariant, records=None):
         self.variant, pipelines = ModelVariant(variant), dataset.pipelines
         columns = record_columns(dataset if records is None else records)
-        pids, self.record_pipeline, codes, self.p_hat = columns
+        pids, self.record_pipeline, self.codes, self.p_hat = columns
         self.n_records = len(_nonempty(self.p_hat))
+        self.plogp = _plogp(self.p_hat)
         unknown = [pid for pid in pids if pid not in pipelines]
         if unknown:
             raise ValidationError(f"records name unknown pipelines {unknown}")
@@ -228,20 +236,23 @@ class _Prepared:
         padding = [((k, 0), (0, 0), (0, 0)) for k in pad]
         self.stage_phi = np.stack([np.pad(x, w) for (x, _), w in zip(staged, padding)])
         self.has_dis = np.stack([np.pad(m, (k, 0)) for (_, m), k in zip(staged, pad)])
-        table = np.array([_encoder(self.variant)(o) for o in enumerate_objects()])
-        self.phi_a, self.phi_b = table[codes[:, 0]], table[codes[:, 1]]
+        self.table = np.array([_encoder(self.variant)(o) for o in enumerate_objects()])
 
 
-def _three_way_kl(va: np.ndarray, vb: np.ndarray, p_hat: np.ndarray):
+def _plogp(p_hat: np.ndarray) -> np.ndarray:
+    """Per-record sum of p_hat log p_hat: the part of KL no prediction moves."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p_hat > 0, p_hat * np.log(p_hat), 0.0).sum(axis=-1)
+
+
+def _three_way_kl(va: np.ndarray, vb: np.ndarray, p_hat: np.ndarray, plogp: np.ndarray):
     """Per-record KL(p_hat || softmax(va, vb, 0)) and the log-probabilities,
-    which take a last axis of three."""
+    which take a last axis of three; ``plogp`` is ``_plogp(p_hat)``."""
     logits = np.stack([va, vb, np.zeros_like(va)], axis=-1)
     mx = logits.max(axis=-1, keepdims=True)
     lse = mx[..., 0] + np.log(np.exp(logits - mx).sum(axis=-1))
     logp = logits - lse[..., None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(p_hat > 0, p_hat * np.log(p_hat), 0.0)
-    return plogp.sum(axis=-1) - (p_hat * logp).sum(axis=-1), logp
+    return plogp - (p_hat * logp).sum(axis=-1), logp
 
 
 def _step_terms(v, tau, rate):
@@ -277,20 +288,27 @@ def _blocks(t_count: int, simultaneous: bool) -> list[slice]:
     return [slice(0, t_count)] if simultaneous else [slice(t, t + 1) for t in range(t_count)]
 
 
-def _span(model, phi, has_dis):
-    """The span of P pipelines' (P, T, 2, n) stage features ``phi`` under M
-    models, as E = M * P entries: K phi with K = S S^T, (T, 2, M, P, n),
-    the Gram matrix G = phi K phi^T, (T, 2, T, 2, E), and the start values
-    w0 phi . S 1, (T, 2, E), -inf where the (P, T) ``has_dis`` is False."""
+def _split(values: np.ndarray, sizes, axis: int = 0) -> list[np.ndarray]:
+    """``values`` cut along ``axis`` into consecutive parts of ``sizes``."""
+    return np.split(values, np.cumsum(sizes)[:-1], axis=axis)
+
+
+def _span(model, owner, phi, has_dis):
+    """The span of E entries' (E, T, 2, n) stage features ``phi``, entry e
+    being model ``owner[e]`` on one pipeline, model after model: K phi with
+    K = S S^T, (T, 2, E, n), the Gram matrix G = phi K phi^T,
+    (T, 2, T, 2, E), and the start values w0 phi . S 1, (T, 2, E), -inf
+    where the (E, T) ``has_dis`` is False."""
     s_matrix, _, w0 = model
-    t_count = phi.shape[1]
     # einsum, not matmul (also below): BLAS adds 0.3-0.5 MB to peak RSS.
     k_matrix = np.einsum("mnd,mjd->mnj", s_matrix, s_matrix)
-    k_phi = np.einsum("mnj,ptcj->tcmpn", k_matrix, phi)
-    gram = np.einsum("ptcn,sempn->tcsemp", phi, k_phi)
-    base = w0[:, None] * np.einsum("ptcn,mn->tcmp", phi, s_matrix.sum(axis=2))
-    base[:, 1] += np.where(has_dis.T, 0.0, -np.inf)[:, None]
-    return k_phi, gram.reshape(t_count, 2, t_count, 2, -1), base.reshape(t_count, 2, -1)
+    # Model by model: each entry's own K would be n^2 floats an entry.
+    parts = zip(k_matrix, _split(phi, np.bincount(owner, minlength=len(w0))))
+    k_phi = np.concatenate([np.einsum("nj,ptcj->tcpn", k, x) for k, x in parts], axis=2)
+    gram = np.einsum("ptcn,sepn->tcsep", phi, k_phi)
+    base = w0[owner] * np.einsum("ptcn,pn->tcp", phi, s_matrix.sum(axis=2)[owner])
+    base[:, 1] += np.where(has_dis.T, 0.0, -np.inf)
+    return k_phi, gram, base
 
 
 def _forward(gram, base, tau, rate, n_steps, simultaneous):
@@ -298,7 +316,7 @@ def _forward(gram, base, tau, rate, n_steps, simultaneous):
     ``rate``, block by block. Returns the final beta, (T, 2, E), and the
     values at the start of every step, (T, K, 2, E)."""
     beta = np.zeros_like(base)
-    v_hist = np.empty((len(base), n_steps) + base.shape[1:])
+    v_hist = _empty((len(base), n_steps) + base.shape[1:])
     for blk in _blocks(len(base), simultaneous):
         earlier = slice(0, blk.start)
         v = base[blk] + np.einsum("tcsep,sep->tcp", gram[blk, :, earlier], beta[earlier])
@@ -322,54 +340,59 @@ _STEP_MATRIX_ENTRIES = 2**16
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _evaluate_batch(model, prep: _Prepared, rec_sel, n_steps: int, member=None):
-    """Per-record losses and log-probabilities under M models, and
-    optionally the gradients of their mean losses.
+def _evaluate_batch(model, prep: _Prepared, row_sets, n_steps: int, gradient=False):
+    """The KL and (a, b, neither) log-probabilities of every row, model m on
+    its rows ``row_sets[m]`` of ``prep``, model after model, and if
+    ``gradient`` (dS, d log tau, d w0) of each model's mean loss.
 
-    Returns the (M, R) KL of each selected record, its (M, R, 3)
-    log-probabilities (a, b, neither) and, given the (M, R) boolean
-    ``member``, the gradients as (dS, d log tau, d w0) of each model's mean
-    loss over its member records. Each pipeline of the selection is
-    ascended once per model, in the span of its directions (``_span``). The
-    adjoint pass pools the records' seeds per entry and runs the steps in
-    reverse, carrying the adjoint of beta back through their step matrices
-    and, between blocks, through G. Afterwards its histories contract
-    into the gradients of G, the start values and tau, and K = S S^T and
-    S 1 carry those to S and w0. Callers check for non-finite values, so
-    float warnings are suppressed here.
+    An entry, a model on one pipeline its rows use, is ascended once in the
+    span of its directions (``_span``). Its S w times the object table gives
+    its 24 object values, and a row reads the two its codes name. The
+    adjoint pass sums the rows' seeds by (entry, code), takes them back
+    through the table, and runs the steps in reverse, carrying the adjoint
+    of beta back through their step matrices and, between blocks, through
+    G. Its histories then contract into the gradients of G, the start values
+    and tau, and K = S S^T and S 1 carry those to S and w0. Callers check
+    for non-finite values, so float warnings are suppressed here.
     """
     s_matrix, log_tau, w0 = model
-    n_models = len(log_tau)
+    n_models, n_pipes = len(log_tau), len(prep.stage_counts)
     simultaneous = prep.variant is ModelVariant.SIMULTANEOUS
-    pipes, pidx = np.unique(prep.record_pipeline[rec_sel], return_inverse=True)
-    counts = prep.stage_counts[pipes]
-    t_count = counts.max()
-    # Only padding precedes the last t_count stages of the selection.
+    sizes, rows = [len(rows) for rows in row_sets], np.concatenate(row_sets)
+    # The (model, pipeline) entries in use, model after model, and each
+    # row's entry, from a presence table: plain np.unique allocates 1.1 MB.
+    keys = np.repeat(np.arange(n_models) * n_pipes, sizes) + prep.record_pipeline[rows]
+    used = np.bincount(keys, minlength=n_models * n_pipes) > 0
+    entry = (np.cumsum(used) - 1)[keys]
+    owner, pipes = np.divmod(np.flatnonzero(used), n_pipes)
+    per_model, n_stages = np.bincount(owner, minlength=n_models), prep.stage_counts[pipes]
+    t_count = n_stages.max()
+    # Only padding precedes the last t_count stages of the entries.
     phi, has_dis = prep.stage_phi[pipes, -t_count:], prep.has_dis[pipes, -t_count:]
-    tau = np.repeat(np.exp(log_tau), len(pipes))  # inf for a diverged fit
+    tau = np.exp(log_tau)[owner]  # inf for a diverged fit
     # A simultaneous step ascends the mean of the pipeline's stage objectives.
-    rate = np.tile(1.0 / counts if simultaneous else np.ones(len(pipes)), n_models)
-    k_phi, gram, base = _span(model, phi, has_dis)
+    rate = 1.0 / n_stages if simultaneous else np.ones(len(pipes))
+    k_phi, gram, base = _span(model, owner, phi, has_dis)
     beta, v_hist = _forward(gram, base, tau, rate, n_steps, simultaneous)
 
-    phi_a, phi_b, p_hat = prep.phi_a[rec_sel], prep.phi_b[rec_sel], prep.p_hat[rec_sel]
     s_one = s_matrix.sum(axis=2)  # S 1, (M, n)
-    beta = beta.reshape(t_count, 2, n_models, -1)
-    # S w = w0 S 1 + K phi^T beta, (M, P, n).
-    sw = (w0[:, None] * s_one)[:, None] + np.einsum("tcmp,tcmpn->mpn", beta, k_phi)
-    va = np.einsum("rn,mrn->mr", phi_a, sw[:, pidx])
-    vb = np.einsum("rn,mrn->mr", phi_b, sw[:, pidx])
-    losses, logp = _three_way_kl(va, vb, p_hat)
-    if member is None:
+    # S w = w0 S 1 + K phi^T beta, (E, n), and the objects' values, (E, 24).
+    sw = (w0[:, None] * s_one)[owner] + np.einsum("tcp,tcpn->pn", beta, k_phi)
+    values = np.einsum("on,pn->po", prep.table, sw)
+    va, vb = (values[entry, prep.codes[rows, i]] for i in (0, 1))
+    p_hat = prep.p_hat[rows]
+    losses, logp = _three_way_kl(va, vb, p_hat, prep.plogp[rows])
+    if not gradient:
         return losses, logp, None
 
-    # The member records' seeds of S w, pooled per entry.
-    dv = np.where(member[..., None], np.exp(logp) - p_hat, 0.0) / member.sum(1)[:, None, None]
-    seeds = np.zeros((n_models, len(pipes), phi.shape[-1]))
-    np.add.at(seeds, (slice(None), pidx), dv[..., :1] * phi_a + dv[..., 1:2] * phi_b)
-    # The adjoint of beta is linear and its Jacobians depend only on an
-    # entry's trajectory, so records pool per entry.
-    lam = np.einsum("tcmpn,mpn->tcmp", k_phi, seeds).reshape(base.shape)
+    # The rows' seeds of their objects' values, summed by (entry, code),
+    # then of S w. The adjoint of beta is linear and its Jacobians depend
+    # only on an entry's trajectory, so rows pool per entry.
+    dv = (np.exp(logp[:, :2]) - p_hat[:, :2]) / np.repeat(sizes, sizes)[:, None]
+    cells = (entry[:, None] * len(prep.table) + prep.codes[rows]).ravel()
+    seeds = np.bincount(cells, dv.ravel(), values.size).reshape(values.shape)
+    seeds = np.einsum("po,on->pn", seeds, prep.table)
+    lam = np.einsum("tcpn,pn->tcp", k_phi, seeds)
 
     # Axis c (and e, f) below is (goal, distractor).
     coef, jac, coef_tau = _step_coef_partials(v_hist, tau, rate)
@@ -395,7 +418,7 @@ def _evaluate_batch(model, prep: _Prepared, rec_sel, n_steps: int, member=None):
         alpha_sum = alpha_hist[blk].sum(axis=1)
         lam[earlier] += np.einsum("tcsep,tcp->sep", gram[blk, :, earlier], alpha_sum)
 
-    tau_grad = np.einsum("tkcp,tkcp->p", coef_tau, lam_hist).reshape(n_models, -1)
+    tau_grad = np.einsum("tkcp,tkcp->p", coef_tau, lam_hist)
     d_base = alpha_hist.sum(axis=1)
     # A step's alpha meets the beta before it in G: its own stages' exclusive
     # running sum of increments, and a sequential stage's earlier stages' ends.
@@ -404,17 +427,18 @@ def _evaluate_batch(model, prep: _Prepared, rec_sel, n_steps: int, member=None):
         earlier = np.tri(t_count, k=-1)[:, None, :, None, None]
         d_gram *= np.eye(t_count)[:, None, :, None, None]
         d_gram += np.einsum("tcp,sep->tcsep", d_base, coef.sum(axis=1)) * earlier
-    # K's gradient, from G and from the seeds against phi^T beta.
-    d_gram = d_gram.reshape(gram.shape[:4] + beta.shape[2:])
-    left = np.einsum("tcsemp,ptcn->sempn", d_gram, phi) + beta[..., None] * seeds
-    d_k = np.einsum("sempn,psej->mnj", left, phi)
+    # K's gradient, from G and from the seeds against phi^T beta, model by
+    # model as in _span.
+    left = np.einsum("tcsep,ptcn->sepn", d_gram, phi) + beta[..., None] * seeds
+    parts = zip(_split(left, per_model, axis=2), _split(phi, per_model))
+    d_k = np.stack([np.einsum("sepn,psej->nj", x, y) for x, y in parts])
     # w0 S 1 enters S w and the start values; d_one is its gradient.
-    d_base = d_base.reshape(beta.shape)
-    d_one = (seeds + np.einsum("tcmp,ptcn->mpn", d_base, phi)).sum(axis=1)
+    d_one = _split(seeds + np.einsum("tcp,ptcn->pn", d_base, phi), per_model)
+    d_one = np.stack([part.sum(axis=0) for part in d_one])
     s_grad = np.einsum("mnj,mjd->mnd", d_k + d_k.transpose(0, 2, 1), s_matrix)
     s_grad += (w0[:, None] * d_one)[..., None]
-    tau_grad = tau_grad.sum(axis=1) * np.exp(log_tau)
-    return losses, logp, (s_grad, tau_grad, (d_one * s_one).sum(axis=1))
+    tau_grad = np.array([part.sum() for part in _split(tau_grad, per_model)])
+    return losses, logp, (s_grad, tau_grad * np.exp(log_tau), (d_one * s_one).sum(axis=1))
 
 
 def _single(hp: LpgHyperparameters):
@@ -422,27 +446,13 @@ def _single(hp: LpgHyperparameters):
     return hp.matrix()[None], np.array([hp.log_tau]), np.array([hp.w0])
 
 
-def _selection(row_sets: list[np.ndarray], n_records: int):
-    """The union of M models' rows of ``n_records``, in order of first
-    appearance, and its (M, R) membership: True where a row is the model's."""
-    rows = np.concatenate(row_sets)
-    # Each record's first place in rows. No sort: a new numpy sort kernel
-    # adds 0.1-0.2 MB of code to peak RSS.
-    first = np.full(n_records, len(rows))
-    np.minimum.at(first, rows, np.arange(len(rows)))
-    member = np.zeros((len(row_sets), n_records), dtype=bool)
-    member[np.repeat(np.arange(len(row_sets)), [len(r) for r in row_sets]), rows] = True
-    union = rows[first[rows] == np.arange(len(rows))]
-    return union, member[:, union]
-
-
 def _score(prep: _Prepared, hp: LpgHyperparameters, rows: np.ndarray, n_steps: int):
-    """``hp``'s per-record losses and log-probabilities on ``rows`` of
-    ``prep``, from one engine pass."""
-    losses, logp, _ = _evaluate_batch(_single(hp), prep, rows, n_steps)
+    """``hp``'s per-record losses and (R, 3) predicted distributions on
+    ``rows`` of ``prep``, from one engine pass."""
+    losses, logp, _ = _evaluate_batch(_single(hp), prep, [rows], n_steps)
     if not np.all(np.isfinite(logp)):
         raise NumericalError("non-finite latent weights or predictions")
-    return losses[0], logp[0]
+    return losses, np.exp(logp)
 
 
 def _diverged(values: np.ndarray, dims: list[int], what: str, batches=None) -> None:
@@ -477,8 +487,8 @@ def hyperparameter_gradient(
     """
     prep = _Prepared(dataset, _checked_variant(hp, variant))
     n_steps = (config or FitConfig()).n_integration_steps
-    rows, member = np.arange(prep.n_records), np.ones((1, prep.n_records), dtype=bool)
-    losses, _, grads = _evaluate_batch(_single(hp), prep, rows, n_steps, member)
+    rows = [np.arange(prep.n_records)]
+    losses, _, grads = _evaluate_batch(_single(hp), prep, rows, n_steps, gradient=True)
     space = _ParamSpace(variant, hp.latent_dim)
     loss, grad = float(losses.mean()), _dense_gradient(*grads)[0][space.dense_mask()]
     if not (np.isfinite(loss) and np.all(np.isfinite(grad))):
@@ -506,7 +516,7 @@ def _fit_lockstep(prep: _Prepared, config: FitConfig, models: list):
     parameters are one dense row (``_ParamSpace``) with its own Adam state;
     the entries its row fixes get a zero gradient, so a zero Adam step.
     """
-    variant, dims = prep.variant, [d for d, _ in models]
+    variant, dims, n_steps = prep.variant, [d for d, _ in models], config.n_integration_steps
     spaces = [_ParamSpace(variant, d) for d in dims]
     n, d_max = spaces[0].n, max(space.d for space in spaces)
     mask = np.stack([space.dense_mask(d_max) for space in spaces])
@@ -525,11 +535,9 @@ def _fit_lockstep(prep: _Prepared, config: FitConfig, models: list):
     for step in range(len(history[0])):
         live = np.flatnonzero(n_updates > step)
         live_dims, batches = [dims[i] for i in live], [schedules[i][step] for i in live]
-        union, member = _selection([rows for _, _, rows in batches], prep.n_records)
-        batch_losses, _, grads = _evaluate_batch(
-            model(theta[live]), prep, union, config.n_integration_steps, member
-        )
-        loss = np.where(member, batch_losses, 0.0).sum(axis=1) / member.sum(axis=1)
+        row_sets = [rows for _, _, rows in batches]
+        losses, _, grads = _evaluate_batch(model(theta[live]), prep, row_sets, n_steps, True)
+        loss = np.array([part.mean() for part in _split(losses, [len(r) for r in row_sets])])
         grad = np.where(mask[live], _dense_gradient(*grads), 0.0)
         _diverged(np.column_stack([loss, grad]), live_dims, "loss or gradient", batches)
         m[live] = config.adam_beta1 * m[live] + (1.0 - config.adam_beta1) * grad
@@ -542,15 +550,13 @@ def _fit_lockstep(prep: _Prepared, config: FitConfig, models: list):
             _diverged(np.exp(np.abs(theta[live, -2])), live_dims, "tau or 1 / tau", batches)
         history[:, step, live] = loss, np.linalg.norm(grad, axis=1)
 
-    union, member = _selection([rows for _, rows in models], prep.n_records)
-    losses, _, _ = _evaluate_batch(model(theta), prep, union, config.n_integration_steps)
-    _diverged(np.where(member, losses, 0.0), dims, "training loss")
-    at = np.empty(prep.n_records, dtype=int)  # each row's place in the union
-    at[union] = np.arange(len(union))
+    losses, _, _ = _evaluate_batch(model(theta), prep, [rows for _, rows in models], n_steps)
+    per_example = _split(losses, [len(rows) for _, rows in models])
+    train_losses = np.array([part.mean() for part in per_example])
+    _diverged(train_losses, dims, "training loss")
     wall_time = time.perf_counter() - started
     fits = []
-    for i, (space, (_, rows)) in enumerate(zip(spaces, models)):
-        per_example = losses[i, at[rows]]
+    for i, space in enumerate(spaces):
         trajectory, norms = history[:, : n_updates[i], i].tolist()
         diagnostics = {
             "n_updates": len(trajectory),
@@ -561,8 +567,7 @@ def _fit_lockstep(prep: _Prepared, config: FitConfig, models: list):
             "epochs": config.epochs,
         }
         hp = space.hyperparameters(theta[i])
-        train_loss = float(per_example.mean())
-        fits.append(FitResult(hp, variant, train_loss, per_example, diagnostics))
+        fits.append(FitResult(hp, variant, float(train_losses[i]), per_example[i], diagnostics))
     return fits
 
 
@@ -576,17 +581,12 @@ _LOCKSTEP_ENTRIES = 1024
 def _fit_models(prep: _Prepared, config: FitConfig, models: list):
     """``_fit_lockstep`` on as many ``models`` at a time as keep a pass
     within ``_LOCKSTEP_ENTRIES`` entries. A model ascends the pipelines of
-    every live model's batch: a batch's worth if they share rows, else up
-    to all."""
-    n_pipes, t_max = prep.stage_phi.shape[:2]
-    shared = all(np.array_equal(rows, models[0][1]) for _, rows in models)
-    width = min(config.batch_size, n_pipes) if shared else n_pipes
-    per_pass = max(1, _LOCKSTEP_ENTRIES // (width * t_max))
-    return [
-        fit
-        for i in range(0, len(models), per_pass)
-        for fit in _fit_lockstep(prep, config, models[i : i + per_pass])
-    ]
+    its own batch: at most a batch's worth, and at most those of its rows."""
+    t_max = prep.stage_phi.shape[1]
+    used = max(np.count_nonzero(np.bincount(prep.record_pipeline[rows])) for _, rows in models)
+    per_pass = max(1, _LOCKSTEP_ENTRIES // (min(config.batch_size, used) * t_max))
+    passes = [models[i : i + per_pass] for i in range(0, len(models), per_pass)]
+    return [fit for group in passes for fit in _fit_lockstep(prep, config, group)]
 
 
 def fit_hyperparameters(
@@ -614,11 +614,10 @@ def heldout_fits(
     config = config or FitConfig()
     prep = _Prepared(dataset, variant)
     fits = _fit_models(prep, config, [(config.latent_dim, train) for train, _ in splits])
-    results = []
-    for fit, (_, held) in zip(fits, splits):
-        losses, logp = _score(prep, fit.hyperparameters, held, config.n_integration_steps)
-        results.append((fit, losses, np.exp(logp)))
-    return results
+    return [
+        (fit, *_score(prep, fit.hyperparameters, held, config.n_integration_steps))
+        for fit, (_, held) in zip(fits, splits)
+    ]
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -634,9 +633,8 @@ def simulate_variant(
     simultaneous = variant is ModelVariant.SIMULTANEOUS
     rate = np.array([1.0 / len(has_dis) if simultaneous else 1.0])
     n_steps = (config or FitConfig()).n_integration_steps
-    tau = np.exp([hp.log_tau])
-    _, gram, base = _span(_single(hp), phi[None], has_dis[None])
-    beta, _ = _forward(gram, base, tau, rate, n_steps, simultaneous)
+    _, gram, base = _span(_single(hp), np.zeros(1, dtype=int), phi[None], has_dis[None])
+    beta, _ = _forward(gram, base, np.exp([hp.log_tau]), rate, n_steps, simultaneous)
     w = hp.w0 + np.einsum("nd,tcn,tc->d", hp.matrix(), phi, beta[..., 0])
     if not np.all(np.isfinite(w)):
         raise NumericalError(f"non-finite latent weights in pipeline {pipeline.id!r}")
@@ -644,7 +642,7 @@ def simulate_variant(
 
 
 def _score_records(hp, dataset, records, variant, config):
-    """``hp``'s losses and log-probabilities on ``records`` (default: all)."""
+    """``hp``'s losses and predictions on ``records`` (default: all)."""
     prep = _Prepared(dataset, _checked_variant(hp, variant), records)
     n_steps = (config or FitConfig()).n_integration_steps
     return _score(prep, hp, np.arange(prep.n_records), n_steps)
@@ -658,8 +656,8 @@ def predicted_distributions(
     config: FitConfig | None = None,
 ) -> list[ChoiceDistribution]:
     """Model predictions for each record (default: the dataset's)."""
-    _, logp = _score_records(hp, dataset, records, variant, config)
-    return [ChoiceDistribution(*p) for p in np.exp(logp).tolist()]
+    _, predicted = _score_records(hp, dataset, records, variant, config)
+    return [ChoiceDistribution(*p) for p in predicted.tolist()]
 
 
 def modelling_loss(
@@ -677,7 +675,7 @@ def modelling_loss(
 def baseline_uniform(p_hat: np.ndarray) -> float:
     """Mean KL from (R, 3) observed rates to the uniform three-way predictor."""
     zeros = np.zeros(len(_nonempty(p_hat)))
-    return float(_three_way_kl(zeros, zeros, p_hat)[0].mean())
+    return float(_three_way_kl(zeros, zeros, p_hat, _plogp(p_hat))[0].mean())
 
 
 # The floors' columns of each object, by object_index: its own column (per
@@ -703,7 +701,7 @@ def _lower_bound(dataset: Dataset, columns: np.ndarray) -> tuple[float, int]:
     Returns the mean per-record loss at the optimum and the step count.
     """
     _, agent, codes, p_hat = dataset.columns
-    _nonempty(p_hat)
+    plogp = _plogp(_nonempty(p_hat))
     n, counts = columns.max() + 1, np.bincount(agent)[:, None]
     cells = agent[:, None, None] * n + columns[codes]  # (R, 2, k)
     # Each record's Hessian cells (c, i, c', j), which take W's (c, c') entry.
@@ -711,7 +709,7 @@ def _lower_bound(dataset: Dataset, columns: np.ndarray) -> tuple[float, int]:
     theta = np.zeros(len(counts) * n)
     for steps in range(_NEWTON_STEPS):
         v = theta[cells].sum(axis=2)
-        losses, logp = _three_way_kl(v[:, 0], v[:, 1], p_hat)
+        losses, logp = _three_way_kl(v[:, 0], v[:, 1], p_hat, plogp)
         p = np.exp(logp[:, :2])
         resid = np.broadcast_to((p - p_hat[:, :2])[..., None], cells.shape)
         grad = np.bincount(cells.ravel(), resid.ravel(), theta.size).reshape(-1, n) / counts

@@ -20,6 +20,7 @@ from .fitting import (
     _ParamSpace,
     hyperparameter_gradient,
     modelling_loss,
+    predicted_distributions,
     simulate_variant,
     structural_variant,
 )
@@ -30,6 +31,7 @@ from .latent import (
     SaliencyVariant,
     equilibrium_projection,
     identity_hyperparameters,
+    predict_preferences,
     simulate_pipeline,
     stage_objective,
 )
@@ -122,8 +124,11 @@ _RANDOM_SCALE_STEPS = 5
 
 
 def engine_error(rng: np.random.Generator, n_draws: int) -> float:
-    """Worst weight-component gap between the fit's batch engine
-    (``simulate_variant``) and the scalar ``simulate_pipeline``.
+    """Worst gap between the fit's batch engine and the scalar reference:
+    in a weight component, ``simulate_variant`` against
+    ``simulate_pipeline``, and in a choice probability,
+    ``predicted_distributions`` against ``predict_preferences`` on the
+    scalar weights, over records pairing each object with the next.
 
     Each draw is a random pipeline of 1-3 stages, each stage with a
     distractor or not, under random hyperparameters, at random scale on
@@ -134,6 +139,7 @@ def engine_error(rng: np.random.Generator, n_draws: int) -> float:
     steps. So those draws ascend ``_RANDOM_SCALE_STEPS`` steps per stage.
     """
     objects = enumerate_objects()
+    pairs = [(a, objects[(i + 1) % len(objects)]) for i, a in enumerate(objects)]
     worst = 0.0
     for draw in range(n_draws):
         stages = []
@@ -142,6 +148,8 @@ def engine_error(rng: np.random.Generator, n_draws: int) -> float:
             stages.append(TrainingStage(goal, distractor if rng.random() < 0.5 else None))
         pipeline = TrainingPipeline(f"engine{draw}", tuple(stages))
         last = TrainingPipeline(pipeline.id, pipeline.stages[-1:])
+        records = [PreferenceRecord(pipeline.id, a, b, 1, 1, 1, 3) for a, b in pairs]
+        dataset = Dataset({pipeline.id: pipeline}, tuple(records))
         fitted = draw % 2 == 1
         hp = _random_hyperparameters(rng, fitted_scale=fitted)
         n_steps = DEFAULT_INTEGRATION_STEPS if fitted else _RANDOM_SCALE_STEPS
@@ -153,8 +161,12 @@ def engine_error(rng: np.random.Generator, n_draws: int) -> float:
         ):
             variant_hp = _structured(hp, variant)
             config = FitConfig(n_integration_steps=n_steps)
-            w = simulate_variant(variant_hp, pipeline, variant, config)
-            gap = np.abs(w - simulate_pipeline(variant_hp, reference, n_steps)).max()
+            w = simulate_pipeline(variant_hp, reference, n_steps)
+            gap = np.abs(simulate_variant(variant_hp, pipeline, variant, config) - w).max()
+            predicted = predicted_distributions(variant_hp, dataset, None, variant, config)
+            for p, r in zip(predicted, dataset.records):
+                q = predict_preferences(variant_hp, w, r.object_a, r.object_b)
+                gap = max(gap, np.abs(np.subtract(p.as_tuple(), q.as_tuple())).max())
             worst = max(worst, float(gap))
     return worst
 
@@ -240,7 +252,8 @@ def check_equilibrium(tol: float = 1e-3) -> bool:
 
 
 def check_engine(seed: int = 0, n_draws: int = 24, tol: float = 1e-8) -> bool:
-    """The fit's batch engine simulates pipelines as the scalar reference does."""
+    """The fit's batch engine simulates pipelines and predicts choices as the
+    scalar reference does."""
     rng = np.random.default_rng([0x656E67, seed])
     return engine_error(rng, n_draws) < tol
 

@@ -343,14 +343,25 @@ def test_sweep_dim_command(tmp_path, data_file):
         assert f"{fit['train_loss']:.6f}" == loss
 
 
-@pytest.mark.parametrize("command", ["sweep-dim", "fit"])
-def test_allocation_failure_exits_1(tmp_path, data_file, capsys, command):
-    # numpy refuses a 9 TiB saliency mask at once, so this takes no memory.
-    huge = 10**12
+@pytest.mark.parametrize(
+    "command, key, huge",
+    [
+        pytest.param("sweep-dim", "latent_dim", 10**12, id="sweep-dim"),
+        pytest.param("fit", "latent_dim", 10**12, id="fit"),
+        pytest.param("sweep-dim", "latent_dim", 10**20, id="sweep-dim-1e20"),
+        pytest.param("fit", "latent_dim", 10**18, id="fit-latent_dim-1e18"),
+        pytest.param("fit", "latent_dim", 10**20, id="fit-latent_dim-1e20"),
+        pytest.param("fit", "n_integration_steps", 10**18, id="fit-steps-1e18"),
+        pytest.param("fit", "n_integration_steps", 10**20, id="fit-steps-1e20"),
+    ],
+)
+def test_allocation_failure_exits_1(tmp_path, data_file, capsys, command, key, huge):
+    # numpy refuses a 9 TiB saliency mask at once, and sizes it cannot even
+    # address (array too big, dimension too large) too, so this takes no memory.
     if command == "sweep-dim":
         extra = ["--dims", f"1,{huge}", "--config", str(fast_config(tmp_path))]
     else:
-        extra = ["--config", str(fast_config(tmp_path, latent_dim=huge))]
+        extra = ["--config", str(fast_config(tmp_path, **{key: huge}))]
     out = tmp_path / "out"
     code = main([command, "--data", str(data_file), "--out", str(out), *extra])
     assert code == 1

@@ -154,17 +154,19 @@ def test_kfold_split_across_passes_matches_serial_fits(reference, monkeypatch, e
 
 
 def test_leave_one_out_passes_stay_within_the_entry_bound(monkeypatch):
-    # Leave-one-out on 8 pipelines of up to 2 stages: a fit ascends all 8,
-    # 16 (model, pipeline, stage) entries, so a 32-entry bound holds two fits
-    # a pass, and each fold's held-out pipeline is scored under its fit only.
+    # Leave-one-out on 8 pipelines of up to 2 stages: a fit ascends at most
+    # its other 7, 14 (model, pipeline, stage) entries, so a 32-entry bound
+    # holds two fits a pass, and each fold's held-out pipeline is scored
+    # under its fit only.
     monkeypatch.setattr(fitting, "_LOCKSTEP_ENTRIES", 32)
     engine, calls = fitting._evaluate_batch, []
 
-    def counting(model, prep, rows, n_steps, member=None):
-        pipes = np.unique(prep.record_pipeline[rows])
-        entries = len(model[1]) * len(pipes) * prep.stage_counts[pipes].max()
-        calls.append((entries, member is None))
-        return engine(model, prep, rows, n_steps, member)
+    def counting(model, prep, row_sets, n_steps, gradient=False):
+        pipes = [np.unique(prep.record_pipeline[rows]) for rows in row_sets]
+        t_max = prep.stage_counts[np.concatenate(pipes)].max()
+        entries = sum(len(p) for p in pipes) * t_max
+        calls.append((entries, not gradient))
+        return engine(model, prep, row_sets, n_steps, gradient)
 
     monkeypatch.setattr(fitting, "_evaluate_batch", counting)
     ds = heldout_dataset()
@@ -175,6 +177,37 @@ def test_leave_one_out_passes_stay_within_the_entry_bound(monkeypatch):
     scoring = [entries for entries, no_grad in calls if no_grad]
     assert len(scoring) == k // 2 + k
     assert sum(scoring[-k:]) == sum(len(p.stages) for p in ds.pipelines.values())
+
+
+def test_passes_ascend_only_the_pipelines_of_each_fits_own_rows(monkeypatch):
+    # Every pass of a 4-fold CV ascends, per live fit, the pipelines of that
+    # fit's batch (then of its training rows, then of its held-out rows),
+    # not those of every live fit's batch.
+    ds, _ = synthetic_dataset(seed=40, n_pipelines=8, n_records=30)
+    config = FitConfig(batch_size=16, n_integration_steps=10)
+    forward, entries = fitting._forward, []
+
+    def counting(gram, base, *args):
+        entries.append(base.shape[-1])
+        return forward(gram, base, *args)
+
+    monkeypatch.setattr(fitting, "_forward", counting)
+    result = kfold_cv(ds, ModelVariant.FULL, K, config)
+    pids, pipeline = ds.columns[:2]
+    fold = np.array([result.fold_assignment[pid] for pid in pids])[pipeline]
+    splits = [(np.flatnonzero(fold != f), np.flatnonzero(fold == f)) for f in range(K)]
+
+    def n_pipes(rows):
+        return len(np.unique(pipeline[rows]))
+
+    schedules = [fitting._batches(train, config) for train, _ in splits]
+    want = [
+        sum(n_pipes(batches[step][2]) for batches in schedules if step < len(batches))
+        for step in range(max(map(len, schedules)))
+    ]
+    want.append(sum(n_pipes(train) for train, _ in splits))
+    want += [n_pipes(held) for _, held in splits]
+    assert entries == want
 
 
 @pytest.mark.parametrize("variant", list(ModelVariant), ids=lambda v: v.value)

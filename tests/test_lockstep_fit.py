@@ -164,10 +164,10 @@ def test_divergence_names_the_latent_dim_of_the_fit():
 def test_non_finite_training_loss_names_the_latent_dim(monkeypatch):
     engine = fitting._evaluate_batch
 
-    def final_loss_nan(model, prep, rows, n_steps, member=None):
-        losses, logp, grads = engine(model, prep, rows, n_steps, member)
-        if member is None:  # the training-loss pass after the last update
-            losses[1, 0] = np.nan
+    def final_loss_nan(model, prep, row_sets, n_steps, gradient=False):
+        losses, logp, grads = engine(model, prep, row_sets, n_steps, gradient)
+        if not gradient:  # the training-loss pass after the last update
+            losses[len(row_sets[0])] = np.nan
         return losses, logp, grads
 
     monkeypatch.setattr(fitting, "_evaluate_batch", final_loss_nan)
