@@ -8,9 +8,11 @@ P(a beats b) = 1 / (1 + 10^-(Va-Vb)/400), then shifted so the no-goal
 score is exactly zero.
 
 ``RecordComparisons`` holds every record's comparisons once, from a
-dataset's columns, and a problem merges those of some row indices.
-``elo_by_agent`` builds each agent's full and holdout-fold problems from its
-rows, fits them all in one lockstep call and scores each fold's held-out
+dataset's columns. ``fit_elo_many`` fits the comparisons of many row sets
+as one array problem: one ``bincount`` over (problem, a, b) cells merges
+every problem's comparisons, and each problem is a row of one
+(problems, 25) score array, with a slot per competitor code. ``elo_by_agent`` hands it each
+agent's full and holdout-fold row sets and scores each fold's held-out
 rows. Folds come from ``dataset.seeded_folds``, as K-fold's do.
 """
 
@@ -40,7 +42,8 @@ MAX_ITERATIONS = 100_000
 Competitor = ObjectFeatures | None  # None is the no-goal competitor
 # Competitor codes: the objects' ``object_index``, then the no-goal competitor.
 _COMPETITORS = np.array([*enumerate_objects(), None], dtype=object)
-_NO_GOAL = len(_COMPETITORS) - 1
+_SLOTS = len(_COMPETITORS)
+_NO_GOAL = _SLOTS - 1
 K = TypeVar("K", bound=Hashable)
 
 
@@ -71,23 +74,6 @@ def elo_predict(table: EloTable, a: Competitor, b: Competitor) -> float:
     return 1.0 / (1.0 + 10.0 ** (-gap / 400.0))
 
 
-@dataclass(frozen=True, eq=False)
-class EloProblem:
-    """One fit's comparisons, merged per ordered pair of competitors.
-
-    Slot i scores ``objects[i]`` and the last slot the no-goal competitor.
-    Comparisons that share an ordered pair (a, b) add up their weights and
-    their weight * win rate, which leaves the likelihood's gradient as it
-    was. Zero-weight comparisons carry no information and are dropped.
-    """
-
-    objects: tuple[ObjectFeatures, ...]
-    slot_a: np.ndarray
-    slot_b: np.ndarray
-    weight: np.ndarray
-    weighted_rate: np.ndarray
-
-
 class RecordComparisons:
     """Every record's three masked-and-renormalised comparisons, (a, b),
     (a, no goal) and (b, no goal), as (R, 3) arrays built once from the
@@ -95,7 +81,6 @@ class RecordComparisons:
 
     Each comparison is weighted by the probability mass of its two
     outcomes; one whose outcomes never occurred gets weight 0 and rate 0.5.
-    ``problem`` merges the comparisons of some of the records' rows.
     """
 
     def __init__(self, records: Dataset | Sequence[PreferenceRecord]):
@@ -109,110 +94,111 @@ class RecordComparisons:
         self.rate = np.full_like(pa, 0.5)
         np.divide(pa, self.weight, out=self.rate, where=self.weight > 0)
 
-    def problem(self, rows: np.ndarray | None = None) -> EloProblem:
-        """The merged problem of the records at the given row indices
-        (default: all), in that order.
-
-        Pairs appear in order of first appearance, and each sum accumulates
-        in row order, as adding comparison by comparison does.
-        """
-        rows = slice(None) if rows is None else rows
-        arrays = (self.code_a, self.code_b, self.weight, self.weight * self.rate)
-        code_a, code_b, weight, weighted_rate = (x[rows].ravel() for x in arrays)
-        keep = weight > 0
-        if not keep.any():
+    def check(self, rows: np.ndarray) -> np.ndarray:
+        """The row indices, if one of their comparisons has positive weight;
+        else the ValidationError that fitting them would raise."""
+        rows = np.asarray(rows, dtype=np.intp)
+        if not (self.weight[rows] > 0).any():
             raise ValidationError("no positive-weight comparisons to fit")
-        key = code_a[keep] * (_NO_GOAL + 1) + code_b[keep]
-        pairs, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        order = np.argsort(first)  # the pairs in order of first appearance
-        rank = np.argsort(order)[inverse]
-        pair_a, pair_b = np.divmod(pairs[order], _NO_GOAL + 1)
-        # Present codes, sorted, no-goal dropped; plain np.unique allocates 1.1 MB.
-        codes = np.flatnonzero(np.bincount(np.concatenate([pair_a, pair_b]))[:_NO_GOAL])
-        return EloProblem(
-            tuple(_COMPETITORS[c] for c in codes),
-            np.searchsorted(codes, pair_a),
-            np.searchsorted(codes, pair_b),
-            np.bincount(rank, weights=weight[keep]),
-            np.bincount(rank, weights=weighted_rate[keep]),
-        )
+        return rows
 
 
-def fit_elo_many(problems: Mapping[K, EloProblem]) -> dict[K, EloTable]:
-    """Maximum-likelihood scores of independent problems, in lockstep.
+def _merge(comparisons: RecordComparisons, row_sets: list[np.ndarray]):
+    """The positive-weight comparisons of each row set, merged per ordered
+    pair: (slot a, slot b, weight, weight * win rate), with problem i's
+    competitor code c in slot ``i * _SLOTS + c``.
+
+    Pairs are sorted by (problem, a, b). Comparisons that share a pair add
+    up, in row order, their weights and their weight * win rate, which
+    leaves the likelihood's gradient as it was; zero-weight ones add 0.
+    """
+    rows = np.concatenate(row_sets)
+    start = np.repeat(np.arange(len(row_sets)) * _SLOTS**2, [len(r) for r in row_sets])
+    cell = (start[:, None] + comparisons.code_a[rows] * _SLOTS + comparisons.code_b[rows]).ravel()
+    weight = comparisons.weight[rows].ravel()
+    size = len(row_sets) * _SLOTS**2
+    weighted_rate = np.bincount(cell, weight * comparisons.rate[rows].ravel(), size)
+    weight = np.bincount(cell, weight, size)
+    pairs = np.flatnonzero(weight)
+    slot_a = pairs // _SLOTS
+    return slot_a, slot_a - slot_a % _SLOTS + pairs % _SLOTS, weight[pairs], weighted_rate[pairs]
+
+
+def fit_elo_many(
+    comparisons: RecordComparisons, row_sets: Mapping[K, np.ndarray]
+) -> dict[K, EloTable]:
+    """Maximum-likelihood scores of the comparisons of each row set, as
+    independent problems in lockstep.
 
     Each problem runs its own gradient descent on the weighted NLL, with a
     small ridge penalty that keeps scores finite when a competitor never
     loses. Steps are ``GRADIENT_STEP`` x the gradient, and a problem stops
     once its largest score change falls below ``CONVERGENCE_TOL``. Every
-    iteration steps all problems still running at once. Problems share no
-    score slots, so each takes the iterates it would take alone; a
-    converged problem is written out and dropped from the live arrays.
-    Raises NumericalError naming the first problem (in mapping order) still
-    running after ``MAX_ITERATIONS`` iterations, by its key; a key of None,
-    as ``fit_elo`` uses, names no problem.
+    problem is a row of one (problems, 25) score array, one slot per
+    competitor code; a code that none of its comparisons names stays at 0
+    and is left out of its table. Every iteration steps all rows still
+    running at once, and a converged problem's row is written out and
+    dropped. Raises ValidationError if a row set has no positive-weight
+    comparison, and NumericalError naming the first problem (in mapping
+    order) still running after ``MAX_ITERATIONS`` iterations, by its key; a
+    key of None, as ``fit_elo`` uses, names no problem.
     """
-    if not problems:
+    if not row_sets:
         return {}
-    live = list(problems)
+    keys = list(row_sets)
+    slot_a, slot_b, weight, weighted_rate = _merge(
+        comparisons, [comparisons.check(rows) for rows in row_sets.values()]
+    )
+    n = len(keys) * _SLOTS
+    present = np.bincount(np.append(slot_a, slot_b), minlength=n).reshape(-1, _SLOTS) > 0
+    # With u = exp(ELO_SCALE * s), P(a beats b) = u_a / (u_a + u_b), so a
+    # slot's NLL gradient is u times the sum of ELO_SCALE * w / (u_a + u_b)
+    # over the pairs that touch it, plus these terms of the data alone.
+    data = ELO_SCALE * (
+        np.bincount(slot_b, weights=weighted_rate - weight, minlength=n)
+        - np.bincount(slot_a, weights=weighted_rate, minlength=n)
+    ).reshape(-1, _SLOTS)
+    weight = ELO_SCALE * weight
+    live = np.arange(len(keys))  # the problem of each row of ``scores``
+    scores = np.zeros((len(keys), _SLOTS))
     tables: dict[K, EloTable] = {}
-    starts, slot_a, slot_b, weight, weighted_rate = _stack(list(problems.values()))
-    scores = np.zeros(starts[-1])
     for iteration in range(1, MAX_ITERATIONS + 1):
-        gap = scores[slot_a] - scores[slot_b]
-        p = 1.0 / (1.0 + np.exp(-ELO_SCALE * gap))
-        resid = ELO_SCALE * (weighted_rate - weight * p)
-        grad = (
-            2.0 * RIDGE * scores
-            - np.bincount(slot_a, weights=resid, minlength=scores.size)
-            + np.bincount(slot_b, weights=resid, minlength=scores.size)
-        )
+        u = np.exp(ELO_SCALE * scores)
+        share = weight / (u.take(slot_a) + u.take(slot_b))
+        touch = np.bincount(slot_a, share, u.size) + np.bincount(slot_b, share, u.size)
+        grad = 2.0 * RIDGE * scores + data + u * touch.reshape(u.shape)
         delta = GRADIENT_STEP * grad
         scores -= delta
-        largest = np.maximum.reduceat(np.abs(delta), starts[:-1])
+        largest = np.abs(delta).max(axis=1)
         done = largest < CONVERGENCE_TOL
         if done.any():
             for j in np.flatnonzero(done):
-                key, segment = live[j], scores[starts[j] : starts[j + 1]]
-                anchored = (segment - segment[-1]).tolist()
-                tables[key] = EloTable(
-                    dict(zip(problems[key].objects, anchored)),
+                codes = np.flatnonzero(present[live[j], :_NO_GOAL])
+                anchored = scores[j, codes] - scores[j, _NO_GOAL]
+                tables[keys[live[j]]] = EloTable(
+                    dict(zip(_COMPETITORS[codes], anchored.tolist())),
                     iterations=iteration,
                     final_step=float(largest[j]),
                 )
-            keep = np.repeat(~done, np.diff(starts))
-            scores, grad = scores[keep], grad[keep]
-            live = [key for key, stop in zip(live, done) if not stop]
-            if not live:
-                return {key: tables[key] for key in problems}
-            starts, slot_a, slot_b, weight, weighted_rate = _stack(
-                [problems[key] for key in live]
-            )
-    key = live[0]
-    norm = np.linalg.norm(grad[starts[0] : starts[1]])
-    name = "Elo fit" if key is None else f"Elo fit for {key}"
+            # Drop the done rows' pairs, and shift the others' slots up past them.
+            row = slot_a // _SLOTS
+            on = ~done[row]
+            shift = _SLOTS * np.cumsum(done)[row[on]]
+            slot_a, slot_b, weight = slot_a[on] - shift, slot_b[on] - shift, weight[on]
+            live, scores, data, grad = live[~done], scores[~done], data[~done], grad[~done]
+            if not len(live):
+                return {key: tables[key] for key in keys}
+    name = "Elo fit" if keys[live[0]] is None else f"Elo fit for {keys[live[0]]}"
     raise NumericalError(
         f"{name} did not converge in {MAX_ITERATIONS} iterations "
-        f"(gradient norm {norm:.3e})"
-    )
-
-
-def _stack(problems: list[EloProblem]):
-    """Slot offsets and the concatenated pair arrays, in global slots."""
-    starts = np.cumsum([0] + [len(p.objects) + 1 for p in problems])
-    return (
-        starts,
-        np.concatenate([p.slot_a + s for p, s in zip(problems, starts)]),
-        np.concatenate([p.slot_b + s for p, s in zip(problems, starts)]),
-        np.concatenate([p.weight for p in problems]),
-        np.concatenate([p.weighted_rate for p in problems]),
+        f"(gradient norm {np.linalg.norm(grad[0]):.3e})"
     )
 
 
 def fit_elo(records: Sequence[PreferenceRecord]) -> EloTable:
     """Scores fitted to one set of records; see ``fit_elo_many``."""
-    problem = RecordComparisons(records).problem()
-    return fit_elo_many({None: problem})[None]
+    comparisons = RecordComparisons(records)
+    return fit_elo_many(comparisons, {None: np.arange(len(comparisons.codes))})[None]
 
 
 def marginalised_elo(table: EloTable, feature: str) -> float:
@@ -318,7 +304,7 @@ def elo_by_agent(
     """Each agent's (table, holdout report) from its row indices into
     ``records``, with every fit in one ``fit_elo_many`` call.
 
-    Agent by agent, the problems are ``pipeline <agent>``, all its rows (if
+    Agent by agent, the row sets are ``pipeline <agent>``, all its rows (if
     ``full``; else the table is None), and its folds ``pipeline <agent>
     (fold <i>)``, or ``fold <i>`` for the agent None. A report is instead
     the ValidationError that skipped it: rows too few for k folds, a fold
@@ -326,27 +312,23 @@ def elo_by_agent(
     fold's table scores both competitors of.
     """
     comparisons = RecordComparisons(records)
-    problems, folds = {}, {}
+    row_sets, folds = {}, {}
     for agent, rows in agent_rows.items():
         if full:
-            problems[f"pipeline {agent}"] = comparisons.problem(rows)
+            row_sets[f"pipeline {agent}"] = rows
         try:
             splits = holdout_folds(len(rows), k, rng_seed)
             keys = [
                 f"fold {i}" if agent is None else f"pipeline {agent} (fold {i})"
                 for i in range(k)
             ]
-            problems.update(
-                {
-                    key: comparisons.problem(rows[train])
-                    for key, (train, _) in zip(keys, splits)
-                }
-            )
+            trains = [comparisons.check(rows[train]) for train, _ in splits]
         except ValidationError as exc:
             folds[agent] = exc
         else:
+            row_sets.update(zip(keys, trains))
             folds[agent] = keys, [rows[test] for _, test in splits]
-    tables = fit_elo_many(problems)
+    tables = fit_elo_many(comparisons, row_sets)
 
     results = {}
     for agent, fold in folds.items():

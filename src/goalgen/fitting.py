@@ -57,6 +57,7 @@ round out the comparison harness.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -496,15 +497,15 @@ def hyperparameter_gradient(
     return loss, grad
 
 
-def _batches(rows: np.ndarray, config: FitConfig) -> list[tuple[int, int, np.ndarray]]:
-    """The (epoch, start, rows) mini-batches of a fit on ``rows``, in order."""
+def _batches(rows: np.ndarray, config: FitConfig) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The (epoch, start, rows) mini-batches of a fit on ``rows``, in order,
+    drawn as they are asked for: epochs x ceil(rows / batch size) of them."""
     rng = np.random.default_rng([0x666974, config.rng_seed])
-    order, size, batches = rows.copy(), config.batch_size, []
+    order, size = rows.copy(), config.batch_size
     for epoch in range(config.epochs):
         rng.shuffle(order)  # in place, so each batch is copied
-        starts = range(0, len(order), size)
-        batches += [(epoch, i, order[i : i + size].copy()) for i in starts]
-    return batches
+        for i in range(0, len(order), size):
+            yield epoch, i, order[i : i + size].copy()
 
 
 def _fit_lockstep(prep: _Prepared, config: FitConfig, models: list):
@@ -526,15 +527,15 @@ def _fit_lockstep(prep: _Prepared, config: FitConfig, models: list):
         return theta[:, :-2].reshape(-1, n, d_max), theta[:, -2], theta[:, -1]
 
     m, v = np.zeros_like(theta), np.zeros_like(theta)
-    schedules = [_batches(rows, config) for _, rows in models]
-    n_updates = np.array([len(batches) for batches in schedules])
+    n_updates = [config.epochs * -(-len(rows) // config.batch_size) for _, rows in models]
     # Per update and fit: its batch loss and gradient norm.
-    history = np.zeros((2, n_updates.max(initial=0), len(models)))
+    history = _empty((2, max(n_updates, default=0), len(models)))
+    schedules = [_batches(rows, config) for _, rows in models]
     started = time.perf_counter()
 
     for step in range(len(history[0])):
-        live = np.flatnonzero(n_updates > step)
-        live_dims, batches = [dims[i] for i in live], [schedules[i][step] for i in live]
+        live = np.flatnonzero([n > step for n in n_updates])
+        live_dims, batches = [dims[i] for i in live], [next(schedules[i]) for i in live]
         row_sets = [rows for _, _, rows in batches]
         losses, _, grads = _evaluate_batch(model(theta[live]), prep, row_sets, n_steps, True)
         loss = np.array([part.mean() for part in _split(losses, [len(r) for r in row_sets])])

@@ -353,6 +353,8 @@ def test_sweep_dim_command(tmp_path, data_file):
         pytest.param("fit", "latent_dim", 10**20, id="fit-latent_dim-1e20"),
         pytest.param("fit", "n_integration_steps", 10**18, id="fit-steps-1e18"),
         pytest.param("fit", "n_integration_steps", 10**20, id="fit-steps-1e20"),
+        pytest.param("fit", "epochs", 10**18, id="fit-epochs-1e18"),
+        pytest.param("fit", "epochs", 10**20, id="fit-epochs-1e20"),
     ],
 )
 def test_allocation_failure_exits_1(tmp_path, data_file, capsys, command, key, huge):

@@ -23,10 +23,11 @@ from goalgen.elo import (
     GRADIENT_STEP,
     MAX_ITERATIONS,
     RIDGE,
-    EloProblem,
     EloTable,
     RecordComparisons,
     _COMPETITORS,
+    _NO_GOAL,
+    _merge,
     elo_by_agent,
     elo_holdout_validation,
     elo_predict,
@@ -38,7 +39,7 @@ from goalgen.elo import (
     score_holdout,
 )
 from goalgen.errors import NumericalError, ValidationError
-from goalgen.features import Colour, ObjectFeatures, Shape, enumerate_objects
+from goalgen.features import Colour, ObjectFeatures, Shape, enumerate_objects, object_index
 from goalgen.harness import kfold_partition
 
 RC = ObjectFeatures(Colour.RED, Shape.CROSS)
@@ -323,12 +324,20 @@ def assert_matches_table(got, want, key):
     assert got.final_step < CONVERGENCE_TOL
 
 
+def comparisons_and_row_sets(problems):
+    """One RecordComparisons of every record list, one after another, and
+    each list's row indices into it, by key."""
+    records, row_sets = [], {}
+    for key, rs in problems.items():
+        row_sets[key] = np.arange(len(records), len(records) + len(rs))
+        records += rs
+    return RecordComparisons(records), row_sets
+
+
 def assert_matches_serial(problems):
-    """fit_elo_many on each record list's merged problem against the serial
-    oracle on its comparisons, problem by problem."""
-    tables = fit_elo_many(
-        {key: RecordComparisons(records).problem() for key, records in problems.items()}
-    )
+    """fit_elo_many on each record list's rows against the serial oracle on
+    its comparisons, problem by problem."""
+    tables = fit_elo_many(*comparisons_and_row_sets(problems))
     assert list(tables) == list(problems)
     for key, records in problems.items():
         want = serial_fit_elo(masked_comparisons(records))
@@ -372,11 +381,14 @@ def test_lockstep_matches_serial_on_mixed_fast_and_slow_problems():
 
 
 def test_single_comparison_problem_alone():
-    # RC against no goal only: slot 0 is RC, slot 1 the no-goal competitor.
-    problem = EloProblem(
-        (RC,), np.array([0]), np.array([1]), np.array([2.0]), np.array([0.5])
-    )
-    table = fit_elo_many({"single": problem})["single"]
+    # RC against no goal only: one record row whose other two comparisons
+    # have zero weight, so the merge drops them.
+    comparisons = RecordComparisons([record(50, 30, 20)])
+    comparisons.code_a = np.full((1, 3), object_index(RC))
+    comparisons.code_b = np.full((1, 3), _NO_GOAL)
+    comparisons.weight = np.array([[2.0, 0.0, 0.0]])
+    comparisons.rate = np.array([[0.25, 0.5, 0.5]])
+    table = fit_elo_many(comparisons, {"single": [0]})["single"]
     assert_matches_table(table, serial_fit_elo([(RC, None, 0.25, 2.0)]), "single")
     # P(RC beats no-goal) = 0.25 puts RC 400 log10(3) below the anchor; the
     # first-order descent stops about 0.2 points short of it.
@@ -386,30 +398,25 @@ def test_single_comparison_problem_alone():
 def test_merging_sums_comparisons_per_ordered_pair():
     records = population_dataset(seed=5, n_pipelines=1).records
     comparisons = masked_comparisons(records)
-    problem = RecordComparisons(records).problem()
+    _, _, weight, weighted_rate = _merge(RecordComparisons(records), [np.arange(276)])
     assert len(comparisons) == 3 * 276
     # 276 object pairs plus each of the 24 objects against no-goal
-    assert len(problem.weight) == 276 + 24
-    assert problem.weight.sum() == pytest.approx(sum(c[3] for c in comparisons))
-    assert problem.weighted_rate.sum() == pytest.approx(
-        sum(c[3] * c[2] for c in comparisons)
-    )
+    assert len(weight) == 276 + 24
+    assert weight.sum() == pytest.approx(sum(c[3] for c in comparisons))
+    assert weighted_rate.sum() == pytest.approx(sum(c[3] * c[2] for c in comparisons))
 
 
 def test_fit_elo_many_of_no_problems_is_empty():
-    assert fit_elo_many({}) == {}
+    assert fit_elo_many(RecordComparisons([]), {}) == {}
 
 
 def test_non_convergence_names_the_problem_that_failed(monkeypatch):
     records = population_dataset(seed=5, n_pipelines=1).records
     cap = serial_fit_elo(masked_comparisons(records)).iterations
-    problems = {
-        "pipeline p00": RecordComparisons(records).problem(),
-        "pipeline p01 (fold 2)": RecordComparisons([record(40, 40, 20)]).problem(),
-    }
+    problems = {"pipeline p00": records, "pipeline p01 (fold 2)": [record(40, 40, 20)]}
     monkeypatch.setattr(elo, "MAX_ITERATIONS", cap)
     with pytest.raises(NumericalError) as info:
-        fit_elo_many(problems)
+        fit_elo_many(*comparisons_and_row_sets(problems))
     message = str(info.value)
     assert message.startswith(
         f"Elo fit for pipeline p01 (fold 2) did not converge in {cap} iterations"
@@ -550,9 +557,9 @@ def test_elo_by_agent_matches_each_agent_alone():
 def test_elo_by_agent_fits_every_problem_in_one_call(monkeypatch):
     calls = []
 
-    def recording(problems):
-        calls.append(list(problems))
-        return fit_elo_many(problems)
+    def recording(comparisons, row_sets):
+        calls.append(list(row_sets))
+        return fit_elo_many(comparisons, row_sets)
 
     monkeypatch.setattr(elo, "fit_elo_many", recording)
     records = mixed_agents_dataset().records
@@ -579,6 +586,19 @@ def test_elo_command_skips_holdout_rows_as_before(tmp_path):
     assert [row[0] for row in rows] == ["pipeline_id", "p000"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert sorted(manifest["diagnostics"]) == ["disjoint", "few", "p000"]
+
+
+def test_elo_command_on_pipelines_without_records(tmp_path):
+    # No record names an agent, so no row set reaches the fit.
+    stage = (TrainingStage(enumerate_objects()[3]),)
+    data = tmp_path / "empty.jsonl"
+    save_dataset(Dataset({"p00": TrainingPipeline("p00", stage)}), data)
+    out = tmp_path / "elo"
+    assert main(["elo", "--data", str(data), "--out", str(out)]) == 0
+    assert (out / "elo_holdout.csv").read_text() == (
+        "pipeline_id,kl,tv,brier,directional_accuracy,n_directional\n"
+    )
+    assert sorted(p.name for p in out.glob("*.csv")) == ["elo_holdout.csv"]
 
 
 REFERENCE = Path(__file__).parent / "data" / "elo_cli_reference.json"

@@ -200,7 +200,7 @@ def test_passes_ascend_only_the_pipelines_of_each_fits_own_rows(monkeypatch):
     def n_pipes(rows):
         return len(np.unique(pipeline[rows]))
 
-    schedules = [fitting._batches(train, config) for train, _ in splits]
+    schedules = [list(fitting._batches(train, config)) for train, _ in splits]
     want = [
         sum(n_pipes(batches[step][2]) for batches in schedules if step < len(batches))
         for step in range(max(map(len, schedules)))
