@@ -418,7 +418,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except MemoryError as exc:
         # numpy refuses an allocation far beyond the machine's memory at once
-        print(f"error: out of memory ({exc})", file=sys.stderr)
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

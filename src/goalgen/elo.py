@@ -12,8 +12,9 @@ dataset's columns. ``fit_elo_many`` fits the comparisons of many row sets
 as one array problem: one ``bincount`` over (problem, a, b) cells merges
 every problem's comparisons, and each problem is a row of one
 (problems, 25) score array, with a slot per competitor code. ``elo_by_agent`` hands it each
-agent's full and holdout-fold row sets and scores each fold's held-out
-rows. Folds come from ``dataset.seeded_folds``, as K-fold's do.
+agent's full and holdout-fold row sets, and ``elo_holdout_validation`` one
+record list's folds; ``score_holdout`` scores each fold's held-out rows.
+Folds come from ``dataset.seeded_folds``, as K-fold's do.
 """
 
 from __future__ import annotations
@@ -296,32 +297,26 @@ def score_holdout(
 
 def elo_by_agent(
     records: Dataset | Sequence[PreferenceRecord],
-    agent_rows: Mapping[str | None, np.ndarray],
+    agent_rows: Mapping[str, np.ndarray],
     k: int = 4,
     rng_seed: int = 0,
-    full: bool = True,
-) -> dict[str | None, tuple[EloTable | None, MetricsReport | ValidationError]]:
+) -> dict[str, tuple[EloTable, MetricsReport | ValidationError]]:
     """Each agent's (table, holdout report) from its row indices into
     ``records``, with every fit in one ``fit_elo_many`` call.
 
-    Agent by agent, the row sets are ``pipeline <agent>``, all its rows (if
-    ``full``; else the table is None), and its folds ``pipeline <agent>
-    (fold <i>)``, or ``fold <i>`` for the agent None. A report is instead
-    the ValidationError that skipped it: rows too few for k folds, a fold
-    with no positive-weight comparison, or no held-out record that its
-    fold's table scores both competitors of.
+    Agent by agent, the row sets are ``pipeline <agent>``, all its rows, and
+    its folds ``pipeline <agent> (fold <i>)``. A report is instead the
+    ValidationError that skipped it: rows too few for k folds, a fold with
+    no positive-weight comparison, or no held-out record that its fold's
+    table scores both competitors of.
     """
     comparisons = RecordComparisons(records)
     row_sets, folds = {}, {}
     for agent, rows in agent_rows.items():
-        if full:
-            row_sets[f"pipeline {agent}"] = rows
+        row_sets[f"pipeline {agent}"] = rows
         try:
             splits = holdout_folds(len(rows), k, rng_seed)
-            keys = [
-                f"fold {i}" if agent is None else f"pipeline {agent} (fold {i})"
-                for i in range(k)
-            ]
+            keys = [f"pipeline {agent} (fold {i})" for i in range(k)]
             trains = [comparisons.check(rows[train]) for train, _ in splits]
         except ValidationError as exc:
             folds[agent] = exc
@@ -340,7 +335,7 @@ def elo_by_agent(
                 report = score_holdout(comparisons, held_out, fold_tables)
             except ValidationError as exc:
                 report = exc
-        results[agent] = (tables[f"pipeline {agent}"] if full else None, report)
+        results[agent] = (tables[f"pipeline {agent}"], report)
     return results
 
 
@@ -349,11 +344,11 @@ def elo_holdout_validation(
     k: int = 4,
     rng_seed: int = 0,
 ) -> MetricsReport:
-    """K-fold validation of how well Elo scores predict held-out pairs:
-    ``elo_by_agent`` on the records as one agent, with no full fit. Raises
-    the ValidationError that would skip the report."""
-    rows = {None: np.arange(len(records))}
-    _, report = elo_by_agent(records, rows, k, rng_seed, full=False)[None]
-    if isinstance(report, ValidationError):
-        raise report
-    return report
+    """K-fold validation of how well Elo scores predict held-out pairs: the
+    records' ``holdout_folds`` fitted as ``fold <i>`` in one ``fit_elo_many``
+    call, and scored by ``score_holdout``. Raises ValidationError as
+    ``elo_by_agent`` would skip the report."""
+    comparisons = RecordComparisons(records)
+    splits = holdout_folds(len(records), k, rng_seed)
+    tables = fit_elo_many(comparisons, {f"fold {i}": train for i, (train, _) in enumerate(splits)})
+    return score_holdout(comparisons, [test for _, test in splits], list(tables.values()))

@@ -551,8 +551,18 @@ def _fit_lockstep(prep: _Prepared, config: FitConfig, models: list):
             _diverged(np.exp(np.abs(theta[live, -2])), live_dims, "tau or 1 / tau", batches)
         history[:, step, live] = loss, np.linalg.norm(grad, axis=1)
 
-    losses, _, _ = _evaluate_batch(model(theta), prep, [rows for _, rows in models], n_steps)
-    per_example = _split(losses, [len(rows) for _, rows in models])
+    # The training losses, on at most _SCORED_ROWS (fit, row) pairs a call.
+    sizes = [len(rows) for _, rows in models]
+    owner = np.repeat(np.arange(len(models)), sizes)
+    rows = np.concatenate([rows for _, rows in models])
+    losses = []
+    for start in range(0, len(rows), _SCORED_ROWS):
+        part = slice(start, start + _SCORED_ROWS)
+        counts = np.bincount(owner[part], minlength=len(models))
+        live = np.flatnonzero(counts)
+        row_sets = _split(rows[part], counts[live])
+        losses.append(_evaluate_batch(model(theta[live]), prep, row_sets, n_steps)[0])
+    per_example = _split(np.concatenate(losses), sizes)
     train_losses = np.array([part.mean() for part in per_example])
     _diverged(train_losses, dims, "training loss")
     wall_time = time.perf_counter() - started
@@ -575,8 +585,12 @@ def _fit_lockstep(prep: _Prepared, config: FitConfig, models: list):
 # Bounds the fits of one engine pass: while the adjoint runs, each (model,
 # pipeline, stage) entry holds about 18 kB at K = 100 whatever the latent
 # dim: seven (K, 2) histories, 11.2 kB, and (K, 2, 2) step matrices, 3.2 kB.
-# Simultaneous ones are (2T, 2T) per step, built in chunks.
+# Simultaneous ones are (2T, 2T) per step, built in chunks. The final
+# training-loss pass scores at most _SCORED_ROWS (fit, row) pairs a call,
+# about 190 B each (3 MB), well below a full pass's adjoint: three fits on
+# 1,104 rows still take one call.
 _LOCKSTEP_ENTRIES = 1024
+_SCORED_ROWS = 2**14
 
 
 def _fit_models(prep: _Prepared, config: FitConfig, models: list):

@@ -226,18 +226,6 @@ def outer_gradient_error(rng: np.random.Generator, n_records: int = 5) -> float:
     return float(rel.max())
 
 
-def check_inner_gradient(seed: int = 0, n_draws: int = 100, tol: float = 1e-5) -> bool:
-    """Analytic latent gradient vs central finite differences."""
-    rng = np.random.default_rng([0x696E6E65, seed])
-    return inner_gradient_error(rng, n_draws) < tol
-
-
-def check_projection(seed: int = 0, n_draws: int = 100, tol: float = 1e-3) -> bool:
-    """Simulated pipelines land on the iterated closed-form projection."""
-    rng = np.random.default_rng([0x70726F6A, seed])
-    return projection_error(rng, n_draws) < tol
-
-
 def check_equilibrium(tol: float = 1e-3) -> bool:
     """Single-stage identity-saliency training settles at sigma(1)."""
     hp = identity_hyperparameters()
@@ -249,19 +237,6 @@ def check_equilibrium(tol: float = 1e-3) -> bool:
     pi = stage_objective(hp, w, stage).pi_goal
     target = 1.0 / (1.0 + math.exp(-1.0))
     return abs(value - 1.0) < tol and abs(pi - target) < tol
-
-
-def check_engine(seed: int = 0, n_draws: int = 24, tol: float = 1e-8) -> bool:
-    """The fit's batch engine simulates pipelines and predicts choices as the
-    scalar reference does."""
-    rng = np.random.default_rng([0x656E67, seed])
-    return engine_error(rng, n_draws) < tol
-
-
-def check_outer_gradient(seed: int = 0, tol: float = 1e-3) -> bool:
-    """Adjoint hyperparameter gradients vs central finite differences."""
-    rng = np.random.default_rng([0x6F757465, seed])
-    return outer_gradient_error(rng) < tol
 
 
 def check_metrics() -> bool:
@@ -278,17 +253,25 @@ def check_metrics() -> bool:
 
 
 def run_self_checks(seed: int = 0) -> bool:
+    """Print one pass/fail line per check, in order; True if all pass. A
+    seeded row is (name, oracle, first seed word, draws, tolerance): its
+    oracle's worst error on a generator seeded with that word and ``seed``
+    must fall below the tolerance."""
     checks = [
-        ("inner gradient vs finite differences", lambda: check_inner_gradient(seed)),
-        ("simulation vs closed-form projection", lambda: check_projection(seed)),
+        ("inner gradient vs finite differences", inner_gradient_error, 0x696E6E65, 100, 1e-5),
+        ("simulation vs closed-form projection", projection_error, 0x70726F6A, 100, 1e-3),
         ("single-stage equilibrium identity", check_equilibrium),
-        ("outer adjoint vs finite differences", lambda: check_outer_gradient(seed)),
-        ("batch engine vs scalar simulation", lambda: check_engine(seed)),
+        ("outer adjoint vs finite differences", outer_gradient_error, 0x6F757465, 5, 1e-3),
+        ("batch engine vs scalar simulation", engine_error, 0x656E67, 24, 1e-8),
         ("metric identities", check_metrics),
     ]
     all_ok = True
-    for name, fn in checks:
-        ok = fn()
+    for name, check, *seeded in checks:
+        if seeded:
+            word, n_draws, tol = seeded
+            ok = check(np.random.default_rng([word, seed]), n_draws) < tol
+        else:
+            ok = check()
         all_ok = all_ok and ok
         print(f"[{'PASS' if ok else 'FAIL'}] {name}")
     return all_ok

@@ -355,19 +355,32 @@ def test_sweep_dim_command(tmp_path, data_file):
         pytest.param("fit", "n_integration_steps", 10**20, id="fit-steps-1e20"),
         pytest.param("fit", "epochs", 10**18, id="fit-epochs-1e18"),
         pytest.param("fit", "epochs", 10**20, id="fit-epochs-1e20"),
+        pytest.param("fit", None, None, id="fit-bare-MemoryError"),
     ],
 )
-def test_allocation_failure_exits_1(tmp_path, data_file, capsys, command, key, huge):
+def test_allocation_failure_exits_1(
+    tmp_path, data_file, capsys, monkeypatch, command, key, huge
+):
     # numpy refuses a 9 TiB saliency mask at once, and sizes it cannot even
     # address (array too big, dimension too large) too, so this takes no memory.
-    if command == "sweep-dim":
+    if key is None:  # a MemoryError with no message to show
+
+        def bare(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(fitting, "fit_hyperparameters", bare)
+        extra = ["--config", str(fast_config(tmp_path))]
+    elif command == "sweep-dim":
         extra = ["--dims", f"1,{huge}", "--config", str(fast_config(tmp_path))]
     else:
         extra = ["--config", str(fast_config(tmp_path, **{key: huge}))]
     out = tmp_path / "out"
     code = main([command, "--data", str(data_file), "--out", str(out), *extra])
     assert code == 1
-    assert_one_line_error(capsys, "out of memory", "Unable to allocate")
+    if key is None:
+        assert capsys.readouterr().err == "error: out of memory\n"
+    else:
+        assert_one_line_error(capsys, "out of memory", "Unable to allocate")
     assert not out.exists()
 
 
@@ -533,8 +546,9 @@ def test_gen_data_evaluates_every_agent_like_one_at_a_time(tmp_path):
     assert list(records) == expected
 
 
-def test_check_command_passes(tmp_path, capsys):
-    code = main(["check", "--out", str(tmp_path / "chk")])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_check_command_passes(tmp_path, capsys, seed):
+    code = main(["check", "--seed", str(seed), "--out", str(tmp_path / "chk")])
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("[PASS]") == 6  # five oracles and the metric identities

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import GOALS, OBJECTS, sample_records, synthetic_dataset
+from conftest import GOALS, OBJECTS, population_dataset, sample_records, synthetic_dataset
 from goalgen.dataset import Dataset, TrainingPipeline, TrainingStage
 from goalgen import fitting
 from goalgen.errors import NumericalError
@@ -173,6 +173,46 @@ def test_non_finite_training_loss_names_the_latent_dim(monkeypatch):
     monkeypatch.setattr(fitting, "_evaluate_batch", final_loss_nan)
     with pytest.raises(NumericalError, match=r"^non-finite training loss in the latent-dim 1 fit$"):
         latent_dim_sweep(lockstep_dataset(), [4, 1], CONFIG)
+
+
+def record_scored_rows(monkeypatch) -> list:
+    """Wrap the engine; the returned list gets each call's row sets of the
+    training-loss pass after the last update, one list per call."""
+    engine, scored = fitting._evaluate_batch, []
+
+    def recording(model, prep, row_sets, n_steps, gradient=False):
+        if not gradient:
+            scored.append(row_sets)
+        return engine(model, prep, row_sets, n_steps, gradient)
+
+    monkeypatch.setattr(fitting, "_evaluate_batch", recording)
+    return scored
+
+
+@pytest.mark.parametrize("bound", [40, 100])
+def test_final_pass_scores_at_most_its_bound_of_rows(reference, monkeypatch, bound):
+    # The sweep's three fits on all 90 rows: 270 (fit, row) pairs, scored in
+    # order, at most ``bound`` a call, some calls cutting a fit's rows.
+    monkeypatch.setattr(fitting, "_SCORED_ROWS", bound)
+    scored = record_scored_rows(monkeypatch)
+    ds = lockstep_dataset()
+    results = latent_dim_sweep(ds, SWEEP_DIMS, CONFIG)
+    sizes = [sum(map(len, row_sets)) for row_sets in scored]
+    assert max(sizes) <= bound
+    assert len(sizes) == -(-len(SWEEP_DIMS) * len(ds.records) // bound)
+    rows = np.concatenate([rows for row_sets in scored for rows in row_sets])
+    np.testing.assert_array_equal(rows, np.tile(np.arange(len(ds.records)), len(SWEEP_DIMS)))
+    for d, result in zip(SWEEP_DIMS, results):
+        assert_matches(fit_values(result), reference["sweep"][str(d)], f"d={d}")
+
+
+def test_final_pass_of_population_sized_fits_is_one_call(monkeypatch):
+    # Three fits on 4 pipelines x 276 pairs, as the population benchmark sweeps.
+    scored = record_scored_rows(monkeypatch)
+    ds = population_dataset(seed=1, n_pipelines=4)
+    config = FitConfig(epochs=1, batch_size=2048, n_integration_steps=5)
+    latent_dim_sweep(ds, [1, 2, 3], config)
+    assert [[len(rows) for rows in row_sets] for row_sets in scored] == [[1104] * 3]
 
 
 if __name__ == "__main__":
